@@ -1,0 +1,397 @@
+"""Size-ordered enumeration of relative SRSs modulo letter renaming.
+
+Systems are finite sets of rules drawn from the universe of rules of size
+up to the bound over a k-letter alphabet (k capped at 4).  Rules carry a
+total order: strict before relative, then length-lexicographic lhs, then
+rhs.  A system is canonical when no letter permutation (optionally
+composed with word reversal) produces a smaller sorted rule list; the
+stream emits exactly the canonical systems, ordered by total size, then
+rule count, then rule-list key.
+
+Universe conventions: a relative rule with lhs = rhs is excluded (it never
+affects termination; the exclusion is counted and reported).  A system
+never contains the same lhs/rhs pair both strict and relative; the strict
+copy dominates.  Strict identity rules stay in the universe: they make the
+system trivially non-terminating, which is a verdict, not a redundancy.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from heapq import merge
+from itertools import permutations, product
+from typing import Iterable, Iterator, Optional
+
+from .certificates import trivial_verdict
+from .core import RelSRS, Rule, Word, system_size
+
+LETTER_NAMES = ("a", "b", "c", "d")
+MAX_ALPHABET = 4
+
+
+def words_up_to(alphabet_size: int, max_len: int) -> Iterator[Word]:
+    """All words of length 0..max_len in length-lexicographic order."""
+    for length in range(max_len + 1):
+        yield from product(range(alphabet_size), repeat=length)
+
+
+def _lenlex(word: Word) -> tuple[int, Word]:
+    return (len(word), word)
+
+
+def _rule_key(rule: Rule):
+    return (0 if rule.strict else 1, _lenlex(rule.lhs), _lenlex(rule.rhs))
+
+
+def _system_key(rules: Iterable[Rule]):
+    return tuple(sorted(_rule_key(r) for r in rules))
+
+
+def _dedupe(rules: Iterable[Rule]) -> list[Rule]:
+    pairs = {(r.lhs, r.rhs) for r in rules if r.strict}
+    out = []
+    seen = set()
+    for r in rules:
+        if not r.strict and (r.lhs, r.rhs) in pairs:
+            continue  # the strict copy dominates
+        if r not in seen:
+            seen.add(r)
+            out.append(r)
+    return out
+
+
+def canonical_form(system: RelSRS, identify_reversal: bool = False) -> RelSRS:
+    """Minimal representative of the system under letter renaming.
+
+    Rules are deduplicated, sorted, and the letters occurring in them are
+    reassigned (an injection into the alphabet's index range) so that the
+    sorted rule list is smallest; word reversal joins the symmetry group
+    only when identify_reversal is set.  Idempotent; the alphabet itself
+    is left untouched.
+    """
+    rules = _dedupe(system.rules)
+    used = sorted({c for r in rules for c in r.lhs + r.rhs})
+    k = len(system.letters)
+    m = len(used)
+    count = 1
+    for i in range(m):
+        count *= k - i
+    if count > 500_000:
+        raise ValueError(f"alphabet too large to canonicalize ({m} letters used of {k})")
+    mirrors = (False, True) if identify_reversal else (False,)
+    best_key = None
+    best_rules = None
+    for target in permutations(range(k), m):
+        mapping = dict(zip(used, target))
+        for mirror in mirrors:
+            mapped = []
+            for r in rules:
+                lhs = r.lhs[::-1] if mirror else r.lhs
+                rhs = r.rhs[::-1] if mirror else r.rhs
+                mapped.append(
+                    Rule(tuple(mapping[c] for c in lhs), tuple(mapping[c] for c in rhs), r.strict)
+                )
+            mapped.sort(key=_rule_key)
+            key = tuple(_rule_key(r) for r in mapped)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_rules = mapped
+    return RelSRS(system.letters, tuple(best_rules or ()))
+
+
+@dataclass(frozen=True)
+class EnumerationConfig:
+    alphabet_size: int
+    max_size: int
+    require_all_letters_used: bool = True
+    require_nonempty_r: bool = True
+    require_nonempty_s: bool = True
+    identify_reversal: bool = False
+    prune_trivial: bool = False
+
+    def __post_init__(self):
+        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size must be 1..{MAX_ALPHABET}")
+        if self.max_size < 0:
+            raise ValueError("max size must be non-negative")
+
+
+@dataclass
+class EnumerationStats:
+    universe_rules: int = 0
+    excluded_identity_rules: int = 0
+    emitted: int = 0
+    by_size: dict[int, int] = field(default_factory=dict)
+    noncanonical_skipped: int = 0
+    rejected_letters_unused: int = 0
+    pruned_trivial: int = 0
+
+
+class _Context:
+    def __init__(self, config: EnumerationConfig):
+        self.config = config
+        k = config.alphabet_size
+        self.letters = LETTER_NAMES[:k]
+        rules = []
+        excluded = 0
+        for lhs in words_up_to(k, config.max_size):
+            for rhs in words_up_to(k, config.max_size - len(lhs)):
+                rules.append(Rule(lhs, rhs, True))
+                if lhs == rhs:
+                    excluded += 1
+                else:
+                    rules.append(Rule(lhs, rhs, False))
+        rules.sort(key=_rule_key)
+        self.rules: list[Rule] = rules
+        self.excluded_identity = excluded
+        self.id_of = {r: i for i, r in enumerate(rules)}
+        self.sizes = [r.size for r in rules]
+        self.n_strict = sum(1 for r in rules if r.strict)
+        full = (1 << k) - 1
+        self.full_mask = full
+        self.masks = []
+        for r in rules:
+            m = 0
+            for c in r.lhs + r.rhs:
+                m |= 1 << c
+            self.masks.append(m)
+        # relative rule id -> id of the strict rule with the same sides
+        self.twin = {
+            i: self.id_of[Rule(r.lhs, r.rhs, True)]
+            for i, r in enumerate(rules)
+            if not r.strict
+        }
+        self.ids_by_size: dict[int, list[int]] = {}
+        for i, s in enumerate(self.sizes):
+            self.ids_by_size.setdefault(s, []).append(i)
+        # image tables: transformed-rule id per rule id, one table per
+        # non-trivial symmetry (non-identity permutations, and every
+        # permutation composed with reversal when that is identified)
+        self.tables: list[list[int]] = []
+        perms = list(permutations(range(k)))
+        variants = [(p, False) for p in perms[1:]]
+        if config.identify_reversal:
+            variants += [(p, True) for p in perms]
+        for perm, mirror in variants:
+            table = []
+            for r in rules:
+                lhs = r.lhs[::-1] if mirror else r.lhs
+                rhs = r.rhs[::-1] if mirror else r.rhs
+                img = Rule(tuple(perm[c] for c in lhs), tuple(perm[c] for c in rhs), r.strict)
+                table.append(self.id_of[img])
+            self.tables.append(table)
+
+    def is_canonical(self, ids: list[int]) -> bool:
+        for table in self.tables:
+            if sorted(table[i] for i in ids) < ids:
+                return False
+        return True
+
+    def build(self, ids: list[int]) -> RelSRS:
+        return RelSRS(self.letters, tuple(self.rules[i] for i in ids))
+
+
+def _candidates(ctx: _Context, min_id: int, max_rule_size: int) -> Iterator[int]:
+    """Ids above min_id with rule size at most max_rule_size, ascending."""
+    lists = []
+    for s, ids in ctx.ids_by_size.items():
+        if s <= max_rule_size:
+            lists.append(ids[bisect_left(ids, min_id) :])
+    return merge(*lists)
+
+
+def _gen_block(
+    ctx: _Context, size: int, rule_count: int, stats: Optional[EnumerationStats]
+) -> Iterator[RelSRS]:
+    cfg = ctx.config
+    chosen: list[int] = []
+
+    def finish() -> Optional[RelSRS]:
+        # structural R/S pruning happens during the walk, but single-rule
+        # blocks reach here without the relative-slot restriction applied
+        if cfg.require_nonempty_r and chosen[0] >= ctx.n_strict:
+            return None
+        if cfg.require_nonempty_s and chosen[-1] < ctx.n_strict:
+            return None
+        mask = 0
+        for i in chosen:
+            mask |= ctx.masks[i]
+        if cfg.require_all_letters_used and mask != ctx.full_mask:
+            if stats:
+                stats.rejected_letters_unused += 1
+            return None
+        if not ctx.is_canonical(chosen):
+            if stats:
+                stats.noncanonical_skipped += 1
+            return None
+        system = ctx.build(chosen)
+        if cfg.prune_trivial and trivial_verdict(system) is not None:
+            if stats:
+                stats.pruned_trivial += 1
+            return None
+        return system
+
+    def rec(min_id: int, remaining: int, slots: int) -> Iterator[RelSRS]:
+        if slots == 0:
+            if remaining == 0:
+                system = finish()
+                if system is not None:
+                    yield system
+            return
+        need_relative = (
+            cfg.require_nonempty_s
+            and slots == 1
+            and (not chosen or chosen[-1] < ctx.n_strict)
+        )
+        for i in _candidates(ctx, min_id, remaining):
+            if need_relative and i < ctx.n_strict:
+                continue
+            if i in ctx.twin and ctx.twin[i] in chosen_set:
+                continue  # strict copy of the same pair is already in
+            chosen.append(i)
+            chosen_set.add(i)
+            yield from rec(i + 1, remaining - ctx.sizes[i], slots - 1)
+            chosen_set.discard(i)
+            chosen.pop()
+
+    chosen_set: set[int] = set()
+    first_limit = ctx.n_strict if cfg.require_nonempty_r else None
+
+    def rec_first() -> Iterator[RelSRS]:
+        for i in _candidates(ctx, 0, size):
+            if first_limit is not None and i >= first_limit:
+                break  # ids are ascending; no strict rule can follow
+            chosen.append(i)
+            chosen_set.add(i)
+            yield from rec(i + 1, size - ctx.sizes[i], rule_count - 1)
+            chosen_set.discard(i)
+            chosen.pop()
+
+    if rule_count < 1:
+        return
+    yield from rec_first()
+
+
+def enumerate_block(
+    config: EnumerationConfig,
+    size: int,
+    rule_count: int,
+    *,
+    _ctx: Optional[_Context] = None,
+    _stats: Optional[EnumerationStats] = None,
+) -> Iterator[RelSRS]:
+    """Canonical systems of exactly this total size and rule count, in key order."""
+    ctx = _ctx or _Context(config)
+    return _gen_block(ctx, size, rule_count, _stats)
+
+
+class EnumerationStream:
+    """Iterator over all canonical systems for a config, with running stats.
+
+    Order: total size ascending, then rule count, then rule-list key.
+    """
+
+    def __init__(self, config: EnumerationConfig):
+        self.config = config
+        ctx = _Context(config)
+        self.stats = EnumerationStats(
+            universe_rules=len(ctx.rules),
+            excluded_identity_rules=ctx.excluded_identity,
+        )
+        self._gen = self._run(ctx)
+
+    def _run(self, ctx: _Context) -> Iterator[RelSRS]:
+        for size in range(self.config.max_size + 1):
+            # at most one rule of size zero exists, so rule counts beyond
+            # size + 1 are unreachable
+            for rule_count in range(1, size + 2):
+                for system in _gen_block(ctx, size, rule_count, self.stats):
+                    self.stats.emitted += 1
+                    self.stats.by_size[size] = self.stats.by_size.get(size, 0) + 1
+                    yield system
+
+    def __iter__(self) -> Iterator[RelSRS]:
+        return self._gen
+
+
+def enumerate_systems(config: EnumerationConfig) -> EnumerationStream:
+    return EnumerationStream(config)
+
+
+def stream_contains(config: EnumerationConfig, system: RelSRS) -> bool:
+    """Exact membership test for the enumeration stream.
+
+    Uses the same universe, filters, and canonicity predicate as the
+    generator, so a True answer names a system the stream provably emits
+    without scanning up to it.
+    """
+    k = config.alphabet_size
+    if any(c >= k for r in system.rules for c in r.lhs + r.rhs):
+        return False
+    relabeled = RelSRS(LETTER_NAMES[:k], system.rules)
+    canon = canonical_form(relabeled, identify_reversal=config.identify_reversal)
+    if system_size(canon) > config.max_size:
+        return False
+    ctx = _Context(config)
+    try:
+        ids = sorted(ctx.id_of[r] for r in canon.rules)
+    except KeyError:
+        return False  # some rule is outside the universe
+    if len(set(ids)) != len(ids) or not ids:
+        return False
+    if config.require_nonempty_r and ids[0] >= ctx.n_strict:
+        return False
+    if config.require_nonempty_s and ids[-1] < ctx.n_strict:
+        return False
+    mask = 0
+    for i in ids:
+        mask |= ctx.masks[i]
+    if config.require_all_letters_used and mask != ctx.full_mask:
+        return False
+    if any(i in ctx.twin and ctx.twin[i] in ids for i in ids):
+        return False
+    if config.prune_trivial and trivial_verdict(ctx.build(ids)) is not None:
+        return False
+    return ctx.is_canonical(ids)
+
+
+def _flag(value: bool) -> str:
+    return "on" if value else "off"
+
+
+def enumeration_manifest(config: EnumerationConfig, stream: Iterable[RelSRS]) -> str:
+    """Consume the stream and render a stable, reproducible text report."""
+    by_size: dict[int, int] = {}
+    total = 0
+    for system in stream:
+        s = system_size(system)
+        by_size[s] = by_size.get(s, 0) + 1
+        total += 1
+    lines = [
+        "relative SRS enumeration manifest",
+        (
+            f"config: alphabet={config.alphabet_size} max-size={config.max_size}"
+            f" require-all-letters={_flag(config.require_all_letters_used)}"
+            f" nonempty-R={_flag(config.require_nonempty_r)}"
+            f" nonempty-S={_flag(config.require_nonempty_s)}"
+            f" identify-reversal={_flag(config.identify_reversal)}"
+            f" prune-trivial={_flag(config.prune_trivial)}"
+        ),
+    ]
+    stats = getattr(stream, "stats", None)
+    if stats is not None:
+        lines.append(
+            f"universe: {stats.universe_rules} rules"
+            f" (relative identity rules excluded: {stats.excluded_identity_rules})"
+        )
+    if by_size.get(0):
+        lines.append(f"size 0: {by_size[0]}")
+    for s in range(1, config.max_size + 1):
+        lines.append(f"size {s}: {by_size.get(s, 0)}")
+    lines.append(f"total: {total}")
+    if stats is not None:
+        lines.append(f"noncanonical skipped: {stats.noncanonical_skipped}")
+        lines.append(f"rejected (letters unused): {stats.rejected_letters_unused}")
+        lines.append(f"pruned trivial: {stats.pruned_trivial}")
+    return "\n".join(lines) + "\n"
