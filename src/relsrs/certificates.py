@@ -9,13 +9,18 @@ strictify-compose, empty-R}.  Words are token lists, steps are
 "-inf" standing for minus infinity, weights are integers or "p/q" strings.
 Matrix and weight maps are keyed by letter name, so a certificate can be
 checked against any system that uses the same names.
+
+The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
+arithmetic, order, letter conditions, search pool and entry codec, which
+the checker, the search and this schema share.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import RelSRS, Step, Word
 
@@ -76,6 +81,143 @@ class NaturalMatrixCertificate:
 class ArcticMatrixCertificate:
     dimension: int
     interp: dict[str, ArcMatrix]
+
+
+def is_int(v) -> bool:
+    """An int that is not a bool (JSON true/false load as bool, a subclass of int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _nat_mul(a: NatMatrix, b: NatMatrix, d: int) -> NatMatrix:
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
+    )
+
+
+def _arc_mul(a: ArcMatrix, b: ArcMatrix, d: int) -> ArcMatrix:
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            best = None
+            for k in range(d):
+                x, y = a[i][k], b[k][j]
+                if x is None or y is None:
+                    continue
+                s = x + y
+                if best is None or s > best:
+                    best = s
+            row.append(best)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _arc_ge(x: ArcEntry, y: ArcEntry) -> bool:
+    return y is None or (x is not None and x >= y)
+
+
+def _arc_gg(x: ArcEntry, y: ArcEntry) -> bool:
+    return y is None or (x is not None and x > y)
+
+
+def _nat_letter_fault(m: NatMatrix, d: int) -> Optional[str]:
+    if m[0][0] < 1:
+        return f"has entry (1,1) = {m[0][0]} < 1"
+    if m[d - 1][d - 1] < 1:
+        return f"has entry ({d},{d}) = {m[d-1][d-1]} < 1"
+    return None
+
+
+def _arc_letter_fault(m: ArcMatrix, d: int) -> Optional[str]:
+    if m[0][0] is None or m[0][0] < 0:
+        return "needs a finite entry (1,1) >= 0"
+    return None
+
+
+def _nat_rule_fault(rule: str, i: int, j: int, left, right, strict: bool) -> str:
+    if strict:
+        return f"strict rule {rule}: corner ({i+1},{j+1}) {left} <= {right}"
+    return f"rule {rule}: entry ({i+1},{j+1}) {left} < {right}"
+
+
+def _arc_rule_fault(rule: str, i: int, j: int, left, right, strict: bool) -> str:
+    rel = ">>" if strict else ">="
+    return f"rule {rule}: entry ({i+1},{j+1}) violates {rel} ({left} vs {right})"
+
+
+@dataclass(frozen=True)
+class Semiring:
+    """A matrix semiring, with everything checking, search and the JSON
+    schema need to know about it.
+
+    A word maps to the product of its letter matrices, the empty word to
+    the identity.  Every rule needs lhs >= rhs entry-wise (`weak`); a strict
+    rule needs `strict` at the (1,d) corner only when `corner_only`, else at
+    every entry.
+    """
+
+    name: str  # the JSON type tag is matrix-<name>
+    certificate: type
+    zero: Optional[int]
+    one: int
+    # (a, b, d) -> the product of two d x d matrices; a whole-matrix
+    # function, as a scalar callback per entry would slow the search
+    mul: Callable
+    weak: Callable[[object, object], bool]
+    strict: Callable[[object, object], bool]
+    corner_only: bool
+    rule_fault: Callable[..., str]  # (rule text, i, j, lhs entry, rhs entry, strict) -> reason
+    letter_fault: Callable  # (m, d) -> why m may not interpret a letter, or None
+    entry_ok: Callable[[object], bool]
+    entries: str  # what entry_ok accepts, for error messages
+    pool: Callable[[int], list]  # search entries up to a bound, in search order
+
+    @property
+    def tag(self) -> str:
+        return f"matrix-{self.name}"
+
+    def identity(self, d: int):
+        return tuple(tuple(self.one if i == j else self.zero for j in range(d)) for i in range(d))
+
+
+NATURAL = Semiring(
+    name="natural",
+    certificate=NaturalMatrixCertificate,
+    zero=0,
+    one=1,
+    mul=_nat_mul,
+    weak=operator.ge,
+    strict=operator.gt,
+    corner_only=True,
+    rule_fault=_nat_rule_fault,
+    letter_fault=_nat_letter_fault,
+    entry_ok=lambda x: is_int(x) and x >= 0,
+    entries="a non-negative integer",
+    pool=lambda max_entry: list(range(max_entry + 1)),
+)
+
+ARCTIC = Semiring(
+    name="arctic",
+    certificate=ArcticMatrixCertificate,
+    zero=None,
+    one=0,
+    mul=_arc_mul,
+    weak=_arc_ge,
+    strict=_arc_gg,
+    corner_only=False,
+    rule_fault=_arc_rule_fault,
+    letter_fault=_arc_letter_fault,
+    entry_ok=lambda x: x is None or is_int(x),
+    entries='an integer or "-inf"',
+    pool=lambda max_entry: [None] + list(range(-1, max_entry + 1)),
+)
+
+SEMIRINGS = (NATURAL, ARCTIC)
+
+
+def matrix_semiring(cert) -> Optional[Semiring]:
+    """The semiring of a matrix certificate, None for any other object."""
+    return next((s for s in SEMIRINGS if isinstance(cert, s.certificate)), None)
 
 
 @dataclass(frozen=True)
@@ -163,42 +305,27 @@ def _tokens_word(tokens, system: RelSRS) -> Word:
         raise CertificateMismatchError(f"letter {e.args[0]!r} not in system alphabet") from None
 
 
-def _nat_entry_out(x: int):
+def _entry_in(v, semiring: Semiring):
+    x = None if v == "-inf" else v
+    if not semiring.entry_ok(x):
+        raise CertificateFormatError(
+            f"{semiring.name} matrix entry must be {semiring.entries}, got {v!r}"
+        )
     return x
 
 
-def _arc_entry_out(x: ArcEntry):
-    return "-inf" if x is None else x
+def _matrix_out(m) -> list:
+    return [["-inf" if x is None else x for x in row] for row in m]
 
 
-def _nat_entry_in(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise CertificateFormatError(f"natural matrix entry must be an integer, got {v!r}")
-    if v < 0:
-        raise CertificateFormatError(f"natural matrix entry must be non-negative, got {v}")
-    return v
-
-
-def _arc_entry_in(v) -> ArcEntry:
-    if v == "-inf":
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise CertificateFormatError(f'arctic matrix entry must be an integer or "-inf", got {v!r}')
-    return v
-
-
-def _matrix_out(m, entry_out) -> list:
-    return [[entry_out(x) for x in row] for row in m]
-
-
-def _matrix_in(data, dimension: int, entry_in):
+def _matrix_in(data, dimension: int, semiring: Semiring):
     if not isinstance(data, list) or len(data) != dimension:
         raise CertificateFormatError(f"matrix must have {dimension} rows")
     rows = []
     for row in data:
         if not isinstance(row, list) or len(row) != dimension:
             raise CertificateFormatError(f"matrix row must have {dimension} entries")
-        rows.append(tuple(entry_in(x) for x in row))
+        rows.append(tuple(_entry_in(x, semiring) for x in row))
     return tuple(rows)
 
 
@@ -213,8 +340,8 @@ def _steps_in(data) -> tuple[Step, ...]:
     for s in data:
         if (
             not isinstance(s, dict)
-            or not isinstance(s.get("rule"), int)
-            or not isinstance(s.get("position"), int)
+            or not is_int(s.get("rule"))
+            or not is_int(s.get("position"))
         ):
             raise CertificateFormatError('each step must be {"rule": int, "position": int}')
         out.append(Step(s["rule"], s["position"]))
@@ -243,21 +370,12 @@ def serialize_certificate(cert: Certificate, system: RelSRS) -> dict:
             frac = Fraction(w)
             out[name] = int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
         return {"type": "weights", "weights": out}
-    if isinstance(cert, NaturalMatrixCertificate):
+    semiring = matrix_semiring(cert)
+    if semiring is not None:
         return {
-            "type": "matrix-natural",
+            "type": semiring.tag,
             "dimension": cert.dimension,
-            "matrices": {
-                name: _matrix_out(m, _nat_entry_out) for name, m in sorted(cert.interp.items())
-            },
-        }
-    if isinstance(cert, ArcticMatrixCertificate):
-        return {
-            "type": "matrix-arctic",
-            "dimension": cert.dimension,
-            "matrices": {
-                name: _matrix_out(m, _arc_entry_out) for name, m in sorted(cert.interp.items())
-            },
+            "matrices": {name: _matrix_out(m) for name, m in sorted(cert.interp.items())},
         }
     if isinstance(cert, EmptyRCertificate):
         return {"type": "empty-R"}
@@ -283,9 +401,9 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
             rd = data["redex"]
             if (
                 not isinstance(rd, dict)
-                or not isinstance(rd.get("rule"), int)
+                or not is_int(rd.get("rule"))
                 or rd.get("side") not in ("left", "right")
-                or not isinstance(rd.get("offset"), int)
+                or not is_int(rd.get("offset"))
             ):
                 raise CertificateFormatError("redex must have rule, side (left/right), offset")
             redex = EmittingRedex(rd["rule"], rd["side"], rd["offset"])
@@ -317,18 +435,17 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
             if weights[name] < 0:
                 raise CertificateFormatError(f"weight for {name!r} must be non-negative")
         return WeightCertificate(weights)
-    if kind in ("matrix-natural", "matrix-arctic"):
+    semiring = next((s for s in SEMIRINGS if s.tag == kind), None)
+    if semiring is not None:
         dim = data.get("dimension")
-        if not isinstance(dim, int) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise CertificateFormatError("dimension must be a positive integer")
         raw = data.get("matrices")
         if not isinstance(raw, dict):
             raise CertificateFormatError("matrices must be an object keyed by letter")
-        entry_in = _nat_entry_in if kind == "matrix-natural" else _arc_entry_in
-        interp = {name: _matrix_in(m, dim, entry_in) for name, m in raw.items()}
-        if kind == "matrix-natural":
-            return NaturalMatrixCertificate(dim, interp)
-        return ArcticMatrixCertificate(dim, interp)
+        return semiring.certificate(
+            dim, {name: _matrix_in(m, dim, semiring) for name, m in raw.items()}
+        )
     if kind == "empty-R":
         return EmptyRCertificate()
     if kind == "strictify-compose":

@@ -14,17 +14,16 @@ steps are {"rule": i, "position": p} pairs, matrices are row-major with
 
 Runs without --timeout are deterministic: identical invocations print
 byte-identical result lines and certificates.  --timeout trades that for
-a coarse wall-clock cap checked between proof methods.
+a wall-clock cap checked between proof methods and inside matrix search;
+loop and closure searches run to their bounds before it is checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -57,18 +56,7 @@ def _read_system(path: str) -> RelSRS:
     return document_to_system(parse_srs(Path(path).read_text()))
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("RELSRS_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RELSRS_SEED must be an integer, got {raw!r}") from None
-
-
 def _budget_from_args(args: argparse.Namespace) -> ProveBudget:
-    budget = ProveBudget(seed=_env_seed())
     updates = {}
     if getattr(args, "max_word_len", None) is not None:
         updates["loop_max_word_len"] = args.max_word_len
@@ -78,7 +66,7 @@ def _budget_from_args(args: argparse.Namespace) -> ProveBudget:
         updates["matrix_max_dim"] = args.max_dim
     if getattr(args, "max_entry", None) is not None:
         updates["matrix_max_entry"] = args.max_entry
-    return replace(budget, **updates) if updates else budget
+    return ProveBudget(**updates)
 
 
 def _deadline(args: argparse.Namespace) -> Optional[float]:

@@ -158,5 +158,14 @@ def reverse_system(system: RelSRS) -> RelSRS:
     )
 
 
+def used_letters(system: RelSRS) -> list[int]:
+    """The letters that occur in some rule, in increasing order."""
+    used = set()
+    for rule in system.rules:
+        used.update(rule.lhs)
+        used.update(rule.rhs)
+    return sorted(used)
+
+
 def system_size(system: RelSRS) -> int:
     return sum(r.size for r in system.rules)

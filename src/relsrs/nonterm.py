@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional
 
 from .certificates import CheckResult, EmittingRedex, LoopCertificate
-from .core import Derivation, RelSRS, ReplayError, Step, Word, replay
+from .core import Derivation, RelSRS, ReplayError, Step, Word, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
@@ -34,18 +34,10 @@ def _is_factor(needle: Word, hay: Word) -> bool:
     return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
 
-def _used_letters(system: RelSRS) -> list[int]:
-    used = set()
-    for rule in system.rules:
-        used.update(rule.lhs)
-        used.update(rule.rhs)
-    return sorted(used)
-
-
 def _start_words(system: RelSRS, max_len: int, lhss: list[Word]):
     """Words over the letters occurring in rules, shorter first then
     lexicographic, filtered to those containing some lhs occurrence."""
-    letters = _used_letters(system)
+    letters = used_letters(system)
     for length in range(max_len + 1):
         for tup in product(letters, repeat=length):
             if any(_is_factor(lhs, tup) for lhs in lhss):

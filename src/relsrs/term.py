@@ -11,7 +11,11 @@ rule needs entry-wise >= plus strict decrease at the (1,d) corner.  Both
 corner requirements make the strict decrease survive left and right
 contexts (C[1,1] >= 1 feeds the left product, D[d,d] >= 1 the right).
 Arctic letter matrices need a finite (1,1) entry >= 0; strict decrease is
-entry-wise x >> y, i.e. x > y or x = y = -inf.
+entry-wise x >> y, i.e. x > y or x = y = -inf.  One checker, one rule test
+and one search serve both semirings, each described by a `Semiring` record
+(certificates.NATURAL and certificates.ARCTIC).  Matrix search is
+exhaustive for every dimension up to the bound, under an assignment cap
+and the prove deadline.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy (decide
@@ -21,7 +25,6 @@ and a termination proof of it confirms), then the direct relative methods.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +32,7 @@ from itertools import product
 from typing import Optional
 
 from .certificates import (
-    ArcMatrix,
+    SEMIRINGS,
     ArcticMatrixCertificate,
     Attempt,
     Certificate,
@@ -37,22 +40,16 @@ from .certificates import (
     ComposeCertificate,
     EmptyRCertificate,
     LoopCertificate,
-    NatMatrix,
     NaturalMatrixCertificate,
     ProofOutcome,
+    Semiring,
     WeightCertificate,
+    is_int,
+    matrix_semiring,
     trivial_verdict,
 )
-from .core import RelSRS, Rule, Word, strictify
+from .core import RelSRS, Rule, Word, strictify, used_letters
 from .nonterm import check_loop_certificate, search_emitting_loop, search_mixed_loop
-
-
-def _used_letters(system: RelSRS) -> list[int]:
-    used = set()
-    for rule in system.rules:
-        used.update(rule.lhs)
-        used.update(rule.rhs)
-    return sorted(used)
 
 
 # ---------------------------------------------------------------- weights
@@ -88,7 +85,7 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
 
 def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCertificate]:
     """Exhaustive integer weights 0..max_weight over the letters used in rules."""
-    used = _used_letters(system)
+    used = used_letters(system)
     # the weight condition only sees per-rule letter count differences
     deltas = []
     for rule in system.rules:
@@ -116,122 +113,47 @@ def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCerti
     return None
 
 
-# ------------------------------------------------------- natural matrices
+# ------------------------------------------------------ matrix interpretations
 
 
-def _nat_identity(d: int) -> NatMatrix:
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-
-def _nat_mul(a: NatMatrix, b: NatMatrix, d: int) -> NatMatrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
-    )
-
-
-def _nat_word(word: Word, mats: dict[int, NatMatrix], d: int) -> NatMatrix:
-    m = _nat_identity(d)
-    for c in word:
-        m = _nat_mul(m, mats[c], d)
+def _word_matrix(word: Word, mats: dict, semiring: Semiring, d: int):
+    if not word:
+        return semiring.identity(d)
+    m = mats[word[0]]
+    for c in word[1:]:
+        m = semiring.mul(m, mats[c], d)
     return m
 
 
-def check_matrix_natural(cert: NaturalMatrixCertificate, system: RelSRS) -> CheckResult:
-    if not isinstance(cert, NaturalMatrixCertificate):
-        return CheckResult(False, "not a natural matrix certificate")
-    d = cert.dimension
-    if not isinstance(d, int) or d < 1:
-        return CheckResult(False, "dimension must be a positive integer")
-    mats: dict[int, NatMatrix] = {}
-    for i, name in enumerate(system.letters):
-        if name not in cert.interp:
-            continue
-        m = cert.interp[name]
-        if len(m) != d or any(len(row) != d for row in m):
-            return CheckResult(False, f"matrix for {name!r} is not {d}x{d}")
-        for row in m:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    return CheckResult(False, f"matrix for {name!r} has a bad entry {x!r}")
-        if m[0][0] < 1:
-            return CheckResult(False, f"matrix for {name!r} has entry (1,1) = {m[0][0]} < 1")
-        if m[d - 1][d - 1] < 1:
-            return CheckResult(
-                False, f"matrix for {name!r} has entry ({d},{d}) = {m[d-1][d-1]} < 1"
-            )
-        mats[i] = m
-    for rule in system.rules:
-        for c in rule.lhs + rule.rhs:
-            if c not in mats:
-                return CheckResult(False, f"no matrix for letter {system.letters[c]!r}")
-        lm = _nat_word(rule.lhs, mats, d)
-        rm = _nat_word(rule.rhs, mats, d)
-        for i in range(d):
-            for j in range(d):
-                if lm[i][j] < rm[i][j]:
-                    return CheckResult(
-                        False,
-                        f"rule {system.rule_str(rule)}: entry ({i+1},{j+1}) "
-                        f"{lm[i][j]} < {rm[i][j]}",
-                    )
-        if rule.strict and not lm[0][d - 1] > rm[0][d - 1]:
-            return CheckResult(
-                False,
-                f"strict rule {system.rule_str(rule)}: corner (1,{d}) "
-                f"{lm[0][d-1]} <= {rm[0][d-1]}",
-            )
-    return CheckResult(True)
-
-
-# -------------------------------------------------------- arctic matrices
-
-
-def _arc_identity(d: int) -> ArcMatrix:
-    return tuple(tuple(0 if i == j else None for j in range(d)) for i in range(d))
-
-
-def _arc_mul(a: ArcMatrix, b: ArcMatrix, d: int) -> ArcMatrix:
-    out = []
+def _rule_fault(rule: Rule, mats: dict, semiring: Semiring, d: int):
+    """The first entry where the rule's sides are out of order, as (i, j,
+    lhs entry, rhs entry, whether the comparison was strict); None when the
+    interpretation respects the rule."""
+    lm = _word_matrix(rule.lhs, mats, semiring, d)
+    rm = _word_matrix(rule.rhs, mats, semiring, d)
+    strict = rule.strict and not semiring.corner_only
+    cmp = semiring.strict if strict else semiring.weak
     for i in range(d):
-        row = []
         for j in range(d):
-            best = None
-            for k in range(d):
-                x, y = a[i][k], b[k][j]
-                if x is None or y is None:
-                    continue
-                s = x + y
-                if best is None or s > best:
-                    best = s
-            row.append(best)
-        out.append(tuple(row))
-    return tuple(out)
+            if not cmp(lm[i][j], rm[i][j]):
+                return i, j, lm[i][j], rm[i][j], strict
+    if rule.strict and semiring.corner_only:
+        left, right = lm[0][d - 1], rm[0][d - 1]
+        if not semiring.strict(left, right):
+            return 0, d - 1, left, right, True
+    return None
 
 
-def _arc_word(word: Word, mats: dict[int, ArcMatrix], d: int) -> ArcMatrix:
-    m = _arc_identity(d)
-    for c in word:
-        m = _arc_mul(m, mats[c], d)
-    return m
-
-
-def _arc_ge(x, y) -> bool:
-    return y is None or (x is not None and x >= y)
-
-
-def _arc_gg(x, y) -> bool:
-    if x is None:
-        return y is None
-    return y is None or x > y
-
-
-def check_matrix_arctic(cert: ArcticMatrixCertificate, system: RelSRS) -> CheckResult:
-    if not isinstance(cert, ArcticMatrixCertificate):
-        return CheckResult(False, "not an arctic matrix certificate")
+def check_matrix(
+    cert: NaturalMatrixCertificate | ArcticMatrixCertificate, system: RelSRS
+) -> CheckResult:
+    semiring = matrix_semiring(cert)
+    if semiring is None:
+        return CheckResult(False, "not a matrix certificate")
     d = cert.dimension
-    if not isinstance(d, int) or d < 1:
+    if not is_int(d) or d < 1:
         return CheckResult(False, "dimension must be a positive integer")
-    mats: dict[int, ArcMatrix] = {}
+    mats = {}
     for i, name in enumerate(system.letters):
         if name not in cert.interp:
             continue
@@ -240,65 +162,52 @@ def check_matrix_arctic(cert: ArcticMatrixCertificate, system: RelSRS) -> CheckR
             return CheckResult(False, f"matrix for {name!r} is not {d}x{d}")
         for row in m:
             for x in row:
-                if x is not None and (not isinstance(x, int) or isinstance(x, bool)):
+                if not semiring.entry_ok(x):
                     return CheckResult(False, f"matrix for {name!r} has a bad entry {x!r}")
-        if m[0][0] is None or m[0][0] < 0:
-            return CheckResult(
-                False, f"matrix for {name!r} needs a finite entry (1,1) >= 0"
-            )
+        fault = semiring.letter_fault(m, d)
+        if fault is not None:
+            return CheckResult(False, f"matrix for {name!r} {fault}")
         mats[i] = m
     for rule in system.rules:
         for c in rule.lhs + rule.rhs:
             if c not in mats:
                 return CheckResult(False, f"no matrix for letter {system.letters[c]!r}")
-        lm = _arc_word(rule.lhs, mats, d)
-        rm = _arc_word(rule.rhs, mats, d)
-        cmp = _arc_gg if rule.strict else _arc_ge
-        rel = ">>" if rule.strict else ">="
-        for i in range(d):
-            for j in range(d):
-                if not cmp(lm[i][j], rm[i][j]):
-                    return CheckResult(
-                        False,
-                        f"rule {system.rule_str(rule)}: entry ({i+1},{j+1}) "
-                        f"violates {rel} ({lm[i][j]} vs {rm[i][j]})",
-                    )
+        fault = _rule_fault(rule, mats, semiring, d)
+        if fault is not None:
+            return CheckResult(False, semiring.rule_fault(system.rule_str(rule), *fault))
     return CheckResult(True)
+
+
+check_matrix_natural = check_matrix_arctic = check_matrix
 
 
 # ----------------------------------------------------------- matrix search
 
 
-def _nat_candidates(d: int, max_entry: int) -> list[NatMatrix]:
-    out = []
-    for cells in product(range(max_entry + 1), repeat=d * d):
-        if cells[0] < 1 or cells[-1] < 1:
-            continue  # both diagonal corners must be >= 1
-        out.append(tuple(tuple(cells[i * d : (i + 1) * d]) for i in range(d)))
-    return out
+class _Candidates:
+    """The matrices allowed for a letter, in row-major lexicographic order
+    over the semiring's entry pool.  They are made as the search first
+    reaches them and kept for the next pass: at d = 3 the arctic pool gives
+    over a million, more than a capped or timed search visits."""
 
+    def __init__(self, semiring: Semiring, d: int, max_entry: int):
+        rows = list(product(semiring.pool(max_entry), repeat=d))
+        self._source = (
+            m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None
+        )
+        self._made: list = []
 
-def _arc_candidates(d: int, max_entry: int) -> list[ArcMatrix]:
-    pool = [None] + list(range(-1, max_entry + 1))
-    out = []
-    for cells in product(pool, repeat=d * d):
-        if cells[0] is None or cells[0] < 0:
-            continue
-        out.append(tuple(tuple(cells[i * d : (i + 1) * d]) for i in range(d)))
-    return out
-
-
-def _check_rule_mats(rule: Rule, mats, d: int, semiring: str) -> bool:
-    if semiring == "natural":
-        lm = _nat_word(rule.lhs, mats, d)
-        rm = _nat_word(rule.rhs, mats, d)
-        if any(lm[i][j] < rm[i][j] for i in range(d) for j in range(d)):
-            return False
-        return not rule.strict or lm[0][d - 1] > rm[0][d - 1]
-    lm = _arc_word(rule.lhs, mats, d)
-    rm = _arc_word(rule.rhs, mats, d)
-    cmp = _arc_gg if rule.strict else _arc_ge
-    return all(cmp(lm[i][j], rm[i][j]) for i in range(d) for j in range(d))
+    def __iter__(self):
+        made = self._made
+        i = 0
+        while True:
+            if i == len(made):
+                m = next(self._source, None)
+                if m is None:
+                    return
+                made.append(m)
+            yield made[i]
+            i += 1
 
 
 class _SearchCap(Exception):
@@ -306,10 +215,15 @@ class _SearchCap(Exception):
 
 
 def _exhaustive_matrix_search(
-    system: RelSRS, semiring: str, d: int, max_entry: int, cap: int
-) -> Optional[dict[int, NatMatrix | ArcMatrix]]:
-    used = _used_letters(system)
-    candidates = _nat_candidates(d, max_entry) if semiring == "natural" else _arc_candidates(d, max_entry)
+    system: RelSRS,
+    semiring: Semiring,
+    d: int,
+    max_entry: int,
+    cap: int,
+    deadline: Optional[float],
+) -> Optional[dict]:
+    used = used_letters(system)
+    candidates = _Candidates(semiring, d, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard
     position = {c: i for i, c in enumerate(used)}
@@ -317,11 +231,11 @@ def _exhaustive_matrix_search(
     for rule in system.rules:
         letters = set(rule.lhs) | set(rule.rhs)
         if not letters:
-            if not _check_rule_mats(rule, {}, d, semiring):
+            if _rule_fault(rule, {}, semiring, d) is not None:
                 return None
             continue
         ready[max(position[c] for c in letters)].append(rule)
-    mats: dict[int, NatMatrix | ArcMatrix] = {}
+    mats: dict = {}
     visited = 0
 
     def rec(level: int):
@@ -330,10 +244,10 @@ def _exhaustive_matrix_search(
             return dict(mats)
         for m in candidates:
             visited += 1
-            if visited > cap:
+            if visited > cap or (deadline is not None and time.monotonic() >= deadline):
                 raise _SearchCap()
             mats[used[level]] = m
-            if all(_check_rule_mats(r, mats, d, semiring) for r in ready[level]):
+            if all(_rule_fault(r, mats, semiring, d) is None for r in ready[level]):
                 found = rec(level + 1)
                 if found is not None:
                     return found
@@ -346,68 +260,26 @@ def _exhaustive_matrix_search(
         return None
 
 
-def _random_matrix_search(
-    system: RelSRS, semiring: str, d: int, max_entry: int, trials: int, rng: random.Random
-) -> Optional[dict[int, NatMatrix | ArcMatrix]]:
-    used = _used_letters(system)
-
-    def draw_natural() -> NatMatrix:
-        rows = [[rng.randint(0, max_entry) for _ in range(d)] for _ in range(d)]
-        rows[0][0] = max(1, rows[0][0])
-        rows[d - 1][d - 1] = max(1, rows[d - 1][d - 1])
-        return tuple(tuple(r) for r in rows)
-
-    def draw_arctic() -> ArcMatrix:
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                v = rng.randint(-3, max_entry)
-                row.append(None if v < -1 else v)
-            rows.append(row)
-        if rows[0][0] is None or rows[0][0] < 0:
-            rows[0][0] = rng.randint(0, max_entry)
-        return tuple(tuple(r) for r in rows)
-
-    draw = draw_natural if semiring == "natural" else draw_arctic
-    for _ in range(trials):
-        mats = {c: draw() for c in used}
-        if all(_check_rule_mats(r, mats, d, semiring) for r in system.rules):
-            return mats
-    return None
-
-
 def search_matrix(
     system: RelSRS,
     semiring: str,
     max_dim: int = 2,
     max_entry: int = 2,
     *,
-    random_trials: int = 10_000,
     assignment_cap: int = 500_000,
-    seed: int = 0,
+    deadline: Optional[float] = None,
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
-    """Bounded certificate search: exhaustive (with pruning) for d <= 2,
-    seeded random sampling for d >= 3.  Best-effort; None is not a proof
+    """Exhaustive certificate search (with pruning) for each dimension
+    1..max_dim in turn, each giving up after assignment_cap letter
+    assignments or at the monotonic-clock deadline.  None is not a proof
     of absence."""
-    if semiring not in ("natural", "arctic"):
+    sr = next((s for s in SEMIRINGS if s.name == semiring), None)
+    if sr is None:
         raise ValueError(f"semiring must be natural or arctic, got {semiring!r}")
-
-    def to_cert(mats, d):
-        interp = {system.letters[c]: m for c, m in mats.items()}
-        if semiring == "natural":
-            return NaturalMatrixCertificate(d, interp)
-        return ArcticMatrixCertificate(d, interp)
-
-    for d in range(1, min(max_dim, 2) + 1):
-        mats = _exhaustive_matrix_search(system, semiring, d, max_entry, assignment_cap)
+    for d in range(1, max_dim + 1):
+        mats = _exhaustive_matrix_search(system, sr, d, max_entry, assignment_cap, deadline)
         if mats is not None:
-            return to_cert(mats, d)
-    rng = random.Random(seed)
-    for d in range(3, max_dim + 1):
-        mats = _random_matrix_search(system, semiring, d, max_entry, random_trials, rng)
-        if mats is not None:
-            return to_cert(mats, d)
+            return sr.certificate(d, {system.letters[c]: m for c, m in mats.items()})
     return None
 
 
@@ -417,10 +289,9 @@ def search_matrix(
 @dataclass(frozen=True)
 class ProveBudget:
     max_weight: int = 16
-    # exhaustive matrix search up to dim 2, randomized trials at dim 3
-    matrix_max_dim: int = 3
+    # exhaustive matrix search for every dimension up to matrix_max_dim
+    matrix_max_dim: int = 2
     matrix_max_entry: int = 2
-    matrix_random_trials: int = 10_000
     matrix_assignment_cap: int = 500_000
     loop_max_word_len: int = 12
     loop_max_steps: int = 40
@@ -435,14 +306,12 @@ class ProveBudget:
     sloop_max_steps: int = 10
     sloop_max_start_len: int = 4
     sloop_node_budget: int = 20_000
-    seed: int = 0
 
 
 SWEEP_BUDGET = ProveBudget(
     max_weight=8,
     matrix_max_dim=2,
     matrix_max_entry=2,
-    matrix_random_trials=0,
     matrix_assignment_cap=20_000,
     loop_max_word_len=8,
     loop_max_steps=10,
@@ -463,6 +332,43 @@ def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+def _s_as_strict(system: RelSRS) -> RelSRS:
+    """The relative rules S alone, made strict: SN(S) is its termination."""
+    return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
+
+
+def _weights_attempt(system: RelSRS, budget: ProveBudget, tag: str, attempts: list):
+    w = search_weights(system, budget.max_weight)
+    attempts.append(Attempt(f"{tag}weights", "found" if w else "none", f"max {budget.max_weight}"))
+    return w
+
+
+def _matrix_attempt(
+    system: RelSRS,
+    budget: ProveBudget,
+    semiring: str,
+    tag: str,
+    attempts: list,
+    deadline: Optional[float],
+):
+    cert = search_matrix(
+        system,
+        semiring,
+        budget.matrix_max_dim,
+        budget.matrix_max_entry,
+        assignment_cap=budget.matrix_assignment_cap,
+        deadline=deadline,
+    )
+    attempts.append(
+        Attempt(
+            f"{tag}matrix-{semiring}",
+            "found" if cert else "none",
+            f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
+        )
+    )
+    return cert
+
+
 def _termination_methods(
     system: RelSRS,
     budget: ProveBudget,
@@ -471,29 +377,13 @@ def _termination_methods(
     deadline: Optional[float] = None,
 ):
     """Weights, then natural, then arctic matrices, on an arbitrary system."""
-    w = search_weights(system, budget.max_weight)
-    attempts.append(Attempt(f"{tag}weights", "found" if w else "none", f"max {budget.max_weight}"))
+    w = _weights_attempt(system, budget, tag, attempts)
     if w is not None:
         return w
     for semiring in ("natural", "arctic"):
         if _expired(deadline):
             return None
-        cert = search_matrix(
-            system,
-            semiring,
-            budget.matrix_max_dim,
-            budget.matrix_max_entry,
-            random_trials=budget.matrix_random_trials,
-            assignment_cap=budget.matrix_assignment_cap,
-            seed=budget.seed,
-        )
-        attempts.append(
-            Attempt(
-                f"{tag}matrix-{semiring}",
-                "found" if cert else "none",
-                f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
-            )
-        )
+        cert = _matrix_attempt(system, budget, semiring, tag, attempts, deadline)
         if cert is not None:
             return cert
     return None
@@ -517,15 +407,13 @@ def prove(
         attempts.append(Attempt("trivial", tv.verdict, tv.reason))
         return ProofOutcome(tv.verdict, tv.certificate, tv.reason, tuple(attempts))
 
-    rel = system.relative_rules
-    s_system = RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in rel))
-
     # 1) decide SN(S): cheap loop refutation first, then termination proofs
     s_cert: Optional[Certificate] = None
-    if not rel:
+    if not system.relative_rules:
         s_cert = EmptyRCertificate()
         attempts.append(Attempt("s-termination", "trivial", "S is empty"))
     else:
+        s_system = _s_as_strict(system)
         s_loop = search_mixed_loop(
             s_system,
             budget.sloop_max_word_len,
@@ -567,8 +455,7 @@ def prove(
         return timed_out()
 
     # 3) direct relative methods
-    w = search_weights(system, budget.max_weight)
-    attempts.append(Attempt("weights", "found" if w else "none", f"max {budget.max_weight}"))
+    w = _weights_attempt(system, budget, "", attempts)
     if w is not None:
         return ProofOutcome("YES", w, "weight certificate", tuple(attempts))
     loop = search_mixed_loop(
@@ -596,22 +483,7 @@ def prove(
     for semiring in ("natural", "arctic"):
         if _expired(deadline):
             return timed_out()
-        cert = search_matrix(
-            system,
-            semiring,
-            budget.matrix_max_dim,
-            budget.matrix_max_entry,
-            random_trials=budget.matrix_random_trials,
-            assignment_cap=budget.matrix_assignment_cap,
-            seed=budget.seed,
-        )
-        attempts.append(
-            Attempt(
-                f"matrix-{semiring}",
-                "found" if cert else "none",
-                f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
-            )
-        )
+        cert = _matrix_attempt(system, budget, semiring, "", attempts, deadline)
         if cert is not None:
             return ProofOutcome("YES", cert, f"{semiring} matrix certificate", tuple(attempts))
     return ProofOutcome(
@@ -628,10 +500,8 @@ def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
         return check_loop_certificate(cert, system)
     if isinstance(cert, WeightCertificate):
         return check_weights(cert, system)
-    if isinstance(cert, NaturalMatrixCertificate):
-        return check_matrix_natural(cert, system)
-    if isinstance(cert, ArcticMatrixCertificate):
-        return check_matrix_arctic(cert, system)
+    if matrix_semiring(cert) is not None:
+        return check_matrix(cert, system)
     if isinstance(cert, EmptyRCertificate):
         if system.strict_rules:
             return CheckResult(False, "system has strict rules, R is not empty")
@@ -642,10 +512,7 @@ def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
 
 
 def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
-    s_system = RelSRS(
-        system.letters,
-        tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
-    )
+    s_system = _s_as_strict(system)
     stric = strictify(system)
     roles_ok = set()
     for role, part in cert.parts:

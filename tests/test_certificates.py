@@ -162,6 +162,31 @@ class TestMatrixSchema:
             parse_certificate(data, SYS)
 
 
+@pytest.mark.parametrize("field", ["dimension", "step rule", "step position",
+                                   "redex rule", "redex offset"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_rejected_where_an_integer_is_due(field, flag):
+    matrix = {"type": "matrix-natural", "dimension": 1, "matrices": {"a": [[2]]}}
+    loop = {
+        "type": "loop-emitting",
+        "start": ["a"],
+        "steps": [{"rule": 0, "position": 0}],
+        "left": [],
+        "right": ["a", "b"],
+        "redex": {"rule": 0, "side": "right", "offset": 0},
+    }
+    data = matrix if field == "dimension" else loop
+    parse_certificate(data, SYS)  # well-formed as given
+    if field == "dimension":
+        matrix["dimension"] = flag
+    else:
+        part, key = field.split()
+        target = loop["steps"][0] if part == "step" else loop["redex"]
+        target[key] = flag
+    with pytest.raises(CertificateFormatError):
+        parse_certificate(data, SYS)
+
+
 class TestComposeSchema:
     def test_nested_round_trip(self):
         inner = WeightCertificate({"a": Fraction(1)})

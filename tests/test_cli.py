@@ -67,16 +67,6 @@ class TestProve:
         code, out = run("prove", "no-such-file.srs")
         assert code == 2 and out.startswith("ERROR: ")
 
-    def test_seed_env_must_be_integer(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv("RELSRS_SEED", "three")
-        code, out = run("prove", srs(tmp_path, TERMINATING))
-        assert code == 2 and "RELSRS_SEED must be an integer" in out
-
-    def test_seed_env_accepted(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv("RELSRS_SEED", "7")
-        code, out = run("prove", srs(tmp_path, TERMINATING))
-        assert code == 0 and out.splitlines()[0] == "YES"
-
 
 class TestProveCheckCert:
     def test_valid_certificate(self, run):

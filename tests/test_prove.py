@@ -10,11 +10,16 @@ from relsrs import (
     EmptyRCertificate,
     LoopCertificate,
     NaturalMatrixCertificate,
+    EnumerationConfig,
     ProveBudget,
+    RelSRS,
+    Rule,
     WeightCertificate,
+    enumerate_systems,
     parse_certificate,
     parse_system,
     prove,
+    reverse_system,
     serialize_certificate,
     verify_certificate,
 )
@@ -137,11 +142,36 @@ class TestBudgets:
 
     def test_budget_fields_shape_the_search(self):
         # a weights-only budget cannot settle the swap rule
-        tiny = ProveBudget(matrix_max_dim=1, matrix_random_trials=0)
+        tiny = ProveBudget(matrix_max_dim=1)
         outcome = prove(parse_system("(RULES a b -> b a)"), tiny)
         assert outcome.verdict == "MAYBE"
+
+    def test_deadline_stops_matrix_search(self):
+        # exhaustive dimension-3 natural search on this size-6 MAYBE runs for
+        # tens of seconds; the deadline has to cut it short
+        system = parse_system("(RULES a b -> b b a, b ->= )")
+        start = time.monotonic()
+        outcome = prove(system, ProveBudget(matrix_max_dim=3), deadline=start + 1.0)
+        assert time.monotonic() - start < 5.0
+        assert outcome.verdict == "MAYBE" and outcome.reason == "timeout"
+        assert outcome.attempts[-1].method == "timeout"
 
     def test_sweep_budget_still_settles_the_fixtures(self):
         for text, verdict, _ in FIXTURES:
             outcome = prove(parse_system(text), SWEEP_BUDGET)
             assert outcome.verdict == verdict, text
+
+
+class TestInvariance:
+    def test_letter_swap_and_reversal_keep_the_verdict(self):
+        # every canonical two-letter system up to size 4
+        systems = list(enumerate_systems(EnumerationConfig(2, 4)))
+        assert len(systems) == 987
+        for system in systems:
+            swapped = RelSRS(system.letters, tuple(
+                Rule(tuple(1 - c for c in r.lhs), tuple(1 - c for c in r.rhs), r.strict)
+                for r in system.rules
+            ))
+            verdict = prove(system).verdict
+            assert prove(swapped).verdict == verdict, str(system)
+            assert prove(reverse_system(system)).verdict == verdict, str(system)
