@@ -14,8 +14,9 @@ steps are {"rule": i, "position": p} pairs, matrices are row-major with
 
 Runs without --timeout are deterministic: identical invocations print
 byte-identical result lines and certificates.  --timeout trades that for
-a wall-clock cap checked between proof methods and inside matrix search;
-loop and closure searches run to their bounds before it is checked.
+a wall-clock cap checked between proof methods and inside the loop and
+matrix searches; a search it cuts short is listed with outcome
+`deadline`, and the result is MAYBE with reason timeout.
 """
 
 from __future__ import annotations

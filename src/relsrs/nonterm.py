@@ -10,10 +10,19 @@ of v replays into a mixed loop.
 All searches are bounded and deterministic: start words shorter-first then
 lexicographic, breadth-first on step count, successors ordered by rule
 index then position.  Absence within the bounds is a value, not a proof.
+
+Inside the two loop searches a word is a str with one character per
+letter, chr(letter), which serves any alphabet size: redex matching,
+the loop test and the redex-in-context test are then str.find and `in`,
+which run in C.  Words are decoded back to tuples only for the returned
+certificate.  Certificates, their checker and the forward closures stay
+on tuple words.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -34,23 +43,45 @@ def _is_factor(needle: Word, hay: Word) -> bool:
     return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
 
-def _start_words(system: RelSRS, max_len: int, lhss: list[Word]):
-    """Words over the letters occurring in rules, shorter first then
-    lexicographic, filtered to those containing some lhs occurrence."""
-    letters = used_letters(system)
+def _encode(word: Word) -> str:
+    return "".join(map(chr, word))
+
+
+def _decode(text: str) -> Word:
+    return tuple(map(ord, text))
+
+
+def _start_words(system: RelSRS, max_len: int, lhss: list[str]):
+    """Encoded words over the letters occurring in rules, shorter first then
+    lexicographic, filtered to those containing some (encoded) lhs."""
+    letters = [chr(c) for c in used_letters(system)]
     for length in range(max_len + 1):
         for tup in product(letters, repeat=length):
-            if any(_is_factor(lhs, tup) for lhs in lhss):
-                yield tup
+            word = "".join(tup)
+            if any(lhs in word for lhs in lhss):
+                yield word
 
 
-def _successor_steps(word: Word, rules: list[tuple[int, Word, Word]]):
-    n = len(word)
-    for i, lhs, rhs in rules:
-        k = len(lhs)
-        for p in range(n - k + 1):
-            if word[p : p + k] == lhs:
-                yield Step(i, p), word[:p] + rhs + word[p + k :]
+def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
+    """(index, lhs, rhs, |lhs|, |rhs| - |lhs|, strict) per (index, rule)."""
+    return [
+        (i, _encode(r.lhs), _encode(r.rhs), len(r.lhs), len(r.rhs) - len(r.lhs), r.strict)
+        for i, r in rules
+    ]
+
+
+def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[Step, ...]:
+    """The step list from the start word to `last`, read back through the
+    parent tables: seen[flag][word] = (rule, position, parent word, parent
+    flag), None for the start word."""
+    steps = [last]
+    entry = seen[used][word]
+    while entry is not None:
+        i, p, word, used = entry
+        steps.append(Step(i, p))
+        entry = seen[used][word]
+    steps.reverse()
+    return tuple(steps)
 
 
 def search_mixed_loop(
@@ -60,74 +91,71 @@ def search_mixed_loop(
     *,
     max_start_len: Optional[int] = None,
     node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> Optional[LoopCertificate]:
     """Bounded breadth-first search for a mixed loop; None when exhausted.
 
     max_start_len tightens the start-word length separately from the word
     bound (it defaults to max_word_len, the complete choice up to the bound).
-    node_budget caps total generated search nodes across all start words.
+    node_budget caps total generated search nodes across all start words;
+    successors longer than max_word_len count too.  deadline (monotonic
+    clock) is checked before each word is expanded.
     """
-    if not system.rules:
+    if not any(r.strict for r in system.rules):
         return None
-    rules = [(i, r.lhs, r.rhs) for i, r in enumerate(system.rules)]
-    strict = [r.strict for r in system.rules]
-    if not any(strict):
-        return None
-    lhss = [r.lhs for r in system.rules]
+    rules = _encoded_rules(enumerate(system.rules))
+    lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
+    cap = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     for start in _start_words(system, start_bound, lhss):
-        # states are (word, strict step seen yet); parents give the step list
-        seen = {(start, False)}
-        queue = deque([(start, False, 0, None)])
-        parents: dict[tuple[Word, bool], tuple] = {}
-        while queue:
-            word, used, depth, key = queue.popleft()
-            if depth >= max_steps:
-                continue
-            for step, nxt in _successor_steps(word, rules):
-                if node_budget is not None:
-                    nodes += 1
-                    if nodes > node_budget:
-                        return None
-                if len(nxt) > max_word_len:
-                    continue
-                nused = used or strict[step.rule_index]
-                if nused and _is_factor(start, nxt):
-                    steps = [step]
-                    k = key
-                    while k is not None:
-                        pstep, k = parents[k]
-                        steps.append(pstep)
-                    steps.reverse()
-                    pos = next(
-                        q for q in range(len(nxt) - len(start) + 1)
-                        if nxt[q : q + len(start)] == start
-                    )
-                    return LoopCertificate(
-                        kind="mixed",
-                        start=start,
-                        steps=tuple(steps),
-                        left=nxt[:pos],
-                        right=nxt[pos + len(start) :],
-                    )
-                state = (nxt, nused)
-                if state not in seen:
-                    seen.add(state)
-                    parents[state] = (step, key)
-                    queue.append((nxt, nused, depth + 1, state))
-    return None
-
-
-def _find_redex(
-    strict_rules: list[tuple[int, Word]], left: Word, right: Word
-) -> Optional[EmittingRedex]:
-    for side_name, side in (("left", left), ("right", right)):
-        for i, lhs in strict_rules:
-            k = len(lhs)
-            for off in range(len(side) - k + 1):
-                if side[off : off + k] == lhs:
-                    return EmittingRedex(i, side_name, off)
+        # one parent table per flag "a strict step was used"
+        seen: tuple[dict, dict] = ({start: None}, {})
+        level = [(start, False)]
+        for _ in range(max_steps):
+            following = []
+            for word, used in level:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return None
+                room = max_word_len - len(word)
+                for i, lhs, rhs, k, grow, strict in rules:
+                    p = word.find(lhs)
+                    if p < 0:
+                        continue
+                    if grow > room:
+                        # too long to keep, but every match counts as a node
+                        while p >= 0:
+                            nodes += 1
+                            if nodes > cap:
+                                return None
+                            p = word.find(lhs, p + 1)
+                        continue
+                    nused = used or strict
+                    table = seen[nused]
+                    nxt = word.replace(lhs, rhs, 1)  # the match at p
+                    while True:
+                        nodes += 1
+                        if nodes > cap:
+                            return None
+                        if nused and start in nxt:
+                            q = nxt.find(start)
+                            return LoopCertificate(
+                                kind="mixed",
+                                start=_decode(start),
+                                steps=_steps(seen, word, used, Step(i, p)),
+                                left=_decode(nxt[:q]),
+                                right=_decode(nxt[q + len(start) :]),
+                            )
+                        if nxt not in table:
+                            table[nxt] = (i, p, word, used)
+                            following.append((nxt, nused))
+                        p = word.find(lhs, p + 1)
+                        if p < 0:
+                            break
+                        nxt = word[:p] + rhs + word[p + k :]
+            if not following:
+                break
+            level = following
     return None
 
 
@@ -138,61 +166,74 @@ def search_emitting_loop(
     *,
     max_start_len: Optional[int] = None,
     node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> Optional[LoopCertificate]:
-    """Search S-only derivations v ->+ u.v.w with a strict lhs inside u or w."""
-    rel_rules = [(i, r.lhs, r.rhs) for i, r in enumerate(system.rules) if not r.strict]
-    strict_rules = [(i, r.lhs) for i, r in enumerate(system.rules) if r.strict]
-    if not rel_rules or not strict_rules:
+    """Search S-only derivations v ->+ u.v.w with a strict lhs inside u or w.
+
+    The bounds, node_budget and deadline work as in search_mixed_loop.
+    """
+    rel_rules = _encoded_rules((i, r) for i, r in enumerate(system.rules) if not r.strict)
+    strict_lhss = [(i, _encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
+    if not rel_rules or not strict_lhss:
         return None
-    lhss = [lhs for _, lhs, _ in rel_rules]
+    lhss = [lhs for _, lhs, _, _, _, _ in rel_rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
+    cap = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     for start in _start_words(system, start_bound, lhss):
         vlen = len(start)
-        seen = {start}
-        queue = deque([(start, 0, None)])
-        parents: dict[Word, tuple] = {}
-        while queue:
-            word, depth, key = queue.popleft()
-            if depth >= max_steps:
-                continue
-            for step, nxt in _successor_steps(word, rel_rules):
-                if node_budget is not None:
-                    nodes += 1
-                    if nodes > node_budget:
-                        return None
-                if len(nxt) > max_word_len:
-                    continue
-                # scan every occurrence of the start: the redex must sit
-                # strictly inside one flank, so the split matters
-                found = None
-                for q in range(len(nxt) - vlen + 1):
-                    if nxt[q : q + vlen] != start:
+        seen = ({start: None},)
+        table = seen[0]
+        level = [start]
+        for _ in range(max_steps):
+            following = []
+            for word in level:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return None
+                room = max_word_len - len(word)
+                for i, lhs, rhs, k, grow, _ in rel_rules:
+                    p = word.find(lhs)
+                    if p < 0:
                         continue
-                    redex = _find_redex(strict_rules, nxt[:q], nxt[q + vlen :])
-                    if redex is not None:
-                        found = (q, redex)
-                        break
-                if found is not None:
-                    q, redex = found
-                    steps = [step]
-                    k = key
-                    while k is not None:
-                        pstep, k = parents[k]
-                        steps.append(pstep)
-                    steps.reverse()
-                    return LoopCertificate(
-                        kind="emitting",
-                        start=start,
-                        steps=tuple(steps),
-                        left=nxt[:q],
-                        right=nxt[q + vlen :],
-                        redex=redex,
-                    )
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = (step, key)
-                    queue.append((nxt, depth + 1, nxt))
+                    if grow > room:
+                        while p >= 0:
+                            nodes += 1
+                            if nodes > cap:
+                                return None
+                            p = word.find(lhs, p + 1)
+                        continue
+                    nxt = word.replace(lhs, rhs, 1)
+                    while True:
+                        nodes += 1
+                        if nodes > cap:
+                            return None
+                        # scan every occurrence of the start: the redex must
+                        # sit strictly inside one flank, so the split matters
+                        q = nxt.find(start)
+                        while q >= 0:
+                            for side, flank in (("left", nxt[:q]), ("right", nxt[q + vlen :])):
+                                for j, strict_lhs in strict_lhss:
+                                    off = flank.find(strict_lhs)
+                                    if off >= 0:
+                                        return LoopCertificate(
+                                            kind="emitting",
+                                            start=_decode(start),
+                                            steps=_steps(seen, word, False, Step(i, p)),
+                                            left=_decode(nxt[:q]),
+                                            right=_decode(nxt[q + vlen :]),
+                                            redex=EmittingRedex(j, side, off),
+                                        )
+                            q = nxt.find(start, q + 1)
+                        if nxt not in table:
+                            table[nxt] = (i, p, word, False)
+                            following.append(nxt)
+                        p = word.find(lhs, p + 1)
+                        if p < 0:
+                            break
+                        nxt = word[:p] + rhs + word[p + k :]
+            if not following:
+                break
+            level = following
     return None
 
 

@@ -61,7 +61,10 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
     weights: dict[int, Fraction] = {}
     for i, name in enumerate(system.letters):
         if name in cert.weights:
-            w = Fraction(cert.weights[name])
+            v = cert.weights[name]
+            if isinstance(v, bool):
+                return CheckResult(False, f"weight for letter {name!r} must be a number")
+            w = Fraction(v)
             if w < 0:
                 return CheckResult(False, f"negative weight for letter {name!r}")
             weights[i] = w
@@ -332,6 +335,14 @@ def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+def _outcome(cert, deadline: Optional[float]) -> str:
+    """How a search ended: found, cut by the deadline, or none within its
+    bounds."""
+    if cert is not None:
+        return "found"
+    return "deadline" if _expired(deadline) else "none"
+
+
 def _s_as_strict(system: RelSRS) -> RelSRS:
     """The relative rules S alone, made strict: SN(S) is its termination."""
     return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
@@ -362,7 +373,7 @@ def _matrix_attempt(
     attempts.append(
         Attempt(
             f"{tag}matrix-{semiring}",
-            "found" if cert else "none",
+            _outcome(cert, deadline),
             f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
         )
     )
@@ -420,11 +431,14 @@ def prove(
             budget.sloop_max_steps,
             max_start_len=budget.sloop_max_start_len,
             node_budget=budget.sloop_node_budget,
+            deadline=deadline,
         )
         if s_loop is not None:
             attempts.append(Attempt("s-loop", "found", "S alone does not terminate"))
         else:
-            attempts.append(Attempt("s-loop", "none", ""))
+            attempts.append(Attempt("s-loop", _outcome(s_loop, deadline), ""))
+            if _expired(deadline):
+                return timed_out()
             s_cert = _termination_methods(s_system, budget, "s-", attempts, deadline)
     if _expired(deadline):
         return timed_out()
@@ -438,8 +452,9 @@ def prove(
             budget.loop_max_steps,
             max_start_len=budget.loop_max_start_len,
             node_budget=budget.loop_node_budget,
+            deadline=deadline,
         )
-        attempts.append(Attempt("strictified-loop", "found" if loop else "none", ""))
+        attempts.append(Attempt("strictified-loop", _outcome(loop, deadline), ""))
         if loop is not None:
             cert = ComposeCertificate(
                 "NO", (("s-termination", s_cert), ("strictified-loop", loop))
@@ -447,6 +462,8 @@ def prove(
             return ProofOutcome(
                 "NO", cert, "loop of R union S while S terminates", tuple(attempts)
             )
+        if _expired(deadline):
+            return timed_out()
         t_cert = _termination_methods(stric, budget, "strictified-", attempts, deadline)
         if t_cert is not None:
             cert = ComposeCertificate("YES", (("strictified-termination", t_cert),))
@@ -464,10 +481,13 @@ def prove(
         budget.loop_max_steps,
         max_start_len=budget.loop_max_start_len,
         node_budget=budget.loop_node_budget,
+        deadline=deadline,
     )
-    attempts.append(Attempt("mixed-loop", "found" if loop else "none", ""))
+    attempts.append(Attempt("mixed-loop", _outcome(loop, deadline), ""))
     if loop is not None:
         return ProofOutcome("NO", loop, "mixed loop", tuple(attempts))
+    if _expired(deadline):
+        return timed_out()
     if s_cert is None:
         # an emitting loop is an S-only loop, impossible under proven SN(S)
         em = search_emitting_loop(
@@ -476,16 +496,19 @@ def prove(
             budget.emit_max_steps,
             max_start_len=budget.emit_max_start_len,
             node_budget=budget.emit_node_budget,
+            deadline=deadline,
         )
-        attempts.append(Attempt("emitting-loop", "found" if em else "none", ""))
+        attempts.append(Attempt("emitting-loop", _outcome(em, deadline), ""))
         if em is not None:
             return ProofOutcome("NO", em, "emitting loop", tuple(attempts))
-    for semiring in ("natural", "arctic"):
         if _expired(deadline):
             return timed_out()
+    for semiring in ("natural", "arctic"):
         cert = _matrix_attempt(system, budget, semiring, "", attempts, deadline)
         if cert is not None:
             return ProofOutcome("YES", cert, f"{semiring} matrix certificate", tuple(attempts))
+        if _expired(deadline):
+            return timed_out()
     return ProofOutcome(
         "MAYBE", None, "no method conclusive within budget", tuple(attempts)
     )

@@ -1,14 +1,23 @@
 """Loop search, loop checking, reversal transport, forward closures."""
 
+import hashlib
+import json
+import time
+
 import pytest
 
 from relsrs import (
+    SWEEP_BUDGET,
     Derivation,
     EmittingRedex,
+    EnumerationConfig,
     LoopCertificate,
+    RelSRS,
+    Rule,
     Step,
     check_loop_certificate,
     closure_to_loop_certificate,
+    enumerate_systems,
     find_looping_forward_closure,
     forward_closures,
     parse_system,
@@ -18,7 +27,10 @@ from relsrs import (
     reverse_system,
     search_emitting_loop,
     search_mixed_loop,
+    serialize_certificate,
     strict_step_count,
+    strictify,
+    trivial_verdict,
 )
 
 ABA = parse_system("(RULES a b -> a, c ->= b c)")
@@ -61,6 +73,46 @@ class TestMixedLoopSearch:
 
     def test_node_budget_gives_up(self):
         assert search_mixed_loop(ABA, node_budget=1) is None
+
+    @pytest.mark.parametrize("system, needed", [(ABA, 15), (BAB, 1720)])
+    def test_node_budget_boundary(self, system, needed):
+        # every generated successor counts, also those over the word bound;
+        # the smallest sufficient budgets were recorded on the tuple-word search
+        cert = search_mixed_loop(system)
+        assert search_mixed_loop(system, node_budget=needed - 1) is None
+        assert search_mixed_loop(system, node_budget=needed) == cert
+
+    def test_overlapping_matches_are_successors(self):
+        # from a a a the loop needs the rewrite at position 1, which overlaps
+        # the match at position 0
+        sys_ = parse_system("(RULES a a -> c, a c ->= a a a)")
+        cert = search_mixed_loop(sys_)
+        assert cert.start == sys_.word("a c")
+        assert cert.steps == (Step(1, 0), Step(0, 1))
+
+    def test_expired_deadline_gives_up(self):
+        assert search_mixed_loop(ABA) is not None
+        assert search_mixed_loop(ABA, deadline=time.monotonic() - 1) is None
+
+    def test_letters_past_255(self):
+        # ABA renamed into letters 297..299 of a 300-letter alphabet
+        big = RelSRS(
+            tuple(f"x{i}" for i in range(300)),
+            tuple(
+                Rule(tuple(c + 297 for c in r.lhs), tuple(c + 297 for c in r.rhs), r.strict)
+                for r in ABA.rules
+            ),
+        )
+        cert = search_mixed_loop(big)
+        small = search_mixed_loop(ABA)
+        assert cert == LoopCertificate(
+            small.kind,
+            tuple(c + 297 for c in small.start),
+            small.steps,
+            tuple(c + 297 for c in small.left),
+            tuple(c + 297 for c in small.right),
+        )
+        assert check_loop_certificate(cert, big)
 
     def test_deterministic(self):
         assert search_mixed_loop(BAB) == search_mixed_loop(BAB)
@@ -135,6 +187,23 @@ class TestEmittingLoopSearch:
         assert cert.left == sys_.word("a") and cert.right == ()
         assert cert.redex == EmittingRedex(0, "left", 0)
         assert check_loop_certificate(cert, sys_)
+
+    def test_node_budget_boundary(self):
+        sys_ = parse_system("(RULES a -> b, c ->= a c)")
+        cert = search_emitting_loop(sys_)
+        assert search_emitting_loop(sys_, node_budget=0) is None
+        assert search_emitting_loop(sys_, node_budget=1) == cert
+
+    def test_overlapping_matches_are_successors(self):
+        # b a a a -> b a c rewrites the second of two overlapping a a
+        sys_ = parse_system("(RULES b -> c, a a ->= c, a c ->= b a a a)")
+        cert = search_emitting_loop(sys_)
+        assert cert.start == sys_.word("a c") and cert.left == sys_.word("b")
+        assert cert.steps == (Step(2, 0), Step(1, 2))
+
+    def test_expired_deadline_gives_up(self):
+        sys_ = parse_system("(RULES a -> b, c ->= a c)")
+        assert search_emitting_loop(sys_, deadline=time.monotonic() - 1) is None
 
     def test_steps_are_all_relative(self):
         sys_ = parse_system("(RULES a -> b, c ->= a c)")
@@ -260,3 +329,67 @@ class TestForwardClosures:
         first = [(c.source, c.target) for c in forward_closures(ABA, 10)]
         second = [(c.source, c.target) for c in forward_closures(ABA, 10)]
         assert first == second
+
+
+class TestFrozenSearchResults:
+    # recorded with the tuple-word searches: 1134 searches, 347 certificates
+    DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
+
+    def test_size_four_results_are_unchanged(self):
+        """Both loop searches, with the SWEEP_BUDGET loop bounds, on every
+        non-trivial two-letter system up to size 4 as is, strictified, and
+        with S alone made strict.  The digest was made by this snippet:
+
+            b = SWEEP_BUDGET
+            h = hashlib.sha256()
+            for system in enumerate_systems(EnumerationConfig(2, 4)):
+                if trivial_verdict(system) is not None:
+                    continue
+                s_only = RelSRS(system.letters, tuple(
+                    Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
+                for form in (system, strictify(system), s_only):
+                    mixed = search_mixed_loop(
+                        form, b.loop_max_word_len, b.loop_max_steps,
+                        max_start_len=b.loop_max_start_len,
+                        node_budget=b.loop_node_budget)
+                    emitting = search_emitting_loop(
+                        form, b.emit_max_word_len, b.emit_max_steps,
+                        max_start_len=b.emit_max_start_len,
+                        node_budget=b.emit_node_budget)
+                    for cert in (mixed, emitting):
+                        data = None if cert is None else serialize_certificate(cert, form)
+                        h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+            h.hexdigest()
+        """
+        b = SWEEP_BUDGET
+        h = hashlib.sha256()
+        searches = found = 0
+        for system in enumerate_systems(EnumerationConfig(2, 4)):
+            if trivial_verdict(system) is not None:
+                continue
+            s_only = RelSRS(
+                system.letters,
+                tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
+            )
+            for form in (system, strictify(system), s_only):
+                mixed = search_mixed_loop(
+                    form,
+                    b.loop_max_word_len,
+                    b.loop_max_steps,
+                    max_start_len=b.loop_max_start_len,
+                    node_budget=b.loop_node_budget,
+                )
+                emitting = search_emitting_loop(
+                    form,
+                    b.emit_max_word_len,
+                    b.emit_max_steps,
+                    max_start_len=b.emit_max_start_len,
+                    node_budget=b.emit_node_budget,
+                )
+                for cert in (mixed, emitting):
+                    data = None if cert is None else serialize_certificate(cert, form)
+                    h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+                    searches += 1
+                    found += cert is not None
+        assert (searches, found) == (1134, 347)
+        assert h.hexdigest() == self.DIGEST

@@ -139,6 +139,9 @@ class TestBudgets:
         assert outcome.verdict == "MAYBE"
         assert outcome.reason == "timeout"
         assert outcome.attempts[-1].method == "timeout"
+        # the S loop search looks at the deadline before its first word
+        assert outcome.attempts[0].method == "s-loop"
+        assert outcome.attempts[0].outcome == "deadline"
 
     def test_budget_fields_shape_the_search(self):
         # a weights-only budget cannot settle the swap rule
@@ -155,6 +158,12 @@ class TestBudgets:
         assert time.monotonic() - start < 5.0
         assert outcome.verdict == "MAYBE" and outcome.reason == "timeout"
         assert outcome.attempts[-1].method == "timeout"
+        # the cut search is not reported as having exhausted its space
+        cut = outcome.attempts[-2]
+        assert cut.method == "strictified-matrix-natural" and cut.outcome == "deadline"
+        assert ("strictified-matrix-natural", "none") not in [
+            (a.method, a.outcome) for a in outcome.attempts
+        ]
 
     def test_sweep_budget_still_settles_the_fixtures(self):
         for text, verdict, _ in FIXTURES:

@@ -69,6 +69,12 @@ class TestWeightChecker:
         res = check_weights(WeightCertificate({"a": 0, "b": -1}), AB_A)
         assert not res and "negative weight" in res.reason
 
+    def test_bool_weight_rejected(self):
+        # True/False would pass as 1/0 through Fraction
+        sys = parse_system("(RULES a -> b)")
+        res = check_weights(WeightCertificate({"a": True, "b": False}), sys)
+        assert not res and res.reason == "weight for letter 'a' must be a number"
+
     def test_missing_letter_reported(self):
         res = check_weights(WeightCertificate({"a": 0}), AB_A)
         assert not res and res.reason == "unknown letter 'b'"
