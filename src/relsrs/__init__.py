@@ -22,6 +22,7 @@ from .certificates import (
     LoopCertificate,
     NaturalMatrixCertificate,
     ProofOutcome,
+    SearchReport,
     WeightCertificate,
     parse_certificate,
     serialize_certificate,

@@ -250,6 +250,15 @@ class Attempt:
     detail: str = ""
 
 
+@dataclass
+class SearchReport:
+    """Handed to a search to learn why it came back empty: `capped` is set
+    when its node budget or assignment cap cut it short, so its None means
+    none within budget, not none up to its bounds."""
+
+    capped: bool = False
+
+
 @dataclass(frozen=True)
 class ProofOutcome:
     verdict: str  # "YES", "NO", or "MAYBE"

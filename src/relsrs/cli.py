@@ -13,10 +13,13 @@ steps are {"rule": i, "position": p} pairs, matrices are row-major with
 "-inf" for arctic minus infinity, weights are integers or "p/q" strings.
 
 Runs without --timeout are deterministic: identical invocations print
-byte-identical result lines and certificates.  --timeout trades that for
-a wall-clock cap checked between proof methods and inside the loop and
-matrix searches; a search it cuts short is listed with outcome
-`deadline`, and the result is MAYBE with reason timeout.
+byte-identical result lines and certificates.  --timeout (prove, loop,
+closures, enumerate --prove) trades that for a wall-clock cap, checked
+inside the searches and between prove's methods.  A prove search it cuts
+short is listed with outcome `deadline` and the result is MAYBE with
+reason timeout; loop and closures print MAYBE and
+`timeout before the search finished (bound N)`.  A prove search cut by
+its node budget or assignment cap is listed with outcome `cap`.
 """
 
 from __future__ import annotations
@@ -116,16 +119,24 @@ def cmd_prove(args: argparse.Namespace) -> int:
     return 0 if outcome.verdict in ("YES", "NO") else 1
 
 
+def _print_none_found(deadline: Optional[float], bound: int) -> None:
+    print("MAYBE")
+    if deadline is not None and time.monotonic() >= deadline:
+        print(f"timeout before the search finished (bound {bound})")
+    else:
+        print(f"none found (bound {bound})")
+
+
 def cmd_loop(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
     max_word_len = args.max_word_len if args.max_word_len is not None else DEFAULT_MAX_WORD_LEN
     max_steps = args.max_steps if args.max_steps is not None else DEFAULT_MAX_STEPS
-    cert = search_mixed_loop(system, max_word_len, max_steps)
+    deadline = _deadline(args)
+    cert = search_mixed_loop(system, max_word_len, max_steps, deadline=deadline)
     if cert is None:
-        cert = search_emitting_loop(system, max_word_len, max_steps)
+        cert = search_emitting_loop(system, max_word_len, max_steps, deadline=deadline)
     if cert is None:
-        print("MAYBE")
-        print(f"none found (bound {max_word_len})")
+        _print_none_found(deadline, max_word_len)
         return 1
     print("NO")
     _print_certificate(cert, system)
@@ -139,10 +150,10 @@ def cmd_closures(args: argparse.Namespace) -> int:
         if args.max_closure_size is not None
         else DEFAULT_MAX_CLOSURE_SIZE
     )
-    closure = find_looping_forward_closure(system, bound)
+    deadline = _deadline(args)
+    closure = find_looping_forward_closure(system, bound, deadline=deadline)
     if closure is None:
-        print("MAYBE")
-        print(f"none found (bound {bound})")
+        _print_none_found(deadline, bound)
         return 1
     cert = closure_to_loop_certificate(closure, system)
     print("NO")
@@ -304,11 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-word-len", type=int, default=None, metavar="N")
     p.add_argument("--max-steps", type=int, default=None, metavar="N")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("closures", help="search forward closures for a loop")
     p.add_argument("file")
     p.add_argument("--max-closure-size", type=int, default=None, metavar="N")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_closures)
 
     p = sub.add_parser("check-cert", help="check a certificate against an SRS file")

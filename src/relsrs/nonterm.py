@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .certificates import CheckResult, EmittingRedex, LoopCertificate
+from .certificates import CheckResult, EmittingRedex, LoopCertificate, SearchReport
 from .core import Derivation, RelSRS, ReplayError, Step, Word, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
@@ -70,6 +70,12 @@ def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
     ]
 
 
+def _capped(report: Optional[SearchReport]) -> None:
+    """The node budget ran out: mark the report, if any, and give None."""
+    if report is not None:
+        report.capped = True
+
+
 def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[Step, ...]:
     """The step list from the start word to `last`, read back through the
     parent tables: seen[flag][word] = (rule, position, parent word, parent
@@ -92,6 +98,7 @@ def search_mixed_loop(
     max_start_len: Optional[int] = None,
     node_budget: Optional[int] = None,
     deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ) -> Optional[LoopCertificate]:
     """Bounded breadth-first search for a mixed loop; None when exhausted.
 
@@ -99,7 +106,8 @@ def search_mixed_loop(
     bound (it defaults to max_word_len, the complete choice up to the bound).
     node_budget caps total generated search nodes across all start words;
     successors longer than max_word_len count too.  deadline (monotonic
-    clock) is checked before each word is expanded.
+    clock) is checked before each word is expanded.  A search cut by
+    node_budget sets report.capped.
     """
     if not any(r.strict for r in system.rules):
         return None
@@ -127,7 +135,7 @@ def search_mixed_loop(
                         while p >= 0:
                             nodes += 1
                             if nodes > cap:
-                                return None
+                                return _capped(report)
                             p = word.find(lhs, p + 1)
                         continue
                     nused = used or strict
@@ -136,7 +144,7 @@ def search_mixed_loop(
                     while True:
                         nodes += 1
                         if nodes > cap:
-                            return None
+                            return _capped(report)
                         if nused and start in nxt:
                             q = nxt.find(start)
                             return LoopCertificate(
@@ -167,10 +175,12 @@ def search_emitting_loop(
     max_start_len: Optional[int] = None,
     node_budget: Optional[int] = None,
     deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ) -> Optional[LoopCertificate]:
     """Search S-only derivations v ->+ u.v.w with a strict lhs inside u or w.
 
-    The bounds, node_budget and deadline work as in search_mixed_loop.
+    The bounds, node_budget, deadline and report work as in
+    search_mixed_loop.
     """
     rel_rules = _encoded_rules((i, r) for i, r in enumerate(system.rules) if not r.strict)
     strict_lhss = [(i, _encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
@@ -199,14 +209,14 @@ def search_emitting_loop(
                         while p >= 0:
                             nodes += 1
                             if nodes > cap:
-                                return None
+                                return _capped(report)
                             p = word.find(lhs, p + 1)
                         continue
                     nxt = word.replace(lhs, rhs, 1)
                     while True:
                         nodes += 1
                         if nodes > cap:
-                            return None
+                            return _capped(report)
                         # scan every occurrence of the start: the redex must
                         # sit strictly inside one flank, so the split matters
                         q = nxt.find(start)
@@ -358,7 +368,12 @@ def _closure_successors(system: RelSRS, closure: ForwardClosure, max_size: int):
                     )
 
 
-def _saturate_closures(system: RelSRS, max_closure_size: int, stop_at_looping: bool):
+def _saturate_closures(
+    system: RelSRS,
+    max_closure_size: int,
+    stop_at_looping: bool,
+    deadline: Optional[float] = None,
+):
     seeds = []
     for i, rule in enumerate(system.rules):
         if len(rule.lhs) <= max_closure_size and len(rule.rhs) <= max_closure_size:
@@ -380,6 +395,8 @@ def _saturate_closures(system: RelSRS, max_closure_size: int, stop_at_looping: b
             return out, c
         queue.append(c)
     while queue:
+        if deadline is not None and time.monotonic() >= deadline:
+            return out, None
         closure = queue.popleft()
         for c in _closure_successors(system, closure, max_closure_size):
             key = (c.source, c.target, c.strict_steps > 0)
@@ -407,10 +424,14 @@ def forward_closures(
 
 
 def find_looping_forward_closure(
-    system: RelSRS, max_closure_size: int = DEFAULT_MAX_CLOSURE_SIZE
+    system: RelSRS,
+    max_closure_size: int = DEFAULT_MAX_CLOSURE_SIZE,
+    *,
+    deadline: Optional[float] = None,
 ) -> Optional[ForwardClosure]:
-    """First closure (u, v) with a strict step and u a factor of v, or None."""
-    _, looping = _saturate_closures(system, max_closure_size, stop_at_looping=True)
+    """First closure (u, v) with a strict step and u a factor of v, or None;
+    also None once the monotonic-clock deadline passes."""
+    _, looping = _saturate_closures(system, max_closure_size, True, deadline)
     return looping
 
 

@@ -18,9 +18,17 @@ exhaustive for every dimension up to the bound, under an assignment cap
 and the prove deadline.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
-given budget: trivial verdicts, then the strictification strategy (decide
-SN(S) first; with SN(S) in hand, a loop of the strictified system refutes
-and a termination proof of it confirms), then the direct relative methods.
+given budget: trivial verdicts, then the strictification strategy, then
+the direct relative methods.  The strictification strategy decides SN(S)
+first (an S loop, else weights, natural and arctic matrices on S made
+strict); with SN(S) in hand, a termination proof of the strictified system
+R union S confirms and a loop of it refutes.  Its methods run cheapest
+first: weights, the loop search, then natural and arctic matrices.  Most
+small systems are strictly terminating and settled by weights, and a
+system with weights has no loop, so putting the loop search after them
+only saves time.  A search cut by its node budget or assignment cap is
+logged `cap`, one cut by the deadline `deadline`, one that found nothing
+within its bounds `none`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .certificates import (
     LoopCertificate,
     NaturalMatrixCertificate,
     ProofOutcome,
+    SearchReport,
     Semiring,
     WeightCertificate,
     is_int,
@@ -87,33 +96,41 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
 
 
 def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCertificate]:
-    """Exhaustive integer weights 0..max_weight over the letters used in rules."""
+    """The lexicographically first vector of integer weights 0..max_weight
+    over the letters used in rules (in letter order) that proves the system,
+    or None when there is none.
+
+    A depth-first search gives the letters their weights in turn, each
+    smallest first.  A rule only sees its per-letter count differences
+    delta = |lhs| - |rhs|, and the letters still to come can add at most
+    max_weight * max(0, delta) each to its total; a branch whose total
+    cannot reach 0 (1 for a strict rule) even so is cut.
+    """
     used = used_letters(system)
-    # the weight condition only sees per-rule letter count differences
-    deltas = []
-    for rule in system.rules:
-        d = {c: 0 for c in used}
-        for c in rule.lhs:
-            d[c] += 1
-        for c in rule.rhs:
-            d[c] -= 1
-        deltas.append((rule.strict, [d[c] for c in used]))
-    for strict, delta in deltas:
-        if strict and not any(delta):
-            return None  # lhs and rhs have equal counts, no weights can work
-    for vec in product(range(max_weight + 1), repeat=len(used)):
-        ok = True
-        for strict, delta in deltas:
-            total = sum(w * x for w, x in zip(vec, delta))
-            if total < 0 or (strict and total == 0):
-                ok = False
-                break
-        if ok:
-            cert = WeightCertificate(
-                {system.letters[c]: Fraction(w) for c, w in zip(used, vec)}
-            )
-            return cert
-    return None
+    n = len(used)
+    deltas = [[rule.lhs.count(c) - rule.rhs.count(c) for c in used] for rule in system.rules]
+    need = [1 if rule.strict else 0 for rule in system.rules]
+    # reach[k][j]: the most the letters used[k:] can add to rule j's total
+    reach = [
+        [max_weight * sum(max(0, x) for x in delta[k:]) for delta in deltas]
+        for k in range(n + 1)
+    ]
+
+    def first(k: int, totals: list[int]) -> Optional[list[int]]:
+        if any(t + r < m for t, r, m in zip(totals, reach[k], need)):
+            return None
+        if k == n:
+            return []
+        for w in range(max_weight + 1):
+            rest = first(k + 1, [t + w * delta[k] for t, delta in zip(totals, deltas)])
+            if rest is not None:
+                return [w] + rest
+        return None
+
+    vec = first(0, [0] * len(deltas))
+    if vec is None:
+        return None
+    return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
 
 
 # ------------------------------------------------------ matrix interpretations
@@ -224,6 +241,7 @@ def _exhaustive_matrix_search(
     max_entry: int,
     cap: int,
     deadline: Optional[float],
+    report: Optional[SearchReport],
 ) -> Optional[dict]:
     used = used_letters(system)
     candidates = _Candidates(semiring, d, max_entry)
@@ -260,6 +278,8 @@ def _exhaustive_matrix_search(
     try:
         return rec(0)
     except _SearchCap:
+        if visited > cap and report is not None:
+            report.capped = True
         return None
 
 
@@ -271,16 +291,19 @@ def search_matrix(
     *,
     assignment_cap: int = 500_000,
     deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
     """Exhaustive certificate search (with pruning) for each dimension
     1..max_dim in turn, each giving up after assignment_cap letter
-    assignments or at the monotonic-clock deadline.  None is not a proof
-    of absence."""
+    assignments (which sets report.capped) or at the monotonic-clock
+    deadline.  None is not a proof of absence."""
     sr = next((s for s in SEMIRINGS if s.name == semiring), None)
     if sr is None:
         raise ValueError(f"semiring must be natural or arctic, got {semiring!r}")
     for d in range(1, max_dim + 1):
-        mats = _exhaustive_matrix_search(system, sr, d, max_entry, assignment_cap, deadline)
+        mats = _exhaustive_matrix_search(
+            system, sr, d, max_entry, assignment_cap, deadline, report
+        )
         if mats is not None:
             return sr.certificate(d, {system.letters[c]: m for c, m in mats.items()})
     return None
@@ -335,12 +358,14 @@ def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _outcome(cert, deadline: Optional[float]) -> str:
-    """How a search ended: found, cut by the deadline, or none within its
-    bounds."""
+def _outcome(cert, deadline: Optional[float], report: SearchReport) -> str:
+    """How a search ended: found, cut by the deadline, cut by its node
+    budget or assignment cap, or none up to its bounds."""
     if cert is not None:
         return "found"
-    return "deadline" if _expired(deadline) else "none"
+    if _expired(deadline):
+        return "deadline"
+    return "cap" if report.capped else "none"
 
 
 def _s_as_strict(system: RelSRS) -> RelSRS:
@@ -354,6 +379,33 @@ def _weights_attempt(system: RelSRS, budget: ProveBudget, tag: str, attempts: li
     return w
 
 
+def _loop_attempt(
+    search,
+    system: RelSRS,
+    budget: ProveBudget,
+    bounds: str,
+    method: str,
+    attempts: list,
+    deadline: Optional[float],
+    found_detail: str = "",
+):
+    """Run a loop search under the budget's `bounds` fields (sloop, loop or
+    emit) and log it as `method`."""
+    report = SearchReport()
+    cert = search(
+        system,
+        getattr(budget, f"{bounds}_max_word_len"),
+        getattr(budget, f"{bounds}_max_steps"),
+        max_start_len=getattr(budget, f"{bounds}_max_start_len"),
+        node_budget=getattr(budget, f"{bounds}_node_budget"),
+        deadline=deadline,
+        report=report,
+    )
+    detail = found_detail if cert is not None else ""
+    attempts.append(Attempt(method, _outcome(cert, deadline, report), detail))
+    return cert
+
+
 def _matrix_attempt(
     system: RelSRS,
     budget: ProveBudget,
@@ -362,6 +414,7 @@ def _matrix_attempt(
     attempts: list,
     deadline: Optional[float],
 ):
+    report = SearchReport()
     cert = search_matrix(
         system,
         semiring,
@@ -369,28 +422,26 @@ def _matrix_attempt(
         budget.matrix_max_entry,
         assignment_cap=budget.matrix_assignment_cap,
         deadline=deadline,
+        report=report,
     )
     attempts.append(
         Attempt(
             f"{tag}matrix-{semiring}",
-            _outcome(cert, deadline),
+            _outcome(cert, deadline, report),
             f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
         )
     )
     return cert
 
 
-def _termination_methods(
+def _matrix_methods(
     system: RelSRS,
     budget: ProveBudget,
     tag: str,
     attempts: list,
-    deadline: Optional[float] = None,
+    deadline: Optional[float],
 ):
-    """Weights, then natural, then arctic matrices, on an arbitrary system."""
-    w = _weights_attempt(system, budget, tag, attempts)
-    if w is not None:
-        return w
+    """Natural, then arctic matrices, while the deadline allows."""
     for semiring in ("natural", "arctic"):
         if _expired(deadline):
             return None
@@ -425,46 +476,38 @@ def prove(
         attempts.append(Attempt("s-termination", "trivial", "S is empty"))
     else:
         s_system = _s_as_strict(system)
-        s_loop = search_mixed_loop(
-            s_system,
-            budget.sloop_max_word_len,
-            budget.sloop_max_steps,
-            max_start_len=budget.sloop_max_start_len,
-            node_budget=budget.sloop_node_budget,
-            deadline=deadline,
+        s_loop = _loop_attempt(
+            search_mixed_loop, s_system, budget, "sloop", "s-loop", attempts, deadline,
+            "S alone does not terminate",
         )
-        if s_loop is not None:
-            attempts.append(Attempt("s-loop", "found", "S alone does not terminate"))
-        else:
-            attempts.append(Attempt("s-loop", _outcome(s_loop, deadline), ""))
+        if s_loop is None:
             if _expired(deadline):
                 return timed_out()
-            s_cert = _termination_methods(s_system, budget, "s-", attempts, deadline)
+            s_cert = _weights_attempt(s_system, budget, "s-", attempts)
+            if s_cert is None:
+                s_cert = _matrix_methods(s_system, budget, "s-", attempts, deadline)
     if _expired(deadline):
         return timed_out()
 
-    # 2) strictification strategy, available once SN(S) is settled positively
+    # 2) strictification strategy, available once SN(S) is settled positively;
+    # weights first, as a system they settle has no loop to find
     if s_cert is not None:
         stric = strictify(system)
-        loop = search_mixed_loop(
-            stric,
-            budget.loop_max_word_len,
-            budget.loop_max_steps,
-            max_start_len=budget.loop_max_start_len,
-            node_budget=budget.loop_node_budget,
-            deadline=deadline,
-        )
-        attempts.append(Attempt("strictified-loop", _outcome(loop, deadline), ""))
-        if loop is not None:
-            cert = ComposeCertificate(
-                "NO", (("s-termination", s_cert), ("strictified-loop", loop))
+        t_cert = _weights_attempt(stric, budget, "strictified-", attempts)
+        if t_cert is None:
+            loop = _loop_attempt(
+                search_mixed_loop, stric, budget, "loop", "strictified-loop", attempts, deadline
             )
-            return ProofOutcome(
-                "NO", cert, "loop of R union S while S terminates", tuple(attempts)
-            )
-        if _expired(deadline):
-            return timed_out()
-        t_cert = _termination_methods(stric, budget, "strictified-", attempts, deadline)
+            if loop is not None:
+                cert = ComposeCertificate(
+                    "NO", (("s-termination", s_cert), ("strictified-loop", loop))
+                )
+                return ProofOutcome(
+                    "NO", cert, "loop of R union S while S terminates", tuple(attempts)
+                )
+            if _expired(deadline):
+                return timed_out()
+            t_cert = _matrix_methods(stric, budget, "strictified-", attempts, deadline)
         if t_cert is not None:
             cert = ComposeCertificate("YES", (("strictified-termination", t_cert),))
             return ProofOutcome("YES", cert, "R union S terminates", tuple(attempts))
@@ -475,40 +518,28 @@ def prove(
     w = _weights_attempt(system, budget, "", attempts)
     if w is not None:
         return ProofOutcome("YES", w, "weight certificate", tuple(attempts))
-    loop = search_mixed_loop(
-        system,
-        budget.loop_max_word_len,
-        budget.loop_max_steps,
-        max_start_len=budget.loop_max_start_len,
-        node_budget=budget.loop_node_budget,
-        deadline=deadline,
+    loop = _loop_attempt(
+        search_mixed_loop, system, budget, "loop", "mixed-loop", attempts, deadline
     )
-    attempts.append(Attempt("mixed-loop", _outcome(loop, deadline), ""))
     if loop is not None:
         return ProofOutcome("NO", loop, "mixed loop", tuple(attempts))
     if _expired(deadline):
         return timed_out()
     if s_cert is None:
         # an emitting loop is an S-only loop, impossible under proven SN(S)
-        em = search_emitting_loop(
-            system,
-            budget.emit_max_word_len,
-            budget.emit_max_steps,
-            max_start_len=budget.emit_max_start_len,
-            node_budget=budget.emit_node_budget,
-            deadline=deadline,
+        em = _loop_attempt(
+            search_emitting_loop, system, budget, "emit", "emitting-loop", attempts, deadline
         )
-        attempts.append(Attempt("emitting-loop", _outcome(em, deadline), ""))
         if em is not None:
             return ProofOutcome("NO", em, "emitting loop", tuple(attempts))
         if _expired(deadline):
             return timed_out()
-    for semiring in ("natural", "arctic"):
-        cert = _matrix_attempt(system, budget, semiring, "", attempts, deadline)
-        if cert is not None:
-            return ProofOutcome("YES", cert, f"{semiring} matrix certificate", tuple(attempts))
-        if _expired(deadline):
-            return timed_out()
+    cert = _matrix_methods(system, budget, "", attempts, deadline)
+    if cert is not None:
+        reason = f"{matrix_semiring(cert).name} matrix certificate"
+        return ProofOutcome("YES", cert, reason, tuple(attempts))
+    if _expired(deadline):
+        return timed_out()
     return ProofOutcome(
         "MAYBE", None, "no method conclusive within budget", tuple(attempts)
     )

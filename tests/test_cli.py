@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,14 @@ class TestLoop:
         code, out = run("loop", srs(tmp_path, TERMINATING), "--max-word-len", "5")
         assert code == 1 and "none found (bound 5)" in out
 
+    def test_timeout_cuts_the_search(self, run, tmp_path):
+        # with the default bounds and no timeout this runs for minutes
+        start = time.monotonic()
+        code, out = run("loop", srs(tmp_path, "(RULES a -> b, c ->= b c)\n"), "--timeout", "0.5")
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert out == "MAYBE\ntimeout before the search finished (bound 12)\n"
+
 
 class TestClosures:
     def test_found(self, run, tmp_path):
@@ -120,6 +129,15 @@ class TestClosures:
     def test_none_found(self, run, tmp_path):
         code, out = run("closures", srs(tmp_path, ABA))
         assert code == 1 and out == "MAYBE\nnone found (bound 20)\n"
+
+    def test_timeout_cuts_the_search(self, run, tmp_path):
+        # saturation up to the default size bound runs for minutes here
+        start = time.monotonic()
+        path = srs(tmp_path, "(RULES a -> , ->= b , b a ->= a)\n")
+        code, out = run("closures", path, "--timeout", "0.5")
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert out == "MAYBE\ntimeout before the search finished (bound 20)\n"
 
 
 class TestCheckCert:

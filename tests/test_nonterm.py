@@ -14,6 +14,7 @@ from relsrs import (
     LoopCertificate,
     RelSRS,
     Rule,
+    SearchReport,
     Step,
     check_loop_certificate,
     closure_to_loop_certificate,
@@ -81,6 +82,17 @@ class TestMixedLoopSearch:
         cert = search_mixed_loop(system)
         assert search_mixed_loop(system, node_budget=needed - 1) is None
         assert search_mixed_loop(system, node_budget=needed) == cert
+        # only the search the budget cut short reports it
+        short, enough = SearchReport(), SearchReport()
+        search_mixed_loop(system, node_budget=needed - 1, report=short)
+        search_mixed_loop(system, node_budget=needed, report=enough)
+        assert short.capped and not enough.capped
+
+    def test_exhausted_search_is_not_capped(self):
+        report = SearchReport()
+        sys_ = parse_system("(RULES a b -> a, b ->= )")
+        assert search_mixed_loop(sys_, 6, 8, node_budget=100_000, report=report) is None
+        assert not report.capped
 
     def test_overlapping_matches_are_successors(self):
         # from a a a the loop needs the rewrite at position 1, which overlaps
@@ -193,6 +205,10 @@ class TestEmittingLoopSearch:
         cert = search_emitting_loop(sys_)
         assert search_emitting_loop(sys_, node_budget=0) is None
         assert search_emitting_loop(sys_, node_budget=1) == cert
+        short, enough = SearchReport(), SearchReport()
+        search_emitting_loop(sys_, node_budget=0, report=short)
+        search_emitting_loop(sys_, node_budget=1, report=enough)
+        assert short.capped and not enough.capped
 
     def test_overlapping_matches_are_successors(self):
         # b a a a -> b a c rewrites the second of two overlapping a a
@@ -267,6 +283,11 @@ class TestForwardClosures:
         assert closure.source == rev.word("c a")
         assert closure.target == rev.word("c a")
         assert closure.strict_steps == 1
+
+    def test_expired_deadline_gives_up(self):
+        rev = reverse_system(ABA)
+        assert find_looping_forward_closure(rev, 20, deadline=time.monotonic() + 60) is not None
+        assert find_looping_forward_closure(rev, 20, deadline=time.monotonic() - 1) is None
 
     def test_bab_and_its_reversal_have_none(self):
         assert find_looping_forward_closure(BAB, 20) is None

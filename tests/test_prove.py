@@ -1,5 +1,7 @@
 """End-to-end prove() behavior on the strictification fixture set."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -118,6 +120,22 @@ class TestOutcomeShape:
         assert methods[-1] == "mixed-loop"
         assert outcome.reason == "mixed loop"
 
+    def test_strictified_weights_come_before_the_loop_search(self):
+        # weights settle the strictified system, so no loop search runs
+        outcome = prove(parse_system("(RULES a b -> a, b ->= )"))
+        assert [(a.method, a.outcome) for a in outcome.attempts] == [
+            ("s-loop", "none"),
+            ("s-weights", "found"),
+            ("strictified-weights", "found"),
+        ]
+
+    def test_strictified_loop_runs_when_weights_fail(self):
+        outcome = prove(parse_system("(RULES a -> a b, b ->= )"))
+        assert [(a.method, a.outcome) for a in outcome.attempts][-2:] == [
+            ("strictified-weights", "none"),
+            ("strictified-loop", "found"),
+        ]
+
     def test_prove_is_deterministic(self):
         text = "(RULES b a b -> a, c ->= c b, d ->= b d)"
         assert prove(parse_system(text)) == prove(parse_system(text))
@@ -142,6 +160,23 @@ class TestBudgets:
         # the S loop search looks at the deadline before its first word
         assert outcome.attempts[0].method == "s-loop"
         assert outcome.attempts[0].outcome == "deadline"
+
+    @pytest.mark.parametrize("budget, verdict, logged", [
+        (1719, "MAYBE", ("mixed-loop", "cap")),
+        (1720, "NO", ("mixed-loop", "found")),
+    ])
+    def test_loop_cut_by_node_budget_is_logged_cap(self, budget, verdict, logged):
+        system = parse_system("(RULES b a b -> a, c ->= c b, d ->= b d)")
+        outcome = prove(system, ProveBudget(loop_node_budget=budget))
+        assert outcome.verdict == verdict
+        assert logged in [(a.method, a.outcome) for a in outcome.attempts]
+
+    def test_matrix_search_cut_by_assignment_cap_is_logged_cap(self):
+        outcome = prove(parse_system("(RULES a b -> b a)"), ProveBudget(matrix_assignment_cap=3))
+        assert outcome.verdict == "MAYBE"
+        assert ("strictified-matrix-natural", "cap") in [
+            (a.method, a.outcome) for a in outcome.attempts
+        ]
 
     def test_budget_fields_shape_the_search(self):
         # a weights-only budget cannot settle the swap rule
@@ -184,3 +219,31 @@ class TestInvariance:
             verdict = prove(system).verdict
             assert prove(swapped).verdict == verdict, str(system)
             assert prove(reverse_system(system)).verdict == verdict, str(system)
+
+
+class TestFrozenVerdicts:
+    """Verdicts and certificates of every two-letter system up to size 5.
+
+    The digest was recorded before the strictified weights were moved ahead
+    of the strictified loop search, with this snippet:
+
+        digest = hashlib.sha256()
+        for system in enumerate_systems(EnumerationConfig(2, 5)):
+            outcome = prove(system)
+            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
+            digest.update(json.dumps([outcome.verdict, cert], sort_keys=True).encode() + b"\\n")
+        digest.hexdigest()
+    """
+
+    DIGEST = "68f49a38a83c55c5632edc0cf8196feb4f1fafeb785acd4d9d6745d079d191da"
+
+    def test_default_budget_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for system in enumerate_systems(EnumerationConfig(2, 5)):
+            outcome = prove(system)
+            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
+            digest.update(json.dumps([outcome.verdict, cert], sort_keys=True).encode() + b"\n")
+            count += 1
+        assert count == 5821
+        assert digest.hexdigest() == self.DIGEST

@@ -2,22 +2,31 @@
 
 import json
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsrs import (
     ArcticMatrixCertificate,
     ComposeCertificate,
     EmptyRCertificate,
+    EnumerationConfig,
     LoopCertificate,
     NaturalMatrixCertificate,
+    RelSRS,
+    Rule,
+    SearchReport,
     Step,
     WeightCertificate,
     check_loop_certificate,
     check_matrix_arctic,
     check_matrix_natural,
     check_weights,
+    enumerate_systems,
     parse_certificate,
     parse_system,
     prove,
@@ -104,6 +113,65 @@ class TestWeightSearch:
         sys = type(AB_A)(("a", "b", "z"), AB_A.rules)
         cert = search_weights(sys)
         assert cert is not None and set(cert.weights) == {"a", "b"}
+
+
+def first_fit_weights(system, max_weight):
+    """Brute-force oracle: the first vector in itertools.product order over
+    the letters used in rules that every rule accepts."""
+    used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
+    # a rule holds when lhs weight - rhs weight reaches 1 (strict) or 0
+    rules = [
+        ([r.lhs.count(c) - r.rhs.count(c) for c in used], 1 if r.strict else 0)
+        for r in system.rules
+    ]
+    for vec in product(range(max_weight + 1), repeat=len(used)):
+        if all(sum(map(mul, vec, delta)) >= need for delta, need in rules):
+            return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
+    return None
+
+
+def variants(system):
+    """The system as is, with every rule strict, and its relative rules
+    alone made strict: the three systems prove hands to search_weights."""
+    s_alone = tuple(Rule(r.lhs, r.rhs, True) for r in system.rules if not r.strict)
+    return system, strictify(system), RelSRS(system.letters, s_alone)
+
+
+class TestWeightSearchOracle:
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_pruned_search_equals_first_fit(self, alphabet):
+        seen = set()
+        for system in enumerate_systems(EnumerationConfig(alphabet, 4)):
+            for case in variants(system):
+                for max_weight in (0, 1, 2, 8, 16):
+                    if (case, max_weight) in seen:
+                        continue
+                    seen.add((case, max_weight))
+                    expected = first_fit_weights(case, max_weight)
+                    assert search_weights(case, max_weight) == expected, (str(case), max_weight)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), max_size=4),
+                st.lists(st.integers(0, 3), max_size=4),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 6),
+    )
+    def test_random_rule_sets_equal_first_fit(self, rules, max_weight):
+        system = RelSRS(
+            ("a", "b", "c", "d"),
+            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+        )
+        cert = search_weights(system, max_weight)
+        assert cert == first_fit_weights(system, max_weight)
+        if cert is not None:
+            assert check_weights(cert, system)
 
 
 class TestNaturalChecker:
@@ -309,6 +377,16 @@ class TestMatrixSearch:
     def test_assignment_cap_gives_up(self):
         sys = parse_system("(RULES a b -> b a)")
         assert search_matrix(sys, "natural", assignment_cap=0) is None
+
+    def test_assignment_cap_is_reported(self):
+        sys = parse_system("(RULES a b -> b a)")
+        report = SearchReport()
+        assert search_matrix(sys, "natural", assignment_cap=0, report=report) is None
+        assert report.capped
+        # a search that runs out of space without reaching the cap is not capped
+        report = SearchReport()
+        assert search_matrix(sys, "natural", max_dim=1, report=report) is None
+        assert not report.capped
 
     def test_entry_bound_can_make_search_fail(self):
         # natural letters need a positive corner, max_entry=0 leaves nothing
