@@ -276,6 +276,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int, convert=int):
+    """argparse type: `convert(text)`, rejected (exit 2) below `minimum`, so
+    no search reports "none up to a bound" it never searched."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= minimum:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_COUNT = _at_least(0)
+_SECONDS = _at_least(0, float)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relsrs",
@@ -284,11 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budget_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-word-len", type=int, default=None, metavar="N")
-        p.add_argument("--max-steps", type=int, default=None, metavar="N")
-        p.add_argument("--max-dim", type=int, default=None, metavar="N")
-        p.add_argument("--max-entry", type=int, default=None, metavar="N")
-        p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+        p.add_argument("--max-word-len", type=_COUNT, default=None, metavar="N")
+        p.add_argument("--max-steps", type=_COUNT, default=None, metavar="N")
+        p.add_argument("--max-dim", type=_at_least(1), default=None, metavar="N")
+        p.add_argument("--max-entry", type=_COUNT, default=None, metavar="N")
+        p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
 
     p = sub.add_parser("prove", help="decide relative termination of an SRS file")
     p.add_argument("file")
@@ -313,15 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop", help="search for a loop witnessing non-termination")
     p.add_argument("file")
-    p.add_argument("--max-word-len", type=int, default=None, metavar="N")
-    p.add_argument("--max-steps", type=int, default=None, metavar="N")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--max-word-len", type=_COUNT, default=None, metavar="N")
+    p.add_argument("--max-steps", type=_COUNT, default=None, metavar="N")
+    p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("closures", help="search forward closures for a loop")
     p.add_argument("file")
-    p.add_argument("--max-closure-size", type=int, default=None, metavar="N")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--max-closure-size", type=_COUNT, default=None, metavar="N")
+    p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_closures)
 
     p = sub.add_parser("check-cert", help="check a certificate against an SRS file")

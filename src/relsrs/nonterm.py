@@ -11,19 +11,19 @@ All searches are bounded and deterministic: start words shorter-first then
 lexicographic, breadth-first on step count, successors ordered by rule
 index then position.  Absence within the bounds is a value, not a proof.
 
-Inside the two loop searches a word is a str with one character per
-letter, chr(letter), which serves any alphabet size: redex matching,
-the loop test and the redex-in-context test are then str.find and `in`,
-which run in C.  Words are decoded back to tuples only for the returned
-certificate.  Certificates, their checker and the forward closures stay
-on tuple words.
+Inside the two loop searches and forward-closure saturation a word is a
+str with one character per letter, chr(letter), which serves any alphabet
+size: redex matching, the loop test, the redex-in-context test and the
+closure factor test are then str.find, startswith and `in`, which run in
+C.  Words are decoded back to tuples only for what is returned: the
+certificate, or the ForwardClosure records.  Certificates and their
+checker stay on tuple words.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -34,13 +34,6 @@ from .core import Derivation, RelSRS, ReplayError, Step, Word, replay, used_lett
 DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
 DEFAULT_MAX_CLOSURE_SIZE = 20
-
-
-def _is_factor(needle: Word, hay: Word) -> bool:
-    n = len(needle)
-    if n == 0:
-        return True
-    return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
 
 def _encode(word: Word) -> str:
@@ -337,77 +330,96 @@ class ForwardClosure:
     trace: tuple[Step, ...]
 
 
-def _closure_successors(system: RelSRS, closure: ForwardClosure, max_size: int):
-    """Deterministic expansion: target rewrites by (rule, position), then
-    right-extensions by (rule, split position)."""
-    u, v = closure.source, closure.target
-    for i, rule in enumerate(system.rules):
-        k = len(rule.lhs)
-        for p in range(len(v) - k + 1):
-            if v[p : p + k] == rule.lhs:
-                nv = v[:p] + rule.rhs + v[p + k :]
-                if len(nv) <= max_size:
-                    yield ForwardClosure(
-                        u, nv, closure.strict_steps + rule.strict, closure.trace + (Step(i, p),)
-                    )
-    for i, rule in enumerate(system.rules):
-        lhs = rule.lhs
-        for split in range(len(v)):
-            v2 = v[split:]
-            if 0 < len(v2) < len(lhs) and lhs[: len(v2)] == v2:
-                ext = lhs[len(v2) :]
-                ns, nt = u + ext, v[:split] + rule.rhs
-                if len(ns) <= max_size and len(nt) <= max_size:
-                    # the old steps replay unchanged on the extended source;
-                    # the boundary step fires the rule across the old target end
-                    yield ForwardClosure(
-                        ns,
-                        nt,
-                        closure.strict_steps + rule.strict,
-                        closure.trace + (Step(i, split),),
-                    )
-
-
 def _saturate_closures(
     system: RelSRS,
     max_closure_size: int,
     stop_at_looping: bool,
     deadline: Optional[float] = None,
 ):
-    seeds = []
-    for i, rule in enumerate(system.rules):
-        if len(rule.lhs) <= max_closure_size and len(rule.rhs) <= max_closure_size:
-            seeds.append(
-                ForwardClosure(rule.lhs, rule.rhs, int(rule.strict), (Step(i, 0),))
-            )
-    out: list[ForwardClosure] = []
-    # two closures with the same endpoints only differ usefully in whether
-    # any strict step was used
-    seen: set[tuple[Word, Word, bool]] = set()
-    queue = deque()
-    for c in seeds:
-        key = (c.source, c.target, c.strict_steps > 0)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
-        if stop_at_looping and c.strict_steps >= 1 and _is_factor(c.source, c.target):
-            return out, c
-        queue.append(c)
-    while queue:
+    """Breadth-first saturation, kept closures as flat rows.
+
+    Row j is sources[j] ->+ targets[j] (encoded words) with stricts[j]
+    strict steps, extending row parents[j] (-1 for a seed, one per rule) by
+    the step steps[j] = (rule, position).  Rows are expanded in the order
+    they are kept: target rewrites by (rule, position), then
+    right-extensions across the target's end by (rule, split position).
+    A successor with the endpoints of a kept row and the same answer to
+    "any strict step used" is dropped.
+
+    Returns (rows, index of the first looping row, or None when
+    stop_at_looping is false or there is none); None when the deadline cut
+    the search short.
+    """
+    size = max_closure_size
+    rules = _encoded_rules(enumerate(system.rules))
+    # a rule extends a target only across a nonempty proper prefix of its lhs
+    extending = [rule for rule in rules if rule[3] >= 2]
+    sources: list[str] = []
+    targets: list[str] = []
+    stricts: list[int] = []
+    parents: list[int] = []
+    steps: list[tuple[int, int]] = []
+    rows = (sources, targets, stricts, parents, steps)
+    # seen[(source, any strict step used)] = targets of the kept rows
+    seen: dict[tuple[str, bool], set[str]] = {}
+
+    def keep(u: str, v: str, s: int, parent: int, step: tuple[int, int]) -> bool:
+        """Add a row; True when the search stops at it as a looping closure."""
+        sources.append(u)
+        targets.append(v)
+        stricts.append(s)
+        parents.append(parent)
+        steps.append(step)
+        return stop_at_looping and s > 0 and u in v
+
+    for i, lhs, rhs, k, _, strict in rules:
+        if k <= size and len(rhs) <= size:
+            known = seen.setdefault((lhs, strict), set())
+            if rhs not in known:
+                known.add(rhs)
+                if keep(lhs, rhs, int(strict), -1, (i, 0)):
+                    return rows, len(sources) - 1
+    head = 0
+    while head < len(sources):
         if deadline is not None and time.monotonic() >= deadline:
-            return out, None
-        closure = queue.popleft()
-        for c in _closure_successors(system, closure, max_closure_size):
-            key = (c.source, c.target, c.strict_steps > 0)
-            if key in seen:
+            return None
+        u, v, s = sources[head], targets[head], stricts[head]
+        n, used = len(v), s > 0
+        for i, lhs, rhs, k, grow, strict in rules:
+            if grow > size - n:
                 continue
-            seen.add(key)
-            out.append(c)
-            if stop_at_looping and c.strict_steps >= 1 and _is_factor(c.source, c.target):
-                return out, c
-            queue.append(c)
-    return out, None
+            p = v.find(lhs)
+            if p < 0:
+                continue
+            known = seen.setdefault((u, used or strict), set())
+            nv = v.replace(lhs, rhs, 1)  # the match at p
+            while True:
+                if nv not in known:
+                    known.add(nv)
+                    if keep(u, nv, s + strict, head, (i, p)):
+                        return rows, len(sources) - 1
+                p = v.find(lhs, p + 1)
+                if p < 0:
+                    break
+                nv = v[:p] + rhs + v[p + k :]
+        for i, lhs, rhs, k, grow, strict in extending:
+            # v[split:] is a nonempty proper prefix of lhs.  The old steps
+            # replay unchanged on the extended source; the new step fires the
+            # rule across the old target's end.  Source and target both grow
+            # with split, so the size bound caps it.
+            stop = min(n, size - k - grow + 1, size - len(u) - k + n + 1)
+            for split in range(max(0, n - k + 1), stop):
+                if not lhs.startswith(v[split:]):
+                    continue
+                nu = u + lhs[n - split :]
+                nv = v[:split] + rhs
+                known = seen.setdefault((nu, used or strict), set())
+                if nv not in known:
+                    known.add(nv)
+                    if keep(nu, nv, s + strict, head, (i, split)):
+                        return rows, len(sources) - 1
+        head += 1
+    return rows, None
 
 
 def forward_closures(
@@ -419,7 +431,13 @@ def forward_closures(
     target anywhere and under right-extension across the target's end.
     Closures whose source or target exceeds the bound are discarded.
     """
-    out, _ = _saturate_closures(system, max_closure_size, stop_at_looping=False)
+    (sources, targets, stricts, parents, steps), _ = _saturate_closures(
+        system, max_closure_size, stop_at_looping=False
+    )
+    out: list[ForwardClosure] = []
+    for j, parent in enumerate(parents):
+        trace = (out[parent].trace if parent >= 0 else ()) + (Step(*steps[j]),)
+        out.append(ForwardClosure(_decode(sources[j]), _decode(targets[j]), stricts[j], trace))
     return out
 
 
@@ -431,8 +449,17 @@ def find_looping_forward_closure(
 ) -> Optional[ForwardClosure]:
     """First closure (u, v) with a strict step and u a factor of v, or None;
     also None once the monotonic-clock deadline passes."""
-    _, looping = _saturate_closures(system, max_closure_size, True, deadline)
-    return looping
+    result = _saturate_closures(system, max_closure_size, True, deadline)
+    if result is None or result[1] is None:
+        return None
+    (sources, targets, stricts, parents, steps), j = result
+    trace = []
+    row = j
+    while row >= 0:
+        trace.append(Step(*steps[row]))
+        row = parents[row]
+    trace.reverse()
+    return ForwardClosure(_decode(sources[j]), _decode(targets[j]), stricts[j], tuple(trace))
 
 
 def replay_closure(closure: ForwardClosure, system: RelSRS) -> Word:

@@ -20,15 +20,15 @@ and the prove deadline.
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, then
 the direct relative methods.  The strictification strategy decides SN(S)
-first (an S loop, else weights, natural and arctic matrices on S made
-strict); with SN(S) in hand, a termination proof of the strictified system
-R union S confirms and a loop of it refutes.  Its methods run cheapest
-first: weights, the loop search, then natural and arctic matrices.  Most
-small systems are strictly terminating and settled by weights, and a
-system with weights has no loop, so putting the loop search after them
-only saves time.  A search cut by its node budget or assignment cap is
-logged `cap`, one cut by the deadline `deadline`, one that found nothing
-within its bounds `none`.
+first (weights, else an S loop, else natural and arctic matrices on S
+made strict); with SN(S) in hand, a termination proof of the strictified
+system R union S confirms and a loop of it refutes.  Both blocks run
+their methods cheapest first: weights, the loop search, then natural and
+arctic matrices.  Most small systems are strictly terminating and settled
+by weights, and a system with weights has no loop, so putting the loop
+search after them only saves time.  A search cut by its node budget or
+assignment cap is logged `cap`, one cut by the deadline `deadline`, one
+that found nothing within its bounds `none`.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ class ProveBudget:
     emit_max_steps: int = 20
     emit_max_start_len: int = 5
     emit_node_budget: int = 50_000
-    # cheap bounds for refuting SN(S) before trying to prove it
+    # cheap bounds for refuting SN(S) when weights fail to prove it
     sloop_max_word_len: int = 8
     sloop_max_steps: int = 10
     sloop_max_start_len: int = 4
@@ -469,22 +469,22 @@ def prove(
         attempts.append(Attempt("trivial", tv.verdict, tv.reason))
         return ProofOutcome(tv.verdict, tv.certificate, tv.reason, tuple(attempts))
 
-    # 1) decide SN(S): cheap loop refutation first, then termination proofs
+    # 1) decide SN(S): weights, a loop refutation, then matrices
     s_cert: Optional[Certificate] = None
     if not system.relative_rules:
         s_cert = EmptyRCertificate()
         attempts.append(Attempt("s-termination", "trivial", "S is empty"))
     else:
         s_system = _s_as_strict(system)
-        s_loop = _loop_attempt(
-            search_mixed_loop, s_system, budget, "sloop", "s-loop", attempts, deadline,
-            "S alone does not terminate",
-        )
-        if s_loop is None:
-            if _expired(deadline):
-                return timed_out()
-            s_cert = _weights_attempt(s_system, budget, "s-", attempts)
-            if s_cert is None:
+        s_cert = _weights_attempt(s_system, budget, "s-", attempts)
+        if s_cert is None:
+            s_loop = _loop_attempt(
+                search_mixed_loop, s_system, budget, "sloop", "s-loop", attempts, deadline,
+                "S alone does not terminate",
+            )
+            if s_loop is None:
+                if _expired(deadline):
+                    return timed_out()
                 s_cert = _matrix_methods(s_system, budget, "s-", attempts, deadline)
     if _expired(deadline):
         return timed_out()

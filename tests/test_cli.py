@@ -240,6 +240,38 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ("closures", "--max-closure-size", "-1"),
+        ("closures", "--timeout", "-0.5"),
+        ("closures", "--timeout", "nan"),
+        ("loop", "--max-word-len", "-1"),
+        ("loop", "--max-steps", "-2"),
+        ("prove", "--max-dim", "0"),
+        ("prove", "--max-entry", "-3"),
+        ("prove", "--timeout", "-1"),
+        ("enumerate", "--alphabet", "2", "--max-size", "2", "--max-dim", "0"),
+        ("prove", "--max-word-len", "x"),
+    ])
+    def test_bad_search_bound_exits_two(self, tmp_path, capsys, argv):
+        # a bound below the smallest searchable value is a usage error, as
+        # a non-integer is, not "none found" up to a bound never searched
+        command, *flags = argv
+        files = [] if command == "enumerate" else [srs(tmp_path, TERMINATING)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("closures", "--max-closure-size", "0"), "MAYBE"),
+        (("loop", "--max-word-len", "0", "--max-steps", "0"), "MAYBE"),
+        (("prove", "--max-dim", "1", "--max-entry", "0", "--timeout", "0"), "MAYBE"),
+    ])
+    def test_smallest_bounds_are_accepted(self, run, tmp_path, argv, first_line):
+        command, *flags = argv
+        code, out = run(command, srs(tmp_path, TERMINATING), *flags)
+        assert code == 1 and out.splitlines()[0] == first_line
+
 
 class TestInstalledScript:
     def test_entry_point(self, tmp_path):

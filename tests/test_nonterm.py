@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsrs import (
     SWEEP_BUDGET,
@@ -350,6 +352,86 @@ class TestForwardClosures:
         first = [(c.source, c.target) for c in forward_closures(ABA, 10)]
         second = [(c.source, c.target) for c in forward_closures(ABA, 10)]
         assert first == second
+
+
+def _is_factor(needle, hay):
+    return any(hay[i : i + len(needle)] == needle for i in range(len(hay) - len(needle) + 1))
+
+
+class TestFrozenClosureResults:
+    A_B_BA_A = parse_system("(RULES a -> , ->= b , b a ->= a)")
+    # recorded with the tuple-word saturation (987 systems, 1732 looping
+    # closures, 122,212 closures at bound 6)
+    DIGEST = "1903c46f3feb1e65558ad3468aca8a49ef16efd1c28868382377e1110023e238"
+
+    def test_size_four_results_are_unchanged(self):
+        """The looping closure at bounds 6 and 8 and the saturation at
+        bound 6 of every two-letter system up to size 4.  The digest was
+        made by this snippet:
+
+            def row(c):
+                return None if c is None else [
+                    c.source, c.target, c.strict_steps,
+                    [[s.rule_index, s.position] for s in c.trace]]
+            h = hashlib.sha256()
+            for system in enumerate_systems(EnumerationConfig(2, 4)):
+                for bound in (6, 8):
+                    c = find_looping_forward_closure(system, bound)
+                    h.update(json.dumps(row(c)).encode() + b"\n")
+                closures = forward_closures(system, 6)
+                h.update(json.dumps([row(c) for c in closures]).encode() + b"\n")
+            h.hexdigest()
+        """
+
+        def row(c):
+            if c is None:
+                return None
+            return [c.source, c.target, c.strict_steps, [[s.rule_index, s.position] for s in c.trace]]
+
+        h = hashlib.sha256()
+        systems = found = total = 0
+        for system in enumerate_systems(EnumerationConfig(2, 4)):
+            systems += 1
+            for bound in (6, 8):
+                c = find_looping_forward_closure(system, bound)
+                found += c is not None
+                h.update(json.dumps(row(c)).encode() + b"\n")
+            closures = forward_closures(system, 6)
+            total += len(closures)
+            h.update(json.dumps([row(c) for c in closures]).encode() + b"\n")
+        assert (systems, found, total) == (987, 1732, 122_212)
+        assert h.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
+    def test_saturation_sizes(self, bound, count):
+        # recorded with the tuple-word saturation
+        assert len(forward_closures(self.A_B_BA_A, bound)) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 1), max_size=3),
+                st.lists(st.integers(0, 1), max_size=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 6),
+    )
+    def test_closures_replay_to_their_targets(self, rules, bound):
+        system = RelSRS(
+            ("a", "b"),
+            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+        )
+        closures = forward_closures(system, bound)
+        for c in closures:
+            assert len(c.source) <= bound and len(c.target) <= bound
+            assert replay_closure(c, system) == c.target
+            assert sum(system.rules[s.rule_index].strict for s in c.trace) == c.strict_steps
+        looping = [c for c in closures if c.strict_steps and _is_factor(c.source, c.target)]
+        assert find_looping_forward_closure(system, bound) == (looping[0] if looping else None)
 
 
 class TestFrozenSearchResults:

@@ -121,13 +121,26 @@ class TestOutcomeShape:
         assert outcome.reason == "mixed loop"
 
     def test_strictified_weights_come_before_the_loop_search(self):
-        # weights settle the strictified system, so no loop search runs
+        # weights settle S and the strictified system, so no loop search runs
         outcome = prove(parse_system("(RULES a b -> a, b ->= )"))
         assert [(a.method, a.outcome) for a in outcome.attempts] == [
-            ("s-loop", "none"),
             ("s-weights", "found"),
             ("strictified-weights", "found"),
         ]
+
+    def test_s_loop_runs_when_s_weights_fail(self):
+        # S = {c -> b c} has no weights and loops on its own
+        outcome = prove(parse_system("(RULES a b -> a, c ->= b c)"))
+        assert [(a.method, a.outcome) for a in outcome.attempts][:2] == [
+            ("s-weights", "none"),
+            ("s-loop", "found"),
+        ]
+
+    def test_s_matrices_run_after_the_s_loop_search(self):
+        # S = {a b -> b a} needs a matrix: weights, then the loop search fail
+        outcome = prove(parse_system("(RULES a -> , a b ->= b a)"))
+        methods = [a.method for a in outcome.attempts]
+        assert methods[:3] == ["s-weights", "s-loop", "s-matrix-natural"]
 
     def test_strictified_loop_runs_when_weights_fail(self):
         outcome = prove(parse_system("(RULES a -> a b, b ->= )"))
@@ -157,9 +170,11 @@ class TestBudgets:
         assert outcome.verdict == "MAYBE"
         assert outcome.reason == "timeout"
         assert outcome.attempts[-1].method == "timeout"
-        # the S loop search looks at the deadline before its first word
-        assert outcome.attempts[0].method == "s-loop"
-        assert outcome.attempts[0].outcome == "deadline"
+        # S has no weights; the S loop search looks at the deadline before
+        # its first word
+        assert outcome.attempts[0].method == "s-weights"
+        assert outcome.attempts[1].method == "s-loop"
+        assert outcome.attempts[1].outcome == "deadline"
 
     @pytest.mark.parametrize("budget, verdict, logged", [
         (1719, "MAYBE", ("mixed-loop", "cap")),
