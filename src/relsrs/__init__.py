@@ -28,6 +28,13 @@ from .certificates import (
     serialize_certificate,
     trivial_verdict,
 )
+from .check import (
+    check_loop_certificate,
+    check_matrix_arctic,
+    check_matrix_natural,
+    check_weights,
+    verify_certificate,
+)
 from .core import (
     EPSILON,
     Derivation,
@@ -58,7 +65,6 @@ from .enumeration import (
 from .grid import FIXTURES, GridAlgebra, GridReport, check_grid_algebra
 from .nonterm import (
     ForwardClosure,
-    check_loop_certificate,
     closure_to_loop_certificate,
     find_looping_forward_closure,
     forward_closures,
@@ -70,13 +76,9 @@ from .nonterm import (
 from .term import (
     ProveBudget,
     SWEEP_BUDGET,
-    check_matrix_arctic,
-    check_matrix_natural,
-    check_weights,
     prove,
     search_matrix,
     search_weights,
-    verify_certificate,
 )
 from .tpdb import (
     SrsDocument,

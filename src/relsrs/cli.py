@@ -36,11 +36,10 @@ from .certificates import (
     Certificate,
     CertificateFormatError,
     CertificateMismatchError,
-    ComposeCertificate,
-    LoopCertificate,
     parse_certificate,
     serialize_certificate,
 )
+from .check import certificate_verdict, verify_certificate
 from .core import RelSRS, system_size
 from .enumeration import EnumerationConfig, enumerate_systems, enumeration_manifest
 from .nonterm import (
@@ -52,7 +51,7 @@ from .nonterm import (
     search_emitting_loop,
     search_mixed_loop,
 )
-from .term import ProveBudget, prove, verify_certificate
+from .term import ProveBudget, prove
 from .tpdb import SrsParseError, document_to_system, parse_srs, print_srs, print_system
 
 
@@ -79,14 +78,6 @@ def _deadline(args: argparse.Namespace) -> Optional[float]:
     return time.monotonic() + args.timeout
 
 
-def _certificate_verdict(cert: Certificate) -> str:
-    if isinstance(cert, LoopCertificate):
-        return "NO"
-    if isinstance(cert, ComposeCertificate):
-        return cert.verdict
-    return "YES"
-
-
 def _print_certificate(cert: Certificate, system: RelSRS) -> None:
     print(json.dumps(serialize_certificate(cert, system), indent=2, sort_keys=True))
 
@@ -104,7 +95,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         if not result:
             print(f"ERROR: supplied certificate rejected: {result.reason}")
             return 2
-        print(_certificate_verdict(cert))
+        print(certificate_verdict(cert))
         _print_certificate(cert, system)
         return 0
     outcome = prove(system, _budget_from_args(args), deadline=_deadline(args))
@@ -325,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-trivial", action="store_true")
     p.add_argument("--out", default=None, metavar="DIR")
     p.add_argument("--prove", action="store_true", help="run the prover on each system")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=_at_least(1), default=1, metavar="N")
     budget_flags(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -5,7 +5,9 @@ An emitting loop is an S-only derivation v ->+ u.v.w where u or w carries
 an occurrence of some strict rule's lhs; pumping the loop then fires that
 redex arbitrarily often.  Forward closures give a third route: a closure
 (u, v) with at least one strict step whose source u reappears as a factor
-of v replays into a mixed loop.
+of v replays into a mixed loop.  prove runs the mixed-loop search in each
+of its phases; the emitting-loop search and the closures serve `relsrs
+loop` and `relsrs closures`.
 
 All searches are bounded and deterministic: start words shorter-first then
 lexicographic, breadth-first on step count, successors ordered by rule
@@ -17,7 +19,7 @@ size: redex matching, the loop test, the redex-in-context test and the
 closure factor test are then str.find, startswith and `in`, which run in
 C.  Words are decoded back to tuples only for what is returned: the
 certificate, or the ForwardClosure records.  Certificates and their
-checker stay on tuple words.
+checker, `relsrs.check.check_loop_certificate`, stay on tuple words.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .certificates import CheckResult, EmittingRedex, LoopCertificate, SearchReport
-from .core import Derivation, RelSRS, ReplayError, Step, Word, replay, used_letters
+from .certificates import EmittingRedex, LoopCertificate, SearchReport
+from .core import Derivation, RelSRS, Step, Word, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
@@ -238,55 +240,6 @@ def search_emitting_loop(
                 break
             level = following
     return None
-
-
-def check_loop_certificate(cert: LoopCertificate, system: RelSRS) -> CheckResult:
-    """Re-verify a loop certificate by replay; never raises on bad input."""
-    if not isinstance(cert, LoopCertificate):
-        return CheckResult(False, "not a loop certificate")
-    if cert.kind not in ("mixed", "emitting"):
-        return CheckResult(False, f"unknown loop kind {cert.kind!r}")
-    if not cert.steps:
-        return CheckResult(False, "loop must have at least one step")
-    try:
-        final = replay(Derivation(cert.start, cert.steps), system)
-    except ReplayError as e:
-        return CheckResult(False, f"replay failed: {e}")
-    if final != cert.left + cert.start + cert.right:
-        return CheckResult(
-            False,
-            f"final word {system.word_str(final)} does not match the claimed "
-            f"split u.v.w = {system.word_str(cert.left)} . "
-            f"{system.word_str(cert.start)} . {system.word_str(cert.right)}",
-        )
-    strict_count = sum(1 for s in cert.steps if system.rules[s.rule_index].strict)
-    if cert.kind == "mixed":
-        if strict_count < 1:
-            return CheckResult(False, "mixed loop has no strict step")
-        return CheckResult(True)
-    # emitting
-    if strict_count != 0:
-        return CheckResult(False, "emitting loop must use relative steps only")
-    if cert.redex is None:
-        return CheckResult(False, "emitting loop needs a redex witness")
-    r = cert.redex
-    if not 0 <= r.rule_index < len(system.rules):
-        return CheckResult(False, f"redex rule index {r.rule_index} out of range")
-    rule = system.rules[r.rule_index]
-    if not rule.strict:
-        return CheckResult(False, "redex witness must name a strict rule")
-    if r.side == "left":
-        side = cert.left
-    elif r.side == "right":
-        side = cert.right
-    else:
-        return CheckResult(False, f"redex side must be left or right, got {r.side!r}")
-    k = len(rule.lhs)
-    if r.offset < 0 or r.offset + k > len(side):
-        return CheckResult(False, "redex offset out of range")
-    if side[r.offset : r.offset + k] != rule.lhs:
-        return CheckResult(False, "strict lhs does not occur at the claimed offset")
-    return CheckResult(True)
 
 
 def reverse_loop_certificate(cert: LoopCertificate, system: RelSRS) -> LoopCertificate:

@@ -1,34 +1,29 @@
-"""Proving relative termination.
+"""Proving relative termination: the weight and matrix searches and prove().
 
-Certificate checkers (weights, natural and arctic matrix interpretations)
-use exact integer arithmetic throughout; minus infinity in the arctic
-semiring is a distinguished value (None), never a sentinel integer.
-
-Conventions for matrix interpretations: a word maps to the product of its
-letter matrices in word order, the empty word to the identity.  Natural
-letter matrices need corner entries (1,1) and (d,d) at least 1; a strict
-rule needs entry-wise >= plus strict decrease at the (1,d) corner.  Both
-corner requirements make the strict decrease survive left and right
-contexts (C[1,1] >= 1 feeds the left product, D[d,d] >= 1 the right).
-Arctic letter matrices need a finite (1,1) entry >= 0; strict decrease is
-entry-wise x >> y, i.e. x > y or x = y = -inf.  One checker, one rule test
-and one search serve both semirings, each described by a `Semiring` record
-(certificates.NATURAL and certificates.ARCTIC).  Matrix search is
-exhaustive for every dimension up to the bound, under an assignment cap
-and the prove deadline.
+Matrix search is exhaustive for every dimension up to the bound, under an
+assignment cap and the prove deadline.  The matrix conventions, and the
+checkers that re-verify every certificate, are in `relsrs.check`.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
-given budget: trivial verdicts, then the strictification strategy, then
-the direct relative methods.  The strictification strategy decides SN(S)
-first (weights, else an S loop, else natural and arctic matrices on S
-made strict); with SN(S) in hand, a termination proof of the strictified
-system R union S confirms and a loop of it refutes.  Both blocks run
-their methods cheapest first: weights, the loop search, then natural and
-arctic matrices.  Most small systems are strictly terminating and settled
-by weights, and a system with weights has no loop, so putting the loop
-search after them only saves time.  A search cut by its node budget or
-assignment cap is logged `cap`, one cut by the deadline `deadline`, one
-that found nothing within its bounds `none`.
+given budget: trivial verdicts, then the strictification strategy, which
+rests on SN(R union S) => SN(R/S) and on a loop of R union S refuting
+SN(R/S) once SN(S) holds.  It runs in three phases, and each tries the
+same four methods in the same order: weights, the mixed-loop search, then
+natural and arctic matrices.
+
+- `s-`: S alone made strict, under the cheap `sloop_*` loop bounds.  A
+  proof gives SN(S); a loop ends the phase and skips the next one.
+- `strictified-`, only once SN(S) is proven: the strictified system
+  R union S.  A proof settles YES, a loop NO.
+- no tag: the system itself.  A proof settles YES, a mixed loop NO.
+
+Most small systems are strictly terminating and settled by weights, and a
+system with weights has no loop, so putting the loop search after them
+only saves time.  After each attempt, except a weights search that found
+nothing, prove returns `timeout` once the deadline has passed; a
+certificate that settles the system is returned as its verdict.  A search
+cut by its node budget or assignment cap is logged `cap`, one cut by the
+deadline `deadline`, one that found nothing within its bounds `none`.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from .certificates import (
     ArcticMatrixCertificate,
     Attempt,
     Certificate,
-    CheckResult,
     ComposeCertificate,
     EmptyRCertificate,
     LoopCertificate,
@@ -53,46 +47,19 @@ from .certificates import (
     SearchReport,
     Semiring,
     WeightCertificate,
-    is_int,
     matrix_semiring,
     trivial_verdict,
 )
-from .core import RelSRS, Rule, Word, strictify, used_letters
-from .nonterm import check_loop_certificate, search_emitting_loop, search_mixed_loop
+from .check import _rule_fault, _s_as_strict
+from .core import RelSRS, Rule, strictify, used_letters
+from .nonterm import search_mixed_loop
+
+# unused here, but perfbench/spans.py wraps these names in this module
+from .check import check_loop_certificate, verify_certificate  # noqa: F401
+from .nonterm import search_emitting_loop  # noqa: F401
 
 
 # ---------------------------------------------------------------- weights
-
-
-def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
-    if not isinstance(cert, WeightCertificate):
-        return CheckResult(False, "not a weight certificate")
-    weights: dict[int, Fraction] = {}
-    for i, name in enumerate(system.letters):
-        if name in cert.weights:
-            v = cert.weights[name]
-            if isinstance(v, bool):
-                return CheckResult(False, f"weight for letter {name!r} must be a number")
-            w = Fraction(v)
-            if w < 0:
-                return CheckResult(False, f"negative weight for letter {name!r}")
-            weights[i] = w
-    for rule in system.rules:
-        for c in rule.lhs + rule.rhs:
-            if c not in weights:
-                return CheckResult(False, f"unknown letter {system.letters[c]!r}")
-        wl = sum((weights[c] for c in rule.lhs), Fraction(0))
-        wr = sum((weights[c] for c in rule.rhs), Fraction(0))
-        if rule.strict:
-            if not wl > wr:
-                return CheckResult(
-                    False, f"strict rule {system.rule_str(rule)} does not decrease ({wl} <= {wr})"
-                )
-        elif not wl >= wr:
-            return CheckResult(
-                False, f"relative rule {system.rule_str(rule)} increases ({wl} < {wr})"
-            )
-    return CheckResult(True)
 
 
 def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCertificate]:
@@ -131,74 +98,6 @@ def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCerti
     if vec is None:
         return None
     return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
-
-
-# ------------------------------------------------------ matrix interpretations
-
-
-def _word_matrix(word: Word, mats: dict, semiring: Semiring, d: int):
-    if not word:
-        return semiring.identity(d)
-    m = mats[word[0]]
-    for c in word[1:]:
-        m = semiring.mul(m, mats[c], d)
-    return m
-
-
-def _rule_fault(rule: Rule, mats: dict, semiring: Semiring, d: int):
-    """The first entry where the rule's sides are out of order, as (i, j,
-    lhs entry, rhs entry, whether the comparison was strict); None when the
-    interpretation respects the rule."""
-    lm = _word_matrix(rule.lhs, mats, semiring, d)
-    rm = _word_matrix(rule.rhs, mats, semiring, d)
-    strict = rule.strict and not semiring.corner_only
-    cmp = semiring.strict if strict else semiring.weak
-    for i in range(d):
-        for j in range(d):
-            if not cmp(lm[i][j], rm[i][j]):
-                return i, j, lm[i][j], rm[i][j], strict
-    if rule.strict and semiring.corner_only:
-        left, right = lm[0][d - 1], rm[0][d - 1]
-        if not semiring.strict(left, right):
-            return 0, d - 1, left, right, True
-    return None
-
-
-def check_matrix(
-    cert: NaturalMatrixCertificate | ArcticMatrixCertificate, system: RelSRS
-) -> CheckResult:
-    semiring = matrix_semiring(cert)
-    if semiring is None:
-        return CheckResult(False, "not a matrix certificate")
-    d = cert.dimension
-    if not is_int(d) or d < 1:
-        return CheckResult(False, "dimension must be a positive integer")
-    mats = {}
-    for i, name in enumerate(system.letters):
-        if name not in cert.interp:
-            continue
-        m = cert.interp[name]
-        if len(m) != d or any(len(row) != d for row in m):
-            return CheckResult(False, f"matrix for {name!r} is not {d}x{d}")
-        for row in m:
-            for x in row:
-                if not semiring.entry_ok(x):
-                    return CheckResult(False, f"matrix for {name!r} has a bad entry {x!r}")
-        fault = semiring.letter_fault(m, d)
-        if fault is not None:
-            return CheckResult(False, f"matrix for {name!r} {fault}")
-        mats[i] = m
-    for rule in system.rules:
-        for c in rule.lhs + rule.rhs:
-            if c not in mats:
-                return CheckResult(False, f"no matrix for letter {system.letters[c]!r}")
-        fault = _rule_fault(rule, mats, semiring, d)
-        if fault is not None:
-            return CheckResult(False, semiring.rule_fault(system.rule_str(rule), *fault))
-    return CheckResult(True)
-
-
-check_matrix_natural = check_matrix_arctic = check_matrix
 
 
 # ----------------------------------------------------------- matrix search
@@ -309,6 +208,7 @@ def search_matrix(
     return None
 
 
+
 # ------------------------------------------------------------------ prove
 
 
@@ -323,10 +223,6 @@ class ProveBudget:
     loop_max_steps: int = 40
     loop_max_start_len: int = 6
     loop_node_budget: int = 100_000
-    emit_max_word_len: int = 10
-    emit_max_steps: int = 20
-    emit_max_start_len: int = 5
-    emit_node_budget: int = 50_000
     # cheap bounds for refuting SN(S) when weights fail to prove it
     sloop_max_word_len: int = 8
     sloop_max_steps: int = 10
@@ -343,15 +239,13 @@ SWEEP_BUDGET = ProveBudget(
     loop_max_steps=10,
     loop_max_start_len=4,
     loop_node_budget=4_000,
-    emit_max_word_len=8,
-    emit_max_steps=8,
-    emit_max_start_len=4,
-    emit_node_budget=2_000,
     sloop_max_word_len=7,
     sloop_max_steps=8,
     sloop_max_start_len=3,
     sloop_node_budget=1_500,
 )
+
+_METHODS = ("weights", "loop", "natural", "arctic")
 
 
 def _expired(deadline: Optional[float]) -> bool:
@@ -368,87 +262,68 @@ def _outcome(cert, deadline: Optional[float], report: SearchReport) -> str:
     return "cap" if report.capped else "none"
 
 
-def _s_as_strict(system: RelSRS) -> RelSRS:
-    """The relative rules S alone, made strict: SN(S) is its termination."""
-    return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
-
-
-def _weights_attempt(system: RelSRS, budget: ProveBudget, tag: str, attempts: list):
-    w = search_weights(system, budget.max_weight)
-    attempts.append(Attempt(f"{tag}weights", "found" if w else "none", f"max {budget.max_weight}"))
-    return w
-
-
-def _loop_attempt(
-    search,
-    system: RelSRS,
-    budget: ProveBudget,
-    bounds: str,
+def _attempt(
     method: str,
-    attempts: list,
-    deadline: Optional[float],
-    found_detail: str = "",
-):
-    """Run a loop search under the budget's `bounds` fields (sloop, loop or
-    emit) and log it as `method`."""
-    report = SearchReport()
-    cert = search(
-        system,
-        getattr(budget, f"{bounds}_max_word_len"),
-        getattr(budget, f"{bounds}_max_steps"),
-        max_start_len=getattr(budget, f"{bounds}_max_start_len"),
-        node_budget=getattr(budget, f"{bounds}_node_budget"),
-        deadline=deadline,
-        report=report,
-    )
-    detail = found_detail if cert is not None else ""
-    attempts.append(Attempt(method, _outcome(cert, deadline, report), detail))
-    return cert
-
-
-def _matrix_attempt(
+    tag: str,
     system: RelSRS,
     budget: ProveBudget,
-    semiring: str,
-    tag: str,
-    attempts: list,
     deadline: Optional[float],
-):
+) -> tuple[Optional[Certificate], Attempt]:
+    """Run one method of the phase `tag` on its subsystem: the certificate
+    found, or None, and the attempt to log."""
+    b = budget
+    if method == "weights":
+        cert = search_weights(system, b.max_weight)
+        return cert, Attempt(f"{tag}weights", "found" if cert else "none", f"max {b.max_weight}")
     report = SearchReport()
+    if method == "loop":
+        if tag == "s-":
+            word_len, steps, start_len, nodes = (
+                b.sloop_max_word_len, b.sloop_max_steps, b.sloop_max_start_len, b.sloop_node_budget
+            )
+        else:
+            word_len, steps, start_len, nodes = (
+                b.loop_max_word_len, b.loop_max_steps, b.loop_max_start_len, b.loop_node_budget
+            )
+        cert = search_mixed_loop(
+            system,
+            word_len,
+            steps,
+            max_start_len=start_len,
+            node_budget=nodes,
+            deadline=deadline,
+            report=report,
+        )
+        detail = "S alone does not terminate" if cert is not None and tag == "s-" else ""
+        return cert, Attempt(f"{tag or 'mixed-'}loop", _outcome(cert, deadline, report), detail)
     cert = search_matrix(
         system,
-        semiring,
-        budget.matrix_max_dim,
-        budget.matrix_max_entry,
-        assignment_cap=budget.matrix_assignment_cap,
+        method,
+        b.matrix_max_dim,
+        b.matrix_max_entry,
+        assignment_cap=b.matrix_assignment_cap,
         deadline=deadline,
         report=report,
     )
-    attempts.append(
-        Attempt(
-            f"{tag}matrix-{semiring}",
-            _outcome(cert, deadline, report),
-            f"dim <= {budget.matrix_max_dim}, entries <= {budget.matrix_max_entry}",
-        )
-    )
-    return cert
+    detail = f"dim <= {b.matrix_max_dim}, entries <= {b.matrix_max_entry}"
+    return cert, Attempt(f"{tag}matrix-{method}", _outcome(cert, deadline, report), detail)
 
 
-def _matrix_methods(
-    system: RelSRS,
-    budget: ProveBudget,
-    tag: str,
-    attempts: list,
-    deadline: Optional[float],
-):
-    """Natural, then arctic matrices, while the deadline allows."""
-    for semiring in ("natural", "arctic"):
-        if _expired(deadline):
-            return None
-        cert = _matrix_attempt(system, budget, semiring, tag, attempts, deadline)
-        if cert is not None:
-            return cert
-    return None
+def _settled(tag: str, cert: Certificate, s_cert: Optional[Certificate]) -> tuple:
+    """Verdict, certificate and reason for a certificate found in the
+    strictified phase (tag `strictified-`) or the direct one (no tag)."""
+    is_loop = isinstance(cert, LoopCertificate)
+    if tag:
+        if is_loop:
+            parts = (("s-termination", s_cert), ("strictified-loop", cert))
+            return "NO", ComposeCertificate("NO", parts), "loop of R union S while S terminates"
+        parts = (("strictified-termination", cert),)
+        return "YES", ComposeCertificate("YES", parts), "R union S terminates"
+    if is_loop:
+        return "NO", cert, "mixed loop"
+    if isinstance(cert, WeightCertificate):
+        return "YES", cert, "weight certificate"
+    return "YES", cert, f"{matrix_semiring(cert).name} matrix certificate"
 
 
 def prove(
@@ -469,134 +344,37 @@ def prove(
         attempts.append(Attempt("trivial", tv.verdict, tv.reason))
         return ProofOutcome(tv.verdict, tv.certificate, tv.reason, tuple(attempts))
 
-    # 1) decide SN(S): weights, a loop refutation, then matrices
+    # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
-    if not system.relative_rules:
-        s_cert = EmptyRCertificate()
-        attempts.append(Attempt("s-termination", "trivial", "S is empty"))
-    else:
-        s_system = _s_as_strict(system)
-        s_cert = _weights_attempt(s_system, budget, "s-", attempts)
-        if s_cert is None:
-            s_loop = _loop_attempt(
-                search_mixed_loop, s_system, budget, "sloop", "s-loop", attempts, deadline,
-                "S alone does not terminate",
-            )
-            if s_loop is None:
+    for tag in ("s-", "strictified-", ""):
+        if tag == "s-":
+            if not system.relative_rules:
+                s_cert = EmptyRCertificate()
+                attempts.append(Attempt("s-termination", "trivial", "S is empty"))
                 if _expired(deadline):
                     return timed_out()
-                s_cert = _matrix_methods(s_system, budget, "s-", attempts, deadline)
-    if _expired(deadline):
-        return timed_out()
-
-    # 2) strictification strategy, available once SN(S) is settled positively;
-    # weights first, as a system they settle has no loop to find
-    if s_cert is not None:
-        stric = strictify(system)
-        t_cert = _weights_attempt(stric, budget, "strictified-", attempts)
-        if t_cert is None:
-            loop = _loop_attempt(
-                search_mixed_loop, stric, budget, "loop", "strictified-loop", attempts, deadline
-            )
-            if loop is not None:
-                cert = ComposeCertificate(
-                    "NO", (("s-termination", s_cert), ("strictified-loop", loop))
-                )
-                return ProofOutcome(
-                    "NO", cert, "loop of R union S while S terminates", tuple(attempts)
-                )
-            if _expired(deadline):
+                continue
+            phase_system = _s_as_strict(system)
+        elif tag:
+            if s_cert is None:
+                continue
+            phase_system = strictify(system)
+        else:
+            phase_system = system
+        for method in _METHODS:
+            cert, attempt = _attempt(method, tag, phase_system, budget, deadline)
+            attempts.append(attempt)
+            if cert is not None and tag != "s-":
+                verdict, cert, reason = _settled(tag, cert, s_cert)
+                return ProofOutcome(verdict, cert, reason, tuple(attempts))
+            # a weights search that found nothing leaves the clock to the
+            # loop search after it, which logs the expiry as `deadline`
+            if (cert is not None or method != "weights") and _expired(deadline):
                 return timed_out()
-            t_cert = _matrix_methods(stric, budget, "strictified-", attempts, deadline)
-        if t_cert is not None:
-            cert = ComposeCertificate("YES", (("strictified-termination", t_cert),))
-            return ProofOutcome("YES", cert, "R union S terminates", tuple(attempts))
-    if _expired(deadline):
-        return timed_out()
-
-    # 3) direct relative methods
-    w = _weights_attempt(system, budget, "", attempts)
-    if w is not None:
-        return ProofOutcome("YES", w, "weight certificate", tuple(attempts))
-    loop = _loop_attempt(
-        search_mixed_loop, system, budget, "loop", "mixed-loop", attempts, deadline
-    )
-    if loop is not None:
-        return ProofOutcome("NO", loop, "mixed loop", tuple(attempts))
-    if _expired(deadline):
-        return timed_out()
-    if s_cert is None:
-        # an emitting loop is an S-only loop, impossible under proven SN(S)
-        em = _loop_attempt(
-            search_emitting_loop, system, budget, "emit", "emitting-loop", attempts, deadline
-        )
-        if em is not None:
-            return ProofOutcome("NO", em, "emitting loop", tuple(attempts))
-        if _expired(deadline):
-            return timed_out()
-    cert = _matrix_methods(system, budget, "", attempts, deadline)
-    if cert is not None:
-        reason = f"{matrix_semiring(cert).name} matrix certificate"
-        return ProofOutcome("YES", cert, reason, tuple(attempts))
-    if _expired(deadline):
-        return timed_out()
+            if cert is not None:
+                if not isinstance(cert, LoopCertificate):
+                    s_cert = cert
+                break
     return ProofOutcome(
         "MAYBE", None, "no method conclusive within budget", tuple(attempts)
     )
-
-
-# ------------------------------------------------------------ verification
-
-
-def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
-    """Re-check any certificate against the system it claims to settle."""
-    if isinstance(cert, LoopCertificate):
-        return check_loop_certificate(cert, system)
-    if isinstance(cert, WeightCertificate):
-        return check_weights(cert, system)
-    if matrix_semiring(cert) is not None:
-        return check_matrix(cert, system)
-    if isinstance(cert, EmptyRCertificate):
-        if system.strict_rules:
-            return CheckResult(False, "system has strict rules, R is not empty")
-        return CheckResult(True)
-    if isinstance(cert, ComposeCertificate):
-        return _verify_compose(cert, system)
-    return CheckResult(False, f"unknown certificate object {type(cert).__name__}")
-
-
-def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
-    s_system = _s_as_strict(system)
-    stric = strictify(system)
-    roles_ok = set()
-    for role, part in cert.parts:
-        if role == "s-termination":
-            if isinstance(part, EmptyRCertificate):
-                sub = CheckResult(True) if not s_system.rules else CheckResult(
-                    False, "S is not empty"
-                )
-            else:
-                sub = verify_certificate(part, s_system)
-        elif role == "strictified-loop":
-            if not isinstance(part, LoopCertificate) or part.kind != "mixed":
-                sub = CheckResult(False, "strictified-loop part must be a mixed loop")
-            else:
-                sub = check_loop_certificate(part, stric)
-        elif role == "strictified-termination":
-            sub = verify_certificate(part, stric)
-        else:
-            return CheckResult(False, f"unknown composite role {role!r}")
-        if not sub:
-            return CheckResult(False, f"part {role!r}: {sub.reason}")
-        roles_ok.add(role)
-    if cert.verdict == "YES":
-        if "strictified-termination" not in roles_ok:
-            return CheckResult(False, "YES composite needs a strictified-termination part")
-        return CheckResult(True)
-    if cert.verdict == "NO":
-        if not {"s-termination", "strictified-loop"} <= roles_ok:
-            return CheckResult(
-                False, "NO composite needs s-termination and strictified-loop parts"
-            )
-        return CheckResult(True)
-    return CheckResult(False, f"composite verdict must be YES or NO, got {cert.verdict!r}")

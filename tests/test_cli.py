@@ -158,6 +158,24 @@ class TestCheckCert:
             "REJECTED: rule b p b -> b a p b: entry (1,1) violates >> (0 vs 0)\n"
         )
 
+    def test_loop_in_a_termination_role_rejected(self, run, tmp_path):
+        # a mixed loop of the strictified system posing as its termination
+        # proof; prove settles this system NO
+        loop = {
+            "type": "loop-mixed", "start": ["a"], "steps": [{"rule": 0, "position": 0}],
+            "left": [], "right": ["b"],
+        }
+        cert = tmp_path / "forged.cert"
+        cert.write_text(json.dumps({
+            "type": "strictify-compose", "verdict": "YES",
+            "parts": [{"role": "strictified-termination", "certificate": loop}],
+        }))
+        code, out = run("check-cert", srs(tmp_path, "(RULES a -> a b, b ->= )\n"), str(cert))
+        assert (code, out) == (1, (
+            "REJECTED: part 'strictified-termination': "
+            "a termination part must be a YES certificate\n"
+        ))
+
     def test_wrong_letters_rejected(self, run, tmp_path):
         cert = tmp_path / "weights.cert"
         cert.write_text(json.dumps({"type": "weights", "weights": {"z": 1}}))
@@ -251,6 +269,8 @@ class TestUsage:
         ("prove", "--timeout", "-1"),
         ("enumerate", "--alphabet", "2", "--max-size", "2", "--max-dim", "0"),
         ("prove", "--max-word-len", "x"),
+        ("enumerate", "--alphabet", "2", "--max-size", "2", "--prove", "--jobs", "0"),
+        ("enumerate", "--alphabet", "2", "--max-size", "2", "--prove", "--jobs", "-3"),
     ])
     def test_bad_search_bound_exits_two(self, tmp_path, capsys, argv):
         # a bound below the smallest searchable value is a usage error, as

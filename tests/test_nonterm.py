@@ -439,7 +439,8 @@ class TestFrozenSearchResults:
     DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
 
     def test_size_four_results_are_unchanged(self):
-        """Both loop searches, with the SWEEP_BUDGET loop bounds, on every
+        """Both loop searches, with the SWEEP_BUDGET loop bounds and the
+        emitting bounds SWEEP_BUDGET had while prove ran that search, on every
         non-trivial two-letter system up to size 4 as is, strictified, and
         with S alone made strict.  The digest was made by this snippet:
 
@@ -456,9 +457,7 @@ class TestFrozenSearchResults:
                         max_start_len=b.loop_max_start_len,
                         node_budget=b.loop_node_budget)
                     emitting = search_emitting_loop(
-                        form, b.emit_max_word_len, b.emit_max_steps,
-                        max_start_len=b.emit_max_start_len,
-                        node_budget=b.emit_node_budget)
+                        form, 8, 8, max_start_len=4, node_budget=2_000)
                     for cert in (mixed, emitting):
                         data = None if cert is None else serialize_certificate(cert, form)
                         h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
@@ -483,11 +482,7 @@ class TestFrozenSearchResults:
                     node_budget=b.loop_node_budget,
                 )
                 emitting = search_emitting_loop(
-                    form,
-                    b.emit_max_word_len,
-                    b.emit_max_steps,
-                    max_start_len=b.emit_max_start_len,
-                    node_budget=b.emit_node_budget,
+                    form, 8, 8, max_start_len=4, node_budget=2_000
                 )
                 for cert in (mixed, emitting):
                     data = None if cert is None else serialize_certificate(cert, form)

@@ -262,3 +262,38 @@ class TestFrozenVerdicts:
             count += 1
         assert count == 5821
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestTraceHooks:
+    """perfbench's tracer wraps searches by their names in relsrs.term and
+    relsrs.cli and matches one search span to each prove attempt, so prove
+    must call its searches through those module names."""
+
+    def test_every_attempt_has_its_search_span(self):
+        import importlib.util
+        from pathlib import Path
+
+        import relsrs
+        import relsrs.cli
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("_relsrs_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install(relsrs)
+        try:
+            # S of the last system is open: every phase runs all four methods
+            outcomes = [
+                relsrs.cli.prove(parse_system(text))
+                for text in [t for t, _, _ in FIXTURES] + ["(RULES a -> , a b ->= b a a)"]
+            ]
+        finally:
+            tracer.uninstall()
+        assert relsrs.cli.prove is prove
+        roles = [s.role for s in tracer.spans if s.role is not None]
+        methods = [
+            a.method for o in outcomes for a in o.attempts
+            if a.method not in ("trivial", "s-termination", "timeout")
+        ]
+        assert roles == methods and "s-matrix-arctic" in methods

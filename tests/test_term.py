@@ -500,6 +500,32 @@ class TestComposeVerification:
         )
         assert not res and "must be a mixed loop" in res.reason
 
+    def test_termination_role_rejects_a_loop(self):
+        # the mixed loop a -> a b replays on strictify(sys), but refutes
+        # the termination the YES composite claims; prove settles sys NO
+        sys = parse_system("(RULES a -> a b, b ->= )")
+        loop = LoopCertificate("mixed", (0,), (Step(0, 0),), (), (1,))
+        assert check_loop_certificate(loop, strictify(sys))
+        forged = ComposeCertificate("YES", (("strictified-termination", loop),))
+        res = verify_certificate(forged, sys)
+        assert not res and res.reason == (
+            "part 'strictified-termination': a termination part must be a YES certificate"
+        )
+
+    def test_s_termination_role_rejects_an_s_loop(self):
+        # b -> b is a loop of S made strict and of strictify(sys); a NO
+        # composite built on it would refute a system prove settles YES
+        sys = parse_system("(RULES a -> , b ->= b)")
+        s_loop = LoopCertificate("mixed", (1,), (Step(0, 0),), (), ())
+        strictified_loop = LoopCertificate("mixed", (1,), (Step(1, 0),), (), ())
+        assert check_loop_certificate(strictified_loop, strictify(sys))
+        forged = ComposeCertificate(
+            "NO", (("s-termination", s_loop), ("strictified-loop", strictified_loop))
+        )
+        res = verify_certificate(forged, sys)
+        assert not res and res.reason.startswith("part 's-termination': a termination part")
+        assert prove(sys).verdict == "YES"
+
     def test_unknown_role(self):
         cert = ComposeCertificate("YES", (("frobnicate", EmptyRCertificate()),))
         res = verify_certificate(cert, parse_system("(RULES a ->= a)"))
@@ -510,3 +536,24 @@ class TestComposeVerification:
         maybe = ComposeCertificate("MAYBE", cert.parts)
         res = verify_certificate(maybe, sys)
         assert not res and "must be YES or NO" in res.reason
+
+
+def test_checker_imports_no_search_module():
+    """The trust base stays apart from the searches: relsrs.check imports
+    .core, .certificates and the standard library, nothing else."""
+    import ast
+    import sys
+
+    import relsrs.check
+
+    tree = ast.parse(Path(relsrs.check.__file__).read_text())
+    package, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            other.update(a.name.split(".")[0] for a in node.names)
+    assert package == {"core", "certificates"}
+    assert other <= set(sys.stdlib_module_names) | {"__future__"}
