@@ -5,6 +5,8 @@ after.  First lines: prove, loop, and closures print YES, NO, or MAYBE;
 check-cert prints CERTIFIED or REJECTED: <reason>; parse and enumerate
 print OK; any failure prints ERROR: <message>.  Exit codes: 0 for a
 definite result, 1 for MAYBE / REJECTED / nothing found, 2 for errors.
+A reader that closes stdout early (`relsrs prove f.srs | head -1`) ends
+the run with exit 2 and nothing on stderr.
 
 Certificates travel as JSON.  The envelope is {"type": ..., ...} with
 type one of loop-mixed, loop-emitting, weights, matrix-natural,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from multiprocessing import Pool
@@ -348,17 +351,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SrsParseError as e:
-        print(f"ERROR: {e}")
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: nothing more can be printed, and
+        # what is still buffered goes to devnull so exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except CertificateFormatError as e:
-        print(f"ERROR: {e}")
-        return 2
-    except CertificateMismatchError as e:
-        print(f"ERROR: {e}")
-        return 2
-    except (OSError, ValueError) as e:
+    except (
+        SrsParseError, CertificateFormatError, CertificateMismatchError, OSError, ValueError
+    ) as e:
         print(f"ERROR: {e}")
         return 2
 

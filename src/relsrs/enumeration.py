@@ -191,6 +191,36 @@ class _Context:
     def build(self, ids: list[int]) -> RelSRS:
         return RelSRS(self.letters, tuple(self.rules[i] for i in ids))
 
+    def admit(
+        self, ids: list[int], stats: Optional[EnumerationStats] = None
+    ) -> Optional[RelSRS]:
+        """The system of the ascending rule ids if the config admits it: R
+        and S nonempty, every letter used, canonical, not settled by
+        trivial_verdict, each as the config asks and checked in this order,
+        which the stats rejection counters follow; else None."""
+        cfg = self.config
+        if cfg.require_nonempty_r and ids[0] >= self.n_strict:
+            return None
+        if cfg.require_nonempty_s and ids[-1] < self.n_strict:
+            return None
+        mask = 0
+        for i in ids:
+            mask |= self.masks[i]
+        if cfg.require_all_letters_used and mask != self.full_mask:
+            if stats:
+                stats.rejected_letters_unused += 1
+            return None
+        if not self.is_canonical(ids):
+            if stats:
+                stats.noncanonical_skipped += 1
+            return None
+        system = self.build(ids)
+        if cfg.prune_trivial and trivial_verdict(system) is not None:
+            if stats:
+                stats.pruned_trivial += 1
+            return None
+        return system
+
 
 def _candidates(ctx: _Context, min_id: int, max_rule_size: int) -> Iterator[int]:
     """Ids above min_id with rule size at most max_rule_size, ascending."""
@@ -207,35 +237,11 @@ def _gen_block(
     cfg = ctx.config
     chosen: list[int] = []
 
-    def finish() -> Optional[RelSRS]:
-        # structural R/S pruning happens during the walk, but single-rule
-        # blocks reach here without the relative-slot restriction applied
-        if cfg.require_nonempty_r and chosen[0] >= ctx.n_strict:
-            return None
-        if cfg.require_nonempty_s and chosen[-1] < ctx.n_strict:
-            return None
-        mask = 0
-        for i in chosen:
-            mask |= ctx.masks[i]
-        if cfg.require_all_letters_used and mask != ctx.full_mask:
-            if stats:
-                stats.rejected_letters_unused += 1
-            return None
-        if not ctx.is_canonical(chosen):
-            if stats:
-                stats.noncanonical_skipped += 1
-            return None
-        system = ctx.build(chosen)
-        if cfg.prune_trivial and trivial_verdict(system) is not None:
-            if stats:
-                stats.pruned_trivial += 1
-            return None
-        return system
-
     def rec(min_id: int, remaining: int, slots: int) -> Iterator[RelSRS]:
         if slots == 0:
             if remaining == 0:
-                system = finish()
+                # the walk prunes R and S as it goes, except in one-rule blocks
+                system = ctx.admit(chosen, stats)
                 if system is not None:
                     yield system
             return
@@ -340,20 +346,9 @@ def stream_contains(config: EnumerationConfig, system: RelSRS) -> bool:
         return False  # some rule is outside the universe
     if len(set(ids)) != len(ids) or not ids:
         return False
-    if config.require_nonempty_r and ids[0] >= ctx.n_strict:
-        return False
-    if config.require_nonempty_s and ids[-1] < ctx.n_strict:
-        return False
-    mask = 0
-    for i in ids:
-        mask |= ctx.masks[i]
-    if config.require_all_letters_used and mask != ctx.full_mask:
-        return False
     if any(i in ctx.twin and ctx.twin[i] in ids for i in ids):
         return False
-    if config.prune_trivial and trivial_verdict(ctx.build(ids)) is not None:
-        return False
-    return ctx.is_canonical(ids)
+    return ctx.admit(ids) is not None
 
 
 def _flag(value: bool) -> str:

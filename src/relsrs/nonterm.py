@@ -13,6 +13,12 @@ All searches are bounded and deterministic: start words shorter-first then
 lexicographic, breadth-first on step count, successors ordered by rule
 index then position.  Absence within the bounds is a value, not a proof.
 
+Both loop searches run one breadth-first kernel, `_search_loop`, and
+differ only in their rules and in the witness test on a successor that
+contains the start word.  Mixed: all rules, a strict step used, split at
+the leftmost occurrence.  Emitting: S alone, every occurrence scanned for a
+strict lhs inside a flank, left flank first.
+
 Inside the two loop searches and forward-closure saturation a word is a
 str with one character per letter, chr(letter), which serves any alphabet
 size: redex matching, the loop test, the redex-in-context test and the
@@ -85,28 +91,26 @@ def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[S
     return tuple(steps)
 
 
-def search_mixed_loop(
+def _search_loop(
     system: RelSRS,
-    max_word_len: int = DEFAULT_MAX_WORD_LEN,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    *,
-    max_start_len: Optional[int] = None,
-    node_budget: Optional[int] = None,
-    deadline: Optional[float] = None,
-    report: Optional[SearchReport] = None,
+    rules,
+    kind: str,
+    witness,
+    max_word_len: int,
+    max_steps: int,
+    max_start_len: Optional[int],
+    node_budget: Optional[int],
+    deadline: Optional[float],
+    report: Optional[SearchReport],
 ) -> Optional[LoopCertificate]:
-    """Bounded breadth-first search for a mixed loop; None when exhausted.
+    """Breadth-first loop search over the (index, rule) pairs `rules`.
 
-    max_start_len tightens the start-word length separately from the word
-    bound (it defaults to max_word_len, the complete choice up to the bound).
-    node_budget caps total generated search nodes across all start words;
-    successors longer than max_word_len count too.  deadline (monotonic
-    clock) is checked before each word is expanded.  A search cut by
-    node_budget sets report.capped.
+    A successor containing the start word goes to witness(start, successor,
+    a strict step was used), which gives None or (split position, redex)
+    for a `kind` certificate.  The bounds, node_budget, deadline and report
+    work as in search_mixed_loop.
     """
-    if not any(r.strict for r in system.rules):
-        return None
-    rules = _encoded_rules(enumerate(system.rules))
+    rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     cap = sys.maxsize if node_budget is None else node_budget
@@ -140,15 +144,18 @@ def search_mixed_loop(
                         nodes += 1
                         if nodes > cap:
                             return _capped(report)
-                        if nused and start in nxt:
-                            q = nxt.find(start)
-                            return LoopCertificate(
-                                kind="mixed",
-                                start=_decode(start),
-                                steps=_steps(seen, word, used, Step(i, p)),
-                                left=_decode(nxt[:q]),
-                                right=_decode(nxt[q + len(start) :]),
-                            )
+                        if start in nxt:
+                            found = witness(start, nxt, nused)
+                            if found is not None:
+                                q, redex = found
+                                return LoopCertificate(
+                                    kind=kind,
+                                    start=_decode(start),
+                                    steps=_steps(seen, word, used, Step(i, p)),
+                                    left=_decode(nxt[:q]),
+                                    right=_decode(nxt[q + len(start) :]),
+                                    redex=redex,
+                                )
                         if nxt not in table:
                             table[nxt] = (i, p, word, used)
                             following.append((nxt, nused))
@@ -160,6 +167,38 @@ def search_mixed_loop(
                 break
             level = following
     return None
+
+
+def _mixed_witness(start: str, word: str, used: bool):
+    """A strict step was used; split at the leftmost occurrence of start."""
+    return (word.find(start), None) if used else None
+
+
+def search_mixed_loop(
+    system: RelSRS,
+    max_word_len: int = DEFAULT_MAX_WORD_LEN,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    *,
+    max_start_len: Optional[int] = None,
+    node_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
+) -> Optional[LoopCertificate]:
+    """Bounded breadth-first search for a mixed loop; None when exhausted.
+
+    max_start_len tightens the start-word length separately from the word
+    bound (it defaults to max_word_len, the complete choice up to the bound).
+    node_budget caps total generated search nodes across all start words;
+    successors longer than max_word_len count too.  deadline (monotonic
+    clock) is checked before each word is expanded.  A search cut by
+    node_budget sets report.capped.
+    """
+    if not any(r.strict for r in system.rules):
+        return None
+    return _search_loop(
+        system, enumerate(system.rules), "mixed", _mixed_witness,
+        max_word_len, max_steps, max_start_len, node_budget, deadline, report,
+    )
 
 
 def search_emitting_loop(
@@ -177,69 +216,28 @@ def search_emitting_loop(
     The bounds, node_budget, deadline and report work as in
     search_mixed_loop.
     """
-    rel_rules = _encoded_rules((i, r) for i, r in enumerate(system.rules) if not r.strict)
+    rel_rules = [(i, r) for i, r in enumerate(system.rules) if not r.strict]
     strict_lhss = [(i, _encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
     if not rel_rules or not strict_lhss:
         return None
-    lhss = [lhs for _, lhs, _, _, _, _ in rel_rules]
-    start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
-    cap = sys.maxsize if node_budget is None else node_budget
-    nodes = 0
-    for start in _start_words(system, start_bound, lhss):
-        vlen = len(start)
-        seen = ({start: None},)
-        table = seen[0]
-        level = [start]
-        for _ in range(max_steps):
-            following = []
-            for word in level:
-                if deadline is not None and time.monotonic() >= deadline:
-                    return None
-                room = max_word_len - len(word)
-                for i, lhs, rhs, k, grow, _ in rel_rules:
-                    p = word.find(lhs)
-                    if p < 0:
-                        continue
-                    if grow > room:
-                        while p >= 0:
-                            nodes += 1
-                            if nodes > cap:
-                                return _capped(report)
-                            p = word.find(lhs, p + 1)
-                        continue
-                    nxt = word.replace(lhs, rhs, 1)
-                    while True:
-                        nodes += 1
-                        if nodes > cap:
-                            return _capped(report)
-                        # scan every occurrence of the start: the redex must
-                        # sit strictly inside one flank, so the split matters
-                        q = nxt.find(start)
-                        while q >= 0:
-                            for side, flank in (("left", nxt[:q]), ("right", nxt[q + vlen :])):
-                                for j, strict_lhs in strict_lhss:
-                                    off = flank.find(strict_lhs)
-                                    if off >= 0:
-                                        return LoopCertificate(
-                                            kind="emitting",
-                                            start=_decode(start),
-                                            steps=_steps(seen, word, False, Step(i, p)),
-                                            left=_decode(nxt[:q]),
-                                            right=_decode(nxt[q + vlen :]),
-                                            redex=EmittingRedex(j, side, off),
-                                        )
-                            q = nxt.find(start, q + 1)
-                        if nxt not in table:
-                            table[nxt] = (i, p, word, False)
-                            following.append(nxt)
-                        p = word.find(lhs, p + 1)
-                        if p < 0:
-                            break
-                        nxt = word[:p] + rhs + word[p + k :]
-            if not following:
-                break
-            level = following
-    return None
+
+    def witness(start: str, word: str, used: bool):
+        # scan every occurrence of the start: the redex must sit strictly
+        # inside one flank, so the split matters
+        q = word.find(start)
+        while q >= 0:
+            for side, flank in (("left", word[:q]), ("right", word[q + len(start) :])):
+                for j, lhs in strict_lhss:
+                    off = flank.find(lhs)
+                    if off >= 0:
+                        return q, EmittingRedex(j, side, off)
+            q = word.find(start, q + 1)
+        return None
+
+    return _search_loop(
+        system, rel_rules, "emitting", witness,
+        max_word_len, max_steps, max_start_len, node_budget, deadline, report,
+    )
 
 
 def reverse_loop_certificate(cert: LoopCertificate, system: RelSRS) -> LoopCertificate:

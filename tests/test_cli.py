@@ -1,8 +1,10 @@
 """CLI result-line protocol and exit codes, driven through main()."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -291,6 +293,28 @@ class TestUsage:
         command, *flags = argv
         code, out = run(command, srs(tmp_path, TERMINATING), *flags)
         assert code == 1 and out.splitlines()[0] == first_line
+
+
+class TestBrokenPipe:
+    def test_closed_reader_ends_quietly(self, tmp_path):
+        # stdout is a pipe whose read end is already closed, as behind
+        # `relsrs prove f.srs | head -1` once head has exited
+        import relsrs
+
+        src = str(Path(relsrs.__file__).resolve().parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from relsrs.cli import main; sys.exit(main())",
+                 "prove", srs(tmp_path, ABA)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr == "" and proc.returncode == 2
 
 
 class TestInstalledScript:

@@ -233,6 +233,17 @@ class TestEmittingLoopSearch:
         sys_ = parse_system("(RULES a -> b, c ->= b c)")
         assert search_emitting_loop(sys_) is None
 
+    def test_scans_every_occurrence_of_the_start(self):
+        # a -> a b a holds a at 0 and 2; only the split at 2 puts the strict
+        # lhs a b in a flank.  Scanning the first occurrence alone finds the
+        # 2-step loop a -> a b a b a with right flank b a b a instead.
+        sys_ = parse_system("(RULES a b -> , a ->= a b a)")
+        cert = search_emitting_loop(sys_)
+        assert cert.start == sys_.word("a") and cert.steps == (Step(1, 0),)
+        assert cert.left == sys_.word("a b") and cert.right == ()
+        assert cert.redex == EmittingRedex(0, "left", 0)
+        assert check_loop_certificate(cert, sys_)
+
     def test_strict_lhs_on_start_itself_does_not_count(self):
         # context must contain the redex strictly outside the repeated word
         sys_ = parse_system("(RULES c -> b, c ->= b c)")

@@ -267,14 +267,14 @@ class TestFrozenVerdicts:
 class TestTraceHooks:
     """perfbench's tracer wraps searches by their names in relsrs.term and
     relsrs.cli and matches one search span to each prove attempt, so prove
-    must call its searches through those module names."""
+    and the CLI must call their searches through those module names."""
 
-    def test_every_attempt_has_its_search_span(self):
+    @staticmethod
+    def tracer():
         import importlib.util
         from pathlib import Path
 
         import relsrs
-        import relsrs.cli
 
         path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("_relsrs_bench_spans", path)
@@ -282,6 +282,12 @@ class TestTraceHooks:
         spec.loader.exec_module(spans)
         tracer = spans.Tracer()
         tracer.install(relsrs)
+        return tracer
+
+    def test_every_attempt_has_its_search_span(self):
+        import relsrs.cli
+
+        tracer = self.tracer()
         try:
             # S of the last system is open: every phase runs all four methods
             outcomes = [
@@ -297,3 +303,23 @@ class TestTraceHooks:
             if a.method not in ("trivial", "s-termination", "timeout")
         ]
         assert roles == methods and "s-matrix-arctic" in methods
+
+    def test_loop_command_runs_both_searches(self, tmp_path, capsys):
+        import relsrs.cli
+
+        # no loop within word length 6, so both searches run
+        path = tmp_path / "input.srs"
+        path.write_text("(RULES a b -> a, b ->= )\n")
+        tracer = self.tracer()
+        try:
+            code = tracer.cli_call(
+                "loop", relsrs.cli.main, ["loop", str(path), "--max-word-len", "6"]
+            )
+        finally:
+            tracer.uninstall()
+        assert code == 1 and capsys.readouterr().out.splitlines()[0] == "MAYBE"
+        searches = [(s.name, s.role) for s in tracer.spans if s.role is not None]
+        assert searches == [
+            ("nonterm.search_mixed_loop", "cli-loop"),
+            ("nonterm.search_emitting_loop", "cli-loop"),
+        ]
