@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -85,15 +86,17 @@ def _print_certificate(cert: Certificate, system: RelSRS) -> None:
     print(json.dumps(serialize_certificate(cert, system), indent=2, sort_keys=True))
 
 
+def _read_certificate_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"certificate file is not valid JSON: {e}") from None
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
     if args.check_cert is not None:
-        try:
-            data = json.loads(Path(args.check_cert).read_text())
-        except json.JSONDecodeError as e:
-            print(f"ERROR: certificate file is not valid JSON: {e}")
-            return 2
-        cert = parse_certificate(data, system)
+        cert = parse_certificate(_read_certificate_json(args.check_cert), system)
         result = verify_certificate(cert, system)
         if not result:
             print(f"ERROR: supplied certificate rejected: {result.reason}")
@@ -123,14 +126,12 @@ def _print_none_found(deadline: Optional[float], bound: int) -> None:
 
 def cmd_loop(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
-    max_word_len = args.max_word_len if args.max_word_len is not None else DEFAULT_MAX_WORD_LEN
-    max_steps = args.max_steps if args.max_steps is not None else DEFAULT_MAX_STEPS
     deadline = _deadline(args)
-    cert = search_mixed_loop(system, max_word_len, max_steps, deadline=deadline)
+    cert = search_mixed_loop(system, args.max_word_len, args.max_steps, deadline=deadline)
     if cert is None:
-        cert = search_emitting_loop(system, max_word_len, max_steps, deadline=deadline)
+        cert = search_emitting_loop(system, args.max_word_len, args.max_steps, deadline=deadline)
     if cert is None:
-        _print_none_found(deadline, max_word_len)
+        _print_none_found(deadline, args.max_word_len)
         return 1
     print("NO")
     _print_certificate(cert, system)
@@ -139,15 +140,10 @@ def cmd_loop(args: argparse.Namespace) -> int:
 
 def cmd_closures(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
-    bound = (
-        args.max_closure_size
-        if args.max_closure_size is not None
-        else DEFAULT_MAX_CLOSURE_SIZE
-    )
     deadline = _deadline(args)
-    closure = find_looping_forward_closure(system, bound, deadline=deadline)
+    closure = find_looping_forward_closure(system, args.max_closure_size, deadline=deadline)
     if closure is None:
-        _print_none_found(deadline, bound)
+        _print_none_found(deadline, args.max_closure_size)
         return 1
     cert = closure_to_loop_certificate(closure, system)
     print("NO")
@@ -160,11 +156,7 @@ def cmd_closures(args: argparse.Namespace) -> int:
 
 def cmd_check_cert(args: argparse.Namespace) -> int:
     system = _read_system(args.srs)
-    try:
-        data = json.loads(Path(args.cert).read_text())
-    except json.JSONDecodeError as e:
-        print(f"ERROR: certificate file is not valid JSON: {e}")
-        return 2
+    data = _read_certificate_json(args.cert)
     try:
         cert = parse_certificate(data, system)
     except CertificateMismatchError as e:
@@ -185,27 +177,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prove_verdict(payload) -> str:
+def _prove_verdict(payload) -> tuple[int, str]:
     system, budget, timeout = payload
     deadline = time.monotonic() + timeout if timeout is not None else None
-    return prove(system, budget, deadline=deadline).verdict
-
-
-class _Tee:
-    """Pass-through over an enumeration stream that also feeds a sink."""
-
-    def __init__(self, stream, sink):
-        self._stream = stream
-        self._sink = sink
-
-    def __iter__(self):
-        for system in self._stream:
-            self._sink(system)
-            yield system
-
-    @property
-    def stats(self):
-        return getattr(self._stream, "stats", None)
+    return system_size(system), prove(system, budget, deadline=deadline).verdict
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -221,40 +196,42 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    systems: list[RelSRS] = []
-    seq_by_size: dict[int, int] = {}
-
-    def sink(system: RelSRS) -> None:
-        systems.append(system)
-        if out_dir is not None:
-            size = system_size(system)
-            seq = seq_by_size.get(size, 0) + 1
-            seq_by_size[size] = seq
-            name = f"s{size:02d}_{seq:05d}.srs"
-            (out_dir / name).write_text(print_system(system))
-
     stream = enumerate_systems(config)
-    manifest = enumeration_manifest(config, _Tee(stream, sink))
+
+    def written():
+        """The stream, writing each system's file as it goes by."""
+        seq_by_size: dict[int, int] = {}
+        for system in stream:
+            if out_dir is not None:
+                size = system_size(system)
+                seq_by_size[size] = seq = seq_by_size.get(size, 0) + 1
+                (out_dir / f"s{size:02d}_{seq:05d}.srs").write_text(print_system(system))
+            yield system
+
+    systems = written()
+    counts: dict[int, dict[str, int]] = {}
+    if args.prove:
+        budget = _budget_from_args(args)
+        payloads = ((s, budget, args.timeout) for s in systems)
+        with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+            if pool is None:
+                results = map(_prove_verdict, payloads)
+            else:
+                results = pool.imap(_prove_verdict, payloads, chunksize=16)
+            for size, verdict in results:
+                per = counts.setdefault(size, {"YES": 0, "NO": 0, "MAYBE": 0})
+                per[verdict] += 1
+    for _ in systems:
+        pass  # without --prove, the files are written here
+    manifest = enumeration_manifest(config, stream)
     if out_dir is not None:
         (out_dir / "manifest.txt").write_text(manifest)
 
-    print(f"OK {len(systems)} systems")
+    print(f"OK {stream.stats.emitted} systems")
     if out_dir is None:
         sys.stdout.write(manifest)
 
     if args.prove:
-        budget = _budget_from_args(args)
-        payloads = [(s, budget, args.timeout) for s in systems]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                verdicts = pool.map(_prove_verdict, payloads, chunksize=16)
-        else:
-            verdicts = [_prove_verdict(p) for p in payloads]
-        counts: dict[int, dict[str, int]] = {}
-        for system, verdict in zip(systems, verdicts):
-            per = counts.setdefault(system_size(system), {"YES": 0, "NO": 0, "MAYBE": 0})
-            per[verdict] += 1
         lines = [
             f"size {s}: YES {c['YES']} NO {c['NO']} MAYBE {c['MAYBE']}"
             for s, c in sorted(counts.items())
@@ -325,14 +302,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop", help="search for a loop witnessing non-termination")
     p.add_argument("file")
-    p.add_argument("--max-word-len", type=_COUNT, default=None, metavar="N")
-    p.add_argument("--max-steps", type=_COUNT, default=None, metavar="N")
+    p.add_argument("--max-word-len", type=_COUNT, default=DEFAULT_MAX_WORD_LEN, metavar="N")
+    p.add_argument("--max-steps", type=_COUNT, default=DEFAULT_MAX_STEPS, metavar="N")
     p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("closures", help="search forward closures for a loop")
     p.add_argument("file")
-    p.add_argument("--max-closure-size", type=_COUNT, default=None, metavar="N")
+    p.add_argument(
+        "--max-closure-size", type=_COUNT, default=DEFAULT_MAX_CLOSURE_SIZE, metavar="N"
+    )
     p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
     p.set_defaults(func=cmd_closures)
 

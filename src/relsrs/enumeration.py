@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import merge
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
@@ -222,6 +223,12 @@ class _Context:
         return system
 
 
+@lru_cache(maxsize=1)
+def _context(config: EnumerationConfig) -> _Context:
+    """The context of the config last asked for, built once for all callers."""
+    return _Context(config)
+
+
 def _candidates(ctx: _Context, min_id: int, max_rule_size: int) -> Iterator[int]:
     """Ids above min_id with rule size at most max_rule_size, ascending."""
     lists = []
@@ -236,21 +243,24 @@ def _gen_block(
 ) -> Iterator[RelSRS]:
     cfg = ctx.config
     chosen: list[int] = []
+    chosen_set: set[int] = set()
 
     def rec(min_id: int, remaining: int, slots: int) -> Iterator[RelSRS]:
         if slots == 0:
             if remaining == 0:
-                # the walk prunes R and S as it goes, except in one-rule blocks
                 system = ctx.admit(chosen, stats)
                 if system is not None:
                     yield system
             return
+        need_strict = cfg.require_nonempty_r and not chosen
         need_relative = (
             cfg.require_nonempty_s
             and slots == 1
             and (not chosen or chosen[-1] < ctx.n_strict)
         )
         for i in _candidates(ctx, min_id, remaining):
+            if need_strict and i >= ctx.n_strict:
+                break  # ids are ascending; no strict rule can follow
             if need_relative and i < ctx.n_strict:
                 continue
             if i in ctx.twin and ctx.twin[i] in chosen_set:
@@ -261,35 +271,13 @@ def _gen_block(
             chosen_set.discard(i)
             chosen.pop()
 
-    chosen_set: set[int] = set()
-    first_limit = ctx.n_strict if cfg.require_nonempty_r else None
-
-    def rec_first() -> Iterator[RelSRS]:
-        for i in _candidates(ctx, 0, size):
-            if first_limit is not None and i >= first_limit:
-                break  # ids are ascending; no strict rule can follow
-            chosen.append(i)
-            chosen_set.add(i)
-            yield from rec(i + 1, size - ctx.sizes[i], rule_count - 1)
-            chosen_set.discard(i)
-            chosen.pop()
-
-    if rule_count < 1:
-        return
-    yield from rec_first()
+    if rule_count >= 1:
+        yield from rec(0, size, rule_count)
 
 
-def enumerate_block(
-    config: EnumerationConfig,
-    size: int,
-    rule_count: int,
-    *,
-    _ctx: Optional[_Context] = None,
-    _stats: Optional[EnumerationStats] = None,
-) -> Iterator[RelSRS]:
+def enumerate_block(config: EnumerationConfig, size: int, rule_count: int) -> Iterator[RelSRS]:
     """Canonical systems of exactly this total size and rule count, in key order."""
-    ctx = _ctx or _Context(config)
-    return _gen_block(ctx, size, rule_count, _stats)
+    return _gen_block(_context(config), size, rule_count, None)
 
 
 class EnumerationStream:
@@ -300,7 +288,7 @@ class EnumerationStream:
 
     def __init__(self, config: EnumerationConfig):
         self.config = config
-        ctx = _Context(config)
+        ctx = _context(config)
         self.stats = EnumerationStats(
             universe_rules=len(ctx.rules),
             excluded_identity_rules=ctx.excluded_identity,
@@ -328,26 +316,25 @@ def enumerate_systems(config: EnumerationConfig) -> EnumerationStream:
 def stream_contains(config: EnumerationConfig, system: RelSRS) -> bool:
     """Exact membership test for the enumeration stream.
 
-    Uses the same universe, filters, and canonicity predicate as the
-    generator, so a True answer names a system the stream provably emits
-    without scanning up to it.
+    Maps the system's own rules into the generator's universe, without
+    dropping repeats or twins (the stream emits neither), takes the smallest
+    image under the symmetry tables and asks the generator's filters, so a
+    True answer names a system the stream provably emits without scanning
+    up to it.
     """
-    k = config.alphabet_size
-    if any(c >= k for r in system.rules for c in r.lhs + r.rhs):
-        return False
-    relabeled = RelSRS(LETTER_NAMES[:k], system.rules)
-    canon = canonical_form(relabeled, identify_reversal=config.identify_reversal)
-    if system_size(canon) > config.max_size:
-        return False
-    ctx = _Context(config)
+    ctx = _context(config)
     try:
-        ids = sorted(ctx.id_of[r] for r in canon.rules)
+        ids = [ctx.id_of[r] for r in system.rules]
     except KeyError:
-        return False  # some rule is outside the universe
-    if len(set(ids)) != len(ids) or not ids:
+        return False  # a letter beyond the alphabet, or a rule outside the universe
+    if (
+        not ids
+        or len(set(ids)) != len(ids)
+        or any(ctx.twin.get(i) in ids for i in ids)
+        or sum(ctx.sizes[i] for i in ids) > config.max_size
+    ):
         return False
-    if any(i in ctx.twin and ctx.twin[i] in ids for i in ids):
-        return False
+    ids = min([sorted(ids)] + [sorted(table[i] for i in ids) for table in ctx.tables])
     return ctx.admit(ids) is not None
 
 
@@ -356,13 +343,20 @@ def _flag(value: bool) -> str:
 
 
 def enumeration_manifest(config: EnumerationConfig, stream: Iterable[RelSRS]) -> str:
-    """Consume the stream and render a stable, reproducible text report."""
+    """Drain what is left of the stream and render a stable text report.
+
+    A stream with stats (an EnumerationStream) is counted by its stats, so
+    one already consumed, in part or whole, reports the same as a fresh
+    one; a plain iterable is counted here and gets no stats lines.
+    """
+    stats = getattr(stream, "stats", None)
     by_size: dict[int, int] = {}
-    total = 0
     for system in stream:
         s = system_size(system)
         by_size[s] = by_size.get(s, 0) + 1
-        total += 1
+    total = sum(by_size.values())
+    if stats is not None:
+        by_size, total = stats.by_size, stats.emitted
     lines = [
         "relative SRS enumeration manifest",
         (
@@ -374,7 +368,6 @@ def enumeration_manifest(config: EnumerationConfig, stream: Iterable[RelSRS]) ->
             f" prune-trivial={_flag(config.prune_trivial)}"
         ),
     ]
-    stats = getattr(stream, "stats", None)
     if stats is not None:
         lines.append(
             f"universe: {stats.universe_rules} rules"

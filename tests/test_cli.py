@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,12 +248,27 @@ class TestEnumerate:
             "size 2: YES 2 NO 12 MAYBE 0\ntotal: YES 2 NO 12 MAYBE 0\n"
         )
 
-    def test_parallel_jobs_agree(self, run):
-        code1, out1 = run("enumerate", "--alphabet", "2", "--max-size", "2", "--prove")
-        code2, out2 = run(
-            "enumerate", "--alphabet", "2", "--max-size", "2", "--prove", "--jobs", "2"
-        )
-        assert (code1, out1) == (code2, out2)
+    def test_parallel_jobs_agree(self, run, tmp_path):
+        def survey(*jobs):
+            out_dir = tmp_path / f"jobs{len(jobs)}"
+            argv = ("--alphabet", "2", "--max-size", "4", "--prove", "--out", str(out_dir))
+            code, out = run("enumerate", *argv, *jobs)
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            return code, out, files
+
+        code1, out1, files1 = survey()
+        assert out1.startswith("OK 987 systems\n") and len(files1) == 987 + 2
+        assert survey("--jobs", "2") == (code1, out1, files1)
+
+    def test_survey_memory_does_not_hold_the_stream(self, run):
+        tracemalloc.start()
+        try:
+            code, out = run("enumerate", "--alphabet", "2", "--max-size", "6")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.startswith("OK 30951 systems\n")
+        assert peak < 2.5 * 2**20
 
 
 class TestUsage:

@@ -251,6 +251,17 @@ class TestStreamContains:
             ("a", "b"), (Rule((0,), (1,), True), Rule((1,), (1,), False))
         )
         assert not stream_contains(self.CFG, identity_rel)
+        # repeated and twin rules are judged as given, not deduplicated first
+        strict_and_twin = RelSRS(
+            ("a", "b"), (Rule((0,), (1,), True), Rule((0,), (1,), False))
+        )
+        allow_empty_s = EnumerationConfig(2, 5, require_nonempty_s=False)
+        assert not stream_contains(allow_empty_s, strict_and_twin)
+        repeated = RelSRS(
+            ("a", "b"),
+            (Rule((0,), (1,), True), Rule((0,), (1,), True), Rule((1,), (0,), False)),
+        )
+        assert not stream_contains(EnumerationConfig(2, 6), repeated)
 
     def test_trivial_pruning_changes_membership(self):
         sys = RelSRS(("a", "b"), (Rule((0,), (0,), True), Rule((1,), (), False)))
@@ -287,6 +298,13 @@ class TestManifest:
             "rejected (letters unused): 244\n"
             "pruned trivial: 0\n"
         )
+
+    def test_drained_stream_reports_like_a_fresh_one(self):
+        cfg = EnumerationConfig(2, 4)
+        drained = enumerate_systems(cfg)
+        assert len(list(drained)) == 987
+        fresh = enumeration_manifest(cfg, enumerate_systems(cfg))
+        assert enumeration_manifest(cfg, drained) == fresh
 
     def test_plain_iterable_gets_no_stats_lines(self):
         cfg = EnumerationConfig(2, 2)
