@@ -11,8 +11,9 @@ Matrix and weight maps are keyed by letter name, so a certificate can be
 checked against any system that uses the same names.
 
 The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
-arithmetic, order, letter conditions, search pool and entry codec, which
-the checker, the search and this schema share.
+arithmetic, order, letter conditions, search pool and entry codec.  The
+checker and this schema use all of it; the matrix search takes the pool,
+the letter conditions and the identity, and has its own arithmetic.
 """
 
 from __future__ import annotations
@@ -160,9 +161,7 @@ class Semiring:
     certificate: type
     zero: Optional[int]
     one: int
-    # (a, b, d) -> the product of two d x d matrices; a whole-matrix
-    # function, as a scalar callback per entry would slow the search
-    mul: Callable
+    mul: Callable  # (a, b, d) -> the product of two d x d matrices
     weak: Callable[[object, object], bool]
     strict: Callable[[object, object], bool]
     corner_only: bool

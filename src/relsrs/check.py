@@ -17,7 +17,7 @@ feeds the left product, D[d,d] >= 1 the right).  Arctic letter matrices
 need a finite (1,1) entry >= 0; strict decrease is entry-wise x >> y,
 i.e. x > y or x = y = -inf.  One checker and one rule test serve both
 semirings, each described by a `Semiring` record (certificates.NATURAL
-and certificates.ARCTIC); the matrix search reuses the rule test.
+and certificates.ARCTIC).
 """
 
 from __future__ import annotations

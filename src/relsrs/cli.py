@@ -205,7 +205,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             if out_dir is not None:
                 size = system_size(system)
                 seq_by_size[size] = seq = seq_by_size.get(size, 0) + 1
-                (out_dir / f"s{size:02d}_{seq:05d}.srs").write_text(print_system(system))
+                # eight digits keep a sorted listing in stream order up to
+                # two letters at size 11, about 5.5e7 systems by extrapolation
+                (out_dir / f"s{size:02d}_{seq:08d}.srs").write_text(print_system(system))
             yield system
 
     systems = written()

@@ -4,6 +4,16 @@ Matrix search is exhaustive for every dimension up to the bound, under an
 assignment cap and the prove deadline.  The matrix conventions, and the
 checkers that re-verify every certificate, are in `relsrs.check`.
 
+The search has its own arithmetic.  Each candidate letter matrix is
+encoded once as a flat row-major tuple, entry (i, j) at index i*d + j,
+and products are closed forms for d = 1, 2, 3 with a generic product
+above.  Arctic minus infinity is float("-inf") there, which is exact:
+finite entries stay ints, -inf + x = -inf, max(-inf, x) = x and
+-inf < x hold in floats as in the semiring, and sums of pool entries
+never reach +inf, so no nan arises.  A found assignment is returned as
+the candidates' nested tuples (None for minus infinity), and
+search_matrix re-checks it with check_matrix before returning it.
+
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
 rests on SN(R union S) => SN(R/S) and on a loop of R union S refuting
@@ -31,7 +41,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
+from operator import ge
 from typing import Optional
 
 from .certificates import (
@@ -50,7 +62,7 @@ from .certificates import (
     matrix_semiring,
     trivial_verdict,
 )
-from .check import _rule_fault, _s_as_strict
+from .check import _s_as_strict, check_matrix
 from .core import RelSRS, Rule, strictify, used_letters
 from .nonterm import search_mixed_loop
 
@@ -103,16 +115,141 @@ def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCerti
 # ----------------------------------------------------------- matrix search
 
 
+def _nat_mul_1(a, b):
+    return (a[0] * b[0],)
+
+
+def _nat_mul_2(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _nat_mul_3(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def _nat_mul_any(d, a, b):
+    return tuple(
+        sum(a[i + k] * b[k * d + j] for k in range(d)) for i in range(0, d * d, d) for j in range(d)
+    )
+
+
+def _arc_mul_1(a, b):
+    return (a[0] + b[0],)
+
+
+def _arc_mul_2(a, b):
+    # conditional expressions, as a call to max() per entry costs twice as much
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    x, y = a0 + b0, a1 + b2
+    c0 = x if x > y else y
+    x, y = a0 + b1, a1 + b3
+    c1 = x if x > y else y
+    x, y = a2 + b0, a3 + b2
+    c2 = x if x > y else y
+    x, y = a2 + b1, a3 + b3
+    return (c0, c1, c2, x if x > y else y)
+
+
+def _max3(x, y, z):
+    if y > x:
+        x = y
+    return z if z > x else x
+
+
+def _arc_mul_3(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        _max3(a0 + b0, a1 + b3, a2 + b6),
+        _max3(a0 + b1, a1 + b4, a2 + b7),
+        _max3(a0 + b2, a1 + b5, a2 + b8),
+        _max3(a3 + b0, a4 + b3, a5 + b6),
+        _max3(a3 + b1, a4 + b4, a5 + b7),
+        _max3(a3 + b2, a4 + b5, a5 + b8),
+        _max3(a6 + b0, a7 + b3, a8 + b6),
+        _max3(a6 + b1, a7 + b4, a8 + b7),
+        _max3(a6 + b2, a7 + b5, a8 + b8),
+    )
+
+
+def _arc_mul_any(d, a, b):
+    return tuple(
+        max(a[i + k] + b[k * d + j] for k in range(d)) for i in range(0, d * d, d) for j in range(d)
+    )
+
+
+# the closed-form products by semiring name and dimension; any other
+# dimension takes the generic product of the last entry
+_FLAT_MUL = {
+    "natural": {1: _nat_mul_1, 2: _nat_mul_2, 3: _nat_mul_3, None: _nat_mul_any},
+    "arctic": {1: _arc_mul_1, 2: _arc_mul_2, 3: _arc_mul_3, None: _arc_mul_any},
+}
+
+_NEG_INF = float("-inf")
+
+
+class _FlatKernel:
+    """The search's arithmetic for one semiring at one dimension."""
+
+    def __init__(self, semiring: Semiring, d: int):
+        muls = _FLAT_MUL[semiring.name]
+        self.mul = muls[d] if d in muls else partial(muls[None], d)
+        self.corner = d - 1 if semiring.corner_only else None
+        self.identity = self.encode(semiring.identity(d))
+
+    @staticmethod
+    def encode(m) -> tuple:
+        return tuple(_NEG_INF if x is None else x for row in m for x in row)
+
+    def rule_test(self, flats: list):
+        """The test of a rule against the letter matrices in `flats`,
+        indexed by letter and read at each call: lhs >= rhs entry-wise, and
+        for a strict rule > at the (1,d) corner (natural) or >> at every
+        entry (arctic).  A word maps to the product of its letters'
+        matrices, the empty word to the identity."""
+        mul, identity, corner = self.mul, self.identity, self.corner
+        get = flats.__getitem__
+
+        def holds(rule: Rule) -> bool:
+            lhs, rhs = rule.lhs, rule.rhs
+            left = reduce(mul, map(get, lhs)) if lhs else identity
+            right = reduce(mul, map(get, rhs)) if rhs else identity
+            if not rule.strict:
+                return all(map(ge, left, right))
+            if corner is None:
+                # x >> y, i.e. x > y or y = -inf, at every entry; a loop
+                # is about twice as fast as all() over a generator
+                for x, y in zip(left, right):
+                    if x <= y and y != _NEG_INF:
+                        return False
+                return True
+            return left[corner] > right[corner] and all(map(ge, left, right))
+
+        return holds
+
+
 class _Candidates:
     """The matrices allowed for a letter, in row-major lexicographic order
-    over the semiring's entry pool.  They are made as the search first
-    reaches them and kept for the next pass: at d = 3 the arctic pool gives
-    over a million, more than a capped or timed search visits."""
+    over the semiring's entry pool, each with its flat encoding.  They are
+    made as the search first reaches them and kept for the next pass: at
+    d = 3 the arctic pool gives over a million, more than a capped or timed
+    search visits."""
 
-    def __init__(self, semiring: Semiring, d: int, max_entry: int):
+    def __init__(self, semiring: Semiring, d: int, max_entry: int, encode):
         rows = list(product(semiring.pool(max_entry), repeat=d))
         self._source = (
-            m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None
+            (m, encode(m))
+            for m in product(rows, repeat=d)
+            if semiring.letter_fault(m, d) is None
         )
         self._made: list = []
 
@@ -121,10 +258,10 @@ class _Candidates:
         i = 0
         while True:
             if i == len(made):
-                m = next(self._source, None)
-                if m is None:
+                pair = next(self._source, None)
+                if pair is None:
                     return
-                made.append(m)
+                made.append(pair)
             yield made[i]
             i += 1
 
@@ -143,7 +280,10 @@ def _exhaustive_matrix_search(
     report: Optional[SearchReport],
 ) -> Optional[dict]:
     used = used_letters(system)
-    candidates = _Candidates(semiring, d, max_entry)
+    kernel = _FlatKernel(semiring, d)
+    flats: list = [None] * len(system.letters)
+    holds = kernel.rule_test(flats)
+    candidates = _Candidates(semiring, d, max_entry, kernel.encode)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard
     position = {c: i for i, c in enumerate(used)}
@@ -151,35 +291,39 @@ def _exhaustive_matrix_search(
     for rule in system.rules:
         letters = set(rule.lhs) | set(rule.rhs)
         if not letters:
-            if _rule_fault(rule, {}, semiring, d) is not None:
+            if not holds(rule):
                 return None
             continue
         ready[max(position[c] for c in letters)].append(rule)
-    mats: dict = {}
+    chosen: list = [None] * len(used)
     visited = 0
 
-    def rec(level: int):
+    def rec(level: int) -> bool:
         nonlocal visited
         if level == len(used):
-            return dict(mats)
-        for m in candidates:
+            return True
+        letter, rules = used[level], ready[level]
+        for m, flat in candidates:
             visited += 1
             if visited > cap or (deadline is not None and time.monotonic() >= deadline):
                 raise _SearchCap()
-            mats[used[level]] = m
-            if all(_rule_fault(r, mats, semiring, d) is None for r in ready[level]):
-                found = rec(level + 1)
-                if found is not None:
-                    return found
-        mats.pop(used[level], None)  # candidates may be empty
-        return None
+            flats[letter] = flat
+            for rule in rules:
+                if not holds(rule):
+                    break
+            else:
+                if rec(level + 1):
+                    chosen[level] = m
+                    return True
+        return False
 
     try:
-        return rec(0)
+        found = rec(0)
     except _SearchCap:
         if visited > cap and report is not None:
             report.capped = True
         return None
+    return dict(zip(used, chosen)) if found else None
 
 
 def search_matrix(
@@ -195,7 +339,8 @@ def search_matrix(
     """Exhaustive certificate search (with pruning) for each dimension
     1..max_dim in turn, each giving up after assignment_cap letter
     assignments (which sets report.capped) or at the monotonic-clock
-    deadline.  None is not a proof of absence."""
+    deadline.  None is not a proof of absence.  A certificate found is
+    re-checked by check_matrix, and a rejected one raises RuntimeError."""
     sr = next((s for s in SEMIRINGS if s.name == semiring), None)
     if sr is None:
         raise ValueError(f"semiring must be natural or arctic, got {semiring!r}")
@@ -204,9 +349,12 @@ def search_matrix(
             system, sr, d, max_entry, assignment_cap, deadline, report
         )
         if mats is not None:
-            return sr.certificate(d, {system.letters[c]: m for c, m in mats.items()})
+            cert = sr.certificate(d, {system.letters[c]: m for c, m in mats.items()})
+            checked = check_matrix(cert, system)
+            if not checked:
+                raise RuntimeError(f"matrix search found an unsound certificate: {checked.reason}")
+            return cert
     return None
-
 
 
 # ------------------------------------------------------------------ prove

@@ -1,5 +1,6 @@
 """CLI result-line protocol and exit codes, driven through main()."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from relsrs import (
+    EnumerationConfig,
+    enumerate_systems,
+    parse_system,
+    print_system,
+    system_size,
+)
 from relsrs.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -226,11 +234,20 @@ class TestEnumerate:
         assert code == 0 and out == "OK 14 systems\n"
         names = sorted(p.name for p in out_dir.iterdir())
         assert names[0] == "manifest.txt"
-        assert names[1:] == [f"s02_{i:05d}.srs" for i in range(1, 15)]
+        assert names[1:] == [f"s02_{i:08d}.srs" for i in range(1, 15)]
         assert "size 2: 14" in (out_dir / "manifest.txt").read_text()
         # every written file is itself parseable
-        code, _ = run("parse", str(out_dir / "s02_00001.srs"))
+        code, _ = run("parse", str(out_dir / "s02_00000001.srs"))
         assert code == 0
+
+    def test_sorted_names_follow_the_stream(self, run, tmp_path):
+        out_dir = tmp_path / "systems"
+        code, _ = run("enumerate", "--alphabet", "2", "--max-size", "4", "--out", str(out_dir))
+        assert code == 0
+        paths = sorted(p for p in out_dir.iterdir() if p.suffix == ".srs")
+        written = [print_system(s) for s in enumerate_systems(EnumerationConfig(2, 4))]
+        assert len(written) == 987 and len({system_size(s) for s in map(parse_system, written)}) > 1
+        assert [p.read_text() for p in paths] == written
 
     def test_prove_summary(self, run, tmp_path):
         out_dir = tmp_path / "systems"
@@ -345,3 +362,38 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "YES"
+
+
+class TestFrozenFrontierOutput:
+    """The seven commands of perfbench/data/frontier.json print the same
+    bytes as when these digests were recorded, with this snippet run from
+    the repository root (each command's argv[1] is the .srs file, read in
+    place):
+
+        data = Path("perfbench/data")
+        for item in json.loads((data / "frontier.json").read_text())["items"]:
+            argv = [item["argv"][0], str(data / "frontier" / item["argv"][1])]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv + item["argv"][2:])
+            print(item["name"], code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    """
+
+    DIGESTS = {
+        "prove-ab_bba": (1, "20223ff4db59e1faeabb6ae19f44917e5d98947f3e3db1624af2555341cffdf3"),
+        "prove-abb_aba": (1, "b4ef9913f50c9b4f16c3cf1f9d2f15cb0974df36456c5d21b8c903fac0f0d79a"),
+        "prove-a_ab_baa": (1, "57f4f0ad675f483c1e416e408331665feb1d55ffb81aab6c7095a407c3beef87"),
+        "prove-aa_bab": (0, "58194f4433c63c1c0153d37ec44b7a74ceeab0a4f687951e3b213818806cff83"),
+        "prove-a_bb_bab": (0, "b4845a184e0a6fac0960a910cc652d51bc4a908d71ef5976ec830840dd9ba55a"),
+        "loop-ab_a": (1, "5faa94bd81f51b5eeaacd15c04a7dccba3d9d203f5851188de84af0bbd97946d"),
+        "closures-a_b_ba_a": (1, "5faa94bd81f51b5eeaacd15c04a7dccba3d9d203f5851188de84af0bbd97946d"),
+    }
+
+    def test_stdout_digests(self, run):
+        data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+        seen = {}
+        for item in json.loads((data / "frontier.json").read_text())["items"]:
+            argv = [item["argv"][0], str(data / "frontier" / item["argv"][1])]
+            code, out = run(*argv, *item["argv"][2:])
+            seen[item["name"]] = (code, hashlib.sha256(out.encode()).hexdigest())
+        assert seen == self.DIGESTS

@@ -1,5 +1,6 @@
 """Weight and matrix certificate checkers, bounded search, composite verify."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -32,9 +33,14 @@ from relsrs import (
     prove,
     search_matrix,
     search_weights,
+    serialize_certificate,
     strictify,
+    trivial_verdict,
     verify_certificate,
 )
+from relsrs.certificates import SEMIRINGS
+from relsrs.check import _rule_fault
+from relsrs.term import _FLAT_MUL, _FlatKernel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -402,6 +408,116 @@ class TestMatrixSearch:
         two = search_matrix(sys, "natural", max_dim=2)
         assert two is not None and two.dimension == 2
         assert search_matrix(sys, "natural", max_dim=3) == two
+
+
+class TestFrozenMatrixResults:
+    # recorded with the nested-tuple search: 3402 searches, 1598
+    # certificates, 664 capped
+    DIGEST = "44fb4122904025adebdb8e4d900beb23277bf5d690c6b1f2e589817c845dd1e3"
+
+    def test_size_four_results_are_unchanged(self):
+        """Both semirings at (max_dim, max_entry) = (2, 1) and (2, 2) under
+        an assignment cap of 3,000, and at (3, 1) under a cap of 500, on
+        every non-trivial two-letter system up to size 4 as is, strictified,
+        and with S alone made strict.  The digest was made by this snippet:
+
+            h = hashlib.sha256()
+            for system in enumerate_systems(EnumerationConfig(2, 4)):
+                if trivial_verdict(system) is not None:
+                    continue
+                s_only = RelSRS(system.letters, tuple(
+                    Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
+                for form in (system, strictify(system), s_only):
+                    for semiring in ("natural", "arctic"):
+                        for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
+                            report = SearchReport()
+                            cert = search_matrix(form, semiring, max_dim, max_entry,
+                                                 assignment_cap=cap, report=report)
+                            data = None if cert is None else serialize_certificate(cert, form)
+                            h.update(json.dumps([data, report.capped], sort_keys=True).encode()
+                                     + b"\n")
+            h.hexdigest()
+        """
+        h = hashlib.sha256()
+        searches = found = capped = 0
+        for system in enumerate_systems(EnumerationConfig(2, 4)):
+            if trivial_verdict(system) is not None:
+                continue
+            s_only = RelSRS(
+                system.letters,
+                tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
+            )
+            for form in (system, strictify(system), s_only):
+                for semiring in ("natural", "arctic"):
+                    for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
+                        report = SearchReport()
+                        cert = search_matrix(
+                            form, semiring, max_dim, max_entry, assignment_cap=cap, report=report
+                        )
+                        data = None if cert is None else serialize_certificate(cert, form)
+                        h.update(json.dumps([data, report.capped], sort_keys=True).encode() + b"\n")
+                        searches += 1
+                        found += cert is not None
+                        capped += report.capped
+        assert (searches, found, capped) == (3402, 1598, 664)
+        assert h.hexdigest() == self.DIGEST
+
+
+def pool_matrices(semiring, d, count):
+    """`count` d x d matrices over the semiring's search pool for entries
+    up to 3, minus infinity included for arctic."""
+    entry = st.sampled_from(semiring.pool(3))
+    row = st.tuples(*[entry] * d)
+    return st.lists(st.tuples(*[row] * d), min_size=count, max_size=count)
+
+
+def decode(flat, d):
+    return tuple(
+        tuple(None if x == float("-inf") else x for x in flat[i : i + d])
+        for i in range(0, d * d, d)
+    )
+
+
+class TestFlatKernel:
+    """The matrix search's own arithmetic against the checker's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_rule_test_agrees_with_the_checker(self, data):
+        semiring = data.draw(st.sampled_from(SEMIRINGS))
+        d = data.draw(st.integers(1, 4))
+        mats = data.draw(pool_matrices(semiring, d, 3))
+        word = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+        rule = Rule(data.draw(word), data.draw(word), data.draw(st.booleans()))
+        kernel = _FlatKernel(semiring, d)
+        holds = kernel.rule_test([kernel.encode(m) for m in mats])
+        expected = _rule_fault(rule, dict(enumerate(mats)), semiring, d) is None
+        assert holds(rule) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_flat_product_equals_the_semiring_product(self, data):
+        semiring = data.draw(st.sampled_from(SEMIRINGS))
+        d = data.draw(st.integers(1, 4))
+        a, b = data.draw(pool_matrices(semiring, d, 2))
+        kernel = _FlatKernel(semiring, d)
+        flat = kernel.mul(kernel.encode(a), kernel.encode(b))
+        # finite entries stay exact ints
+        assert all(type(x) is int or x == float("-inf") for x in flat)
+        assert decode(flat, d) == semiring.mul(a, b, d)
+
+    def test_letterless_rules_use_the_identity(self):
+        # a weak empty rule always holds, a strict one never does
+        for semiring in SEMIRINGS:
+            for d in (1, 2, 3, 4):
+                holds = _FlatKernel(semiring, d).rule_test([])
+                assert holds(Rule((), (), False)) and not holds(Rule((), (), True))
+
+    def test_wrong_product_raises_instead_of_returning(self, monkeypatch):
+        # with a * b read as a, a b -> b a only needs a > b at d = 1
+        monkeypatch.setitem(_FLAT_MUL["natural"], 1, lambda a, b: a)
+        with pytest.raises(RuntimeError, match="unsound certificate"):
+            search_matrix(parse_system("(RULES a b -> b a)"), "natural", max_dim=1)
 
 
 class TestVerifyDispatch:
