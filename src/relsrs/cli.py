@@ -65,19 +65,19 @@ def _read_system(path: str) -> RelSRS:
 
 def _budget_from_args(args: argparse.Namespace) -> ProveBudget:
     updates = {}
-    if getattr(args, "max_word_len", None) is not None:
+    if args.max_word_len is not None:
         updates["loop_max_word_len"] = args.max_word_len
-    if getattr(args, "max_steps", None) is not None:
+    if args.max_steps is not None:
         updates["loop_max_steps"] = args.max_steps
-    if getattr(args, "max_dim", None) is not None:
+    if args.max_dim is not None:
         updates["matrix_max_dim"] = args.max_dim
-    if getattr(args, "max_entry", None) is not None:
+    if args.max_entry is not None:
         updates["matrix_max_entry"] = args.max_entry
     return ProveBudget(**updates)
 
 
 def _deadline(args: argparse.Namespace) -> Optional[float]:
-    if getattr(args, "timeout", None) is None:
+    if args.timeout is None:
         return None
     return time.monotonic() + args.timeout
 

@@ -37,10 +37,6 @@ class Rule:
     def size(self) -> int:
         return len(self.lhs) + len(self.rhs)
 
-    @property
-    def mode(self) -> str:
-        return "strict" if self.strict else "relative"
-
 
 @dataclass(frozen=True)
 class RelSRS:

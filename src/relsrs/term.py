@@ -21,8 +21,8 @@ SN(R/S) once SN(S) holds.  It runs in three phases, and each tries the
 same four methods in the same order: weights, the mixed-loop search, then
 natural and arctic matrices.
 
-- `s-`: S alone made strict, under the cheap `sloop_*` loop bounds.  A
-  proof gives SN(S); a loop ends the phase and skips the next one.
+- `s-`: S alone made strict.  A proof gives SN(S); a loop ends the phase
+  and skips the next one.
 - `strictified-`, only once SN(S) is proven: the strictified system
   R union S.  A proof settles YES, a loop NO.
 - no tag: the system itself.  A proof settles YES, a mixed loop NO.
@@ -64,17 +64,50 @@ from .certificates import (
 )
 from .check import _s_as_strict, check_matrix
 from .core import RelSRS, Rule, strictify, used_letters
-from .nonterm import search_mixed_loop
+from .nonterm import DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, search_mixed_loop
 
 # unused here, but perfbench/spans.py wraps these names in this module
 from .check import check_loop_certificate, verify_certificate  # noqa: F401
 from .nonterm import search_emitting_loop  # noqa: F401
 
 
+# ----------------------------------------------------------------- budget
+
+
+@dataclass(frozen=True)
+class ProveBudget:
+    """The bounds of prove's searches; the loop bounds hold in every phase.
+    The searches below take their defaults from here."""
+
+    max_weight: int = 16
+    # exhaustive matrix search for every dimension up to matrix_max_dim
+    matrix_max_dim: int = 2
+    matrix_max_entry: int = 2
+    matrix_assignment_cap: int = 500_000
+    loop_max_word_len: int = DEFAULT_MAX_WORD_LEN
+    loop_max_steps: int = DEFAULT_MAX_STEPS
+    loop_max_start_len: int = 6
+    loop_node_budget: int = 100_000
+
+
+SWEEP_BUDGET = ProveBudget(
+    max_weight=8,
+    matrix_max_dim=2,
+    matrix_max_entry=2,
+    matrix_assignment_cap=20_000,
+    loop_max_word_len=8,
+    loop_max_steps=10,
+    loop_max_start_len=4,
+    loop_node_budget=4_000,
+)
+
+
 # ---------------------------------------------------------------- weights
 
 
-def search_weights(system: RelSRS, max_weight: int = 16) -> Optional[WeightCertificate]:
+def search_weights(
+    system: RelSRS, max_weight: int = ProveBudget.max_weight
+) -> Optional[WeightCertificate]:
     """The lexicographically first vector of integer weights 0..max_weight
     over the letters used in rules (in letter order) that proves the system,
     or None when there is none.
@@ -329,10 +362,10 @@ def _exhaustive_matrix_search(
 def search_matrix(
     system: RelSRS,
     semiring: str,
-    max_dim: int = 2,
-    max_entry: int = 2,
+    max_dim: int = ProveBudget.matrix_max_dim,
+    max_entry: int = ProveBudget.matrix_max_entry,
     *,
-    assignment_cap: int = 500_000,
+    assignment_cap: int = ProveBudget.matrix_assignment_cap,
     deadline: Optional[float] = None,
     report: Optional[SearchReport] = None,
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
@@ -359,39 +392,6 @@ def search_matrix(
 
 # ------------------------------------------------------------------ prove
 
-
-@dataclass(frozen=True)
-class ProveBudget:
-    max_weight: int = 16
-    # exhaustive matrix search for every dimension up to matrix_max_dim
-    matrix_max_dim: int = 2
-    matrix_max_entry: int = 2
-    matrix_assignment_cap: int = 500_000
-    loop_max_word_len: int = 12
-    loop_max_steps: int = 40
-    loop_max_start_len: int = 6
-    loop_node_budget: int = 100_000
-    # cheap bounds for refuting SN(S) when weights fail to prove it
-    sloop_max_word_len: int = 8
-    sloop_max_steps: int = 10
-    sloop_max_start_len: int = 4
-    sloop_node_budget: int = 20_000
-
-
-SWEEP_BUDGET = ProveBudget(
-    max_weight=8,
-    matrix_max_dim=2,
-    matrix_max_entry=2,
-    matrix_assignment_cap=20_000,
-    loop_max_word_len=8,
-    loop_max_steps=10,
-    loop_max_start_len=4,
-    loop_node_budget=4_000,
-    sloop_max_word_len=7,
-    sloop_max_steps=8,
-    sloop_max_start_len=3,
-    sloop_node_budget=1_500,
-)
 
 _METHODS = ("weights", "loop", "natural", "arctic")
 
@@ -425,20 +425,12 @@ def _attempt(
         return cert, Attempt(f"{tag}weights", "found" if cert else "none", f"max {b.max_weight}")
     report = SearchReport()
     if method == "loop":
-        if tag == "s-":
-            word_len, steps, start_len, nodes = (
-                b.sloop_max_word_len, b.sloop_max_steps, b.sloop_max_start_len, b.sloop_node_budget
-            )
-        else:
-            word_len, steps, start_len, nodes = (
-                b.loop_max_word_len, b.loop_max_steps, b.loop_max_start_len, b.loop_node_budget
-            )
         cert = search_mixed_loop(
             system,
-            word_len,
-            steps,
-            max_start_len=start_len,
-            node_budget=nodes,
+            b.loop_max_word_len,
+            b.loop_max_steps,
+            max_start_len=b.loop_max_start_len,
+            node_budget=b.loop_node_budget,
             deadline=deadline,
             report=report,
         )

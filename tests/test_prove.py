@@ -201,10 +201,12 @@ class TestBudgets:
 
     def test_deadline_stops_matrix_search(self):
         # exhaustive dimension-3 natural search on this size-6 MAYBE runs for
-        # tens of seconds; the deadline has to cut it short
+        # tens of seconds; the deadline has to cut it short.  Under the
+        # default assignment cap it stops within a second, so it is lifted
         system = parse_system("(RULES a b -> b b a, b ->= )")
+        budget = ProveBudget(matrix_max_dim=3, matrix_assignment_cap=10**9)
         start = time.monotonic()
-        outcome = prove(system, ProveBudget(matrix_max_dim=3), deadline=start + 1.0)
+        outcome = prove(system, budget, deadline=start + 1.0)
         assert time.monotonic() - start < 5.0
         assert outcome.verdict == "MAYBE" and outcome.reason == "timeout"
         assert outcome.attempts[-1].method == "timeout"
@@ -262,6 +264,42 @@ class TestFrozenVerdicts:
             count += 1
         assert count == 5821
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestFrozenAttemptLog:
+    """Verdict, certificate, reason and every attempt line of every
+    two-letter system up to size 5, under the default budget and under
+    SWEEP_BUDGET.
+
+    The digests were recorded before the S phase's loop search took the
+    same bounds as the other two phases, with this snippet:
+
+        digest = hashlib.sha256()
+        for system in enumerate_systems(EnumerationConfig(2, 5)):
+            outcome = prove(system, budget)
+            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
+            attempts = [[a.method, a.outcome, a.detail] for a in outcome.attempts]
+            line = [outcome.verdict, cert, outcome.reason, attempts]
+            digest.update(json.dumps(line, sort_keys=True).encode() + b"\\n")
+        digest.hexdigest()
+    """
+
+    @pytest.mark.parametrize("budget, expected", [
+        (ProveBudget(), "d8ba68d7991004a98110e8f223145b2e47566673f8b038d929b06b78c02c2d73"),
+        (SWEEP_BUDGET, "08bb8c8a6fceedecf9f761425f94ec3644580a638899a2a509911eee4384fccf"),
+    ], ids=["default", "sweep"])
+    def test_attempt_log_digest(self, budget, expected):
+        digest = hashlib.sha256()
+        count = 0
+        for system in enumerate_systems(EnumerationConfig(2, 5)):
+            outcome = prove(system, budget)
+            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
+            attempts = [[a.method, a.outcome, a.detail] for a in outcome.attempts]
+            line = [outcome.verdict, cert, outcome.reason, attempts]
+            digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+            count += 1
+        assert count == 5821
+        assert digest.hexdigest() == expected
 
 
 class TestTraceHooks:

@@ -654,22 +654,50 @@ class TestComposeVerification:
         assert not res and "must be YES or NO" in res.reason
 
 
-def test_checker_imports_no_search_module():
-    """The trust base stays apart from the searches: relsrs.check imports
-    .core, .certificates and the standard library, nothing else."""
+def _imports(path: Path) -> tuple[set, set]:
+    """The modules a source file imports: the package modules it imports
+    relatively (`from .core import ...`, `from . import core`) by name,
+    and the top-level names of the others."""
     import ast
-    import sys
 
-    import relsrs.check
-
-    tree = ast.parse(Path(relsrs.check.__file__).read_text())
     package, other = set(), set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
-            package.add(node.module)
+            if node.module is None:
+                package.update(a.name for a in node.names)
+            else:
+                package.add(node.module)
         elif isinstance(node, ast.ImportFrom):
             other.add(node.module.split(".")[0])
         elif isinstance(node, ast.Import):
             other.update(a.name.split(".")[0] for a in node.names)
+    return package, other
+
+
+def test_checker_imports_no_search_module():
+    """The trust base stays apart from the searches: relsrs.check imports
+    .core, .certificates and the standard library, nothing else."""
+    import sys
+
+    import relsrs.check
+
+    package, other = _imports(Path(relsrs.check.__file__))
     assert package == {"core", "certificates"}
     assert other <= set(sys.stdlib_module_names) | {"__future__"}
+
+
+def test_package_is_stdlib_only():
+    """Every relsrs module imports only the standard library and relsrs's
+    own modules, by relative import."""
+    import sys
+
+    import relsrs
+
+    root = Path(relsrs.__file__).parent
+    sources = sorted(root.glob("*.py"))
+    own = {path.stem for path in sources if path.stem != "__init__"}
+    assert len(sources) >= 10
+    for path in sources:
+        package, other = _imports(path)
+        assert package <= own, path.name
+        assert other <= set(sys.stdlib_module_names) | {"__future__"}, path.name
