@@ -11,9 +11,9 @@ Matrix and weight maps are keyed by letter name, so a certificate can be
 checked against any system that uses the same names.
 
 The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
-arithmetic, order, letter conditions, search pool and entry codec.  The
-checker and this schema use all of it; the matrix search takes the pool,
-the letter conditions and the identity, and has its own arithmetic.
+arithmetic, order, letter conditions and entry codec.  The checker and
+this schema use all of it; the matrix search takes the letter conditions
+and the identity, and has its own arithmetic and entry pool.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ class Semiring:
     letter_fault: Callable  # (m, d) -> why m may not interpret a letter, or None
     entry_ok: Callable[[object], bool]
     entries: str  # what entry_ok accepts, for error messages
-    pool: Callable[[int], list]  # search entries up to a bound, in search order
 
     @property
     def tag(self) -> str:
@@ -192,7 +191,6 @@ NATURAL = Semiring(
     letter_fault=_nat_letter_fault,
     entry_ok=lambda x: is_int(x) and x >= 0,
     entries="a non-negative integer",
-    pool=lambda max_entry: list(range(max_entry + 1)),
 )
 
 ARCTIC = Semiring(
@@ -208,7 +206,6 @@ ARCTIC = Semiring(
     letter_fault=_arc_letter_fault,
     entry_ok=lambda x: x is None or is_int(x),
     entries='an integer or "-inf"',
-    pool=lambda max_entry: [None] + list(range(-1, max_entry + 1)),
 )
 
 SEMIRINGS = (NATURAL, ARCTIC)
@@ -303,10 +300,9 @@ def _word_tokens(word: Word, system: RelSRS) -> list[str]:
     return [system.letters[c] for c in word]
 
 
-def _tokens_word(tokens, system: RelSRS) -> Word:
+def _tokens_word(tokens, index: dict[str, int]) -> Word:
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CertificateFormatError("word must be a list of letter tokens")
-    index = {name: i for i, name in enumerate(system.letters)}
     try:
         return tuple(index[t] for t in tokens)
     except KeyError as e:
@@ -415,12 +411,13 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
             ):
                 raise CertificateFormatError("redex must have rule, side (left/right), offset")
             redex = EmittingRedex(rd["rule"], rd["side"], rd["offset"])
+        index = {name: i for i, name in enumerate(system.letters)}
         return LoopCertificate(
             kind="mixed" if kind == "loop-mixed" else "emitting",
-            start=_tokens_word(data.get("start"), system),
+            start=_tokens_word(data.get("start"), index),
             steps=_steps_in(data.get("steps")),
-            left=_tokens_word(data.get("left"), system),
-            right=_tokens_word(data.get("right"), system),
+            left=_tokens_word(data.get("left"), index),
+            right=_tokens_word(data.get("right"), index),
             redex=redex,
         )
     if kind == "weights":

@@ -270,20 +270,32 @@ class _FlatKernel:
         return holds
 
 
+# the search's entries up to a bound, in search order
+_POOL = {
+    "natural": lambda max_entry: list(range(max_entry + 1)),
+    "arctic": lambda max_entry: [None, *range(-1, max_entry + 1)],
+}
+
+
 class _Candidates:
     """The matrices allowed for a letter, in row-major lexicographic order
     over the semiring's entry pool, each with its flat encoding.  They are
     made as the search first reaches them and kept for the next pass: at
     d = 3 the arctic pool gives over a million, more than a capped or timed
-    search visits."""
+    search visits.
+
+    The letter condition (`Semiring.letter_fault`) is put on the rows it
+    reads, and filtering the factors of a product keeps its order."""
 
     def __init__(self, semiring: Semiring, d: int, max_entry: int, encode):
-        rows = list(product(semiring.pool(max_entry), repeat=d))
-        self._source = (
-            (m, encode(m))
-            for m in product(rows, repeat=d)
-            if semiring.letter_fault(m, d) is None
-        )
+        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
+        slots = [rows] * d
+        if semiring.name == "natural":  # entries (1,1) and (d,d) at least 1
+            slots[0] = [r for r in rows if r[0] >= 1]
+            slots[-1] = [r for r in slots[-1] if r[-1] >= 1]
+        else:  # a finite entry (1,1) >= 0
+            slots[0] = [r for r in rows if r[0] is not None and r[0] >= 0]
+        self._source = ((m, encode(m)) for m in product(*slots))
         self._made: list = []
 
     def __iter__(self):

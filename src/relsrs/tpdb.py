@@ -5,10 +5,15 @@ comma-separated rules `lhs -> rhs` (strict) or `lhs ->= rhs` (relative),
 both sides whitespace-separated identifier tokens, either side possibly
 empty.  Any other section such as `(COMMENT ...)` is kept verbatim so a
 round-trip does not lose metadata.
+
+The reader finds the sections by counting parentheses, splits the RULES
+body on commas and each rule on whitespace, and finds the arrow among
+the tokens.  A line and column are worked out only for an error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import RelSRS, Rule
@@ -47,117 +52,83 @@ class SrsDocument:
         return tuple(seen)
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, col
-
-
 def _error(text: str, pos: int, message: str) -> SrsParseError:
-    line, col = _line_col(text, pos)
-    return SrsParseError(line, col, message)
+    line = text.count("\n", 0, pos) + 1
+    return SrsParseError(line, pos - text.rfind("\n", 0, pos), message)
 
 
-def _scan_section(text: str, open_pos: int) -> tuple[str, str, int, int]:
-    """From a '(' return (section name, body text, body start, position after ')')."""
-    i = open_pos + 1
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    start = i
-    while i < n and not text[i].isspace() and text[i] not in "()":
-        i += 1
-    name = text[start:i]
-    if not name:
+_PAREN = re.compile(r"[()]")
+_NAME = re.compile(r"\s*([^\s()]*)")
+_NON_SPACE = re.compile(r"\S")
+_TOKEN = re.compile(r"\S+")
+
+
+def _expect_blank(text: str, start: int, end: int) -> None:
+    found = _NON_SPACE.search(text, start, end)
+    if found:
+        raise _error(text, found.start(), f"expected '(' at top level, found {found[0]!r}")
+
+
+def _section_name(text: str, open_pos: int) -> tuple[str, int]:
+    """The name of the section opened at open_pos, and where its body starts."""
+    m = _NAME.match(text, open_pos + 1)
+    if not m[1]:
         raise _error(text, open_pos, "section has no name")
-    body_start = i
-    depth = 1
-    while i < n:
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return name, text[body_start:i], body_start, i + 1
-        i += 1
-    raise _error(text, open_pos, "unbalanced parenthesis: section never closes")
+    return m[1], m.end()
 
 
-def _parse_rule(text: str, chunk: str, offset: int) -> SrsRule:
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    n = len(chunk)
-    while i < n:
-        if chunk[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not chunk[i].isspace():
-            i += 1
-        tokens.append((chunk[start:i], offset + start))
-    arrows = [j for j, (tok, _) in enumerate(tokens) if tok in (ARROW_STRICT, ARROW_RELATIVE)]
-    if not arrows:
-        anchor = tokens[0][1] if tokens else offset
-        raise _error(text, anchor, "rule has no -> or ->= arrow")
-    if len(arrows) > 1:
-        raise _error(text, tokens[arrows[1]][1], "rule has more than one arrow")
-    j = arrows[0]
-    arrow = tokens[j][0]
-    return SrsRule(
-        lhs=tuple(tok for tok, _ in tokens[:j]),
-        rhs=tuple(tok for tok, _ in tokens[j + 1 :]),
-        strict=(arrow == ARROW_STRICT),
-    )
-
-
-def _parse_rules_body(text: str, body: str, offset: int) -> tuple[SrsRule, ...]:
+def _parse_rules(text: str, body: str, offset: int) -> tuple[SrsRule, ...]:
     rules: list[SrsRule] = []
-    chunk_start = 0
-    i = 0
-    n = len(body)
-
-    def flush(end: int, comma_pos: int | None):
-        chunk = body[chunk_start:end]
-        if chunk.strip():
-            rules.append(_parse_rule(text, chunk, offset + chunk_start))
-        elif comma_pos is not None:
-            raise _error(text, offset + comma_pos, "stray comma: empty rule")
-
-    while i < n:
-        if body[i] == ",":
-            flush(i, i)
-            chunk_start = i + 1
-        i += 1
-    # trailing empty chunk after a final comma is tolerated only if truly empty
-    # of tokens AND there was no comma (handled above); here just parse leftovers
-    if body[chunk_start:].strip():
-        rules.append(_parse_rule(text, body[chunk_start:], offset + chunk_start))
+    chunks = body.split(",")
+    for k, chunk in enumerate(chunks):
+        tokens = chunk.split()
+        arrows = tokens.count(ARROW_STRICT) + tokens.count(ARROW_RELATIVE)
+        if arrows == 1:
+            strict = ARROW_STRICT in tokens
+            j = tokens.index(ARROW_STRICT if strict else ARROW_RELATIVE)
+            rules.append(SrsRule(tuple(tokens[:j]), tuple(tokens[j + 1 :]), strict))
+            continue
+        if not tokens and k + 1 == len(chunks):
+            continue  # a trailing comma, or an empty body
+        pos = offset + sum(map(len, chunks[:k])) + k
+        if not tokens:
+            raise _error(text, pos + len(chunk), "stray comma: empty rule")
+        starts = [m.start() for m in _TOKEN.finditer(chunk)]
+        if not arrows:
+            raise _error(text, pos + starts[0], "rule has no -> or ->= arrow")
+        second = [j for j, t in enumerate(tokens) if t in (ARROW_STRICT, ARROW_RELATIVE)][1]
+        raise _error(text, pos + starts[second], "rule has more than one arrow")
     return tuple(rules)
 
 
 def parse_srs(text: str) -> SrsDocument:
     rules: tuple[SrsRule, ...] | None = None
     others: list[tuple[str, str]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    depth = 0
+    after = 0  # where the last section ended
+    for paren in _PAREN.finditer(text):
+        pos = paren.start()
+        if depth == 0:
+            # only whitespace between sections, and a ')' here closes nothing
+            _expect_blank(text, after, pos + (paren[0] == ")"))
+            open_pos = pos
+        depth += 1 if paren[0] == "(" else -1
+        if depth:
             continue
-        if c != "(":
-            raise _error(text, i, f"expected '(' at top level, found {c!r}")
-        name, body, body_start, after = _scan_section(text, i)
-        if name == "RULES":
-            if rules is not None:
-                raise _error(text, i, "multiple RULES sections")
-            rules = _parse_rules_body(text, body, body_start)
+        name, body_start = _section_name(text, open_pos)
+        if name != "RULES":
+            others.append((name, text[body_start:pos]))
+        elif rules is None:
+            rules = _parse_rules(text, text[body_start:pos], body_start)
         else:
-            others.append((name, body))
-        i = after
+            raise _error(text, open_pos, "multiple RULES sections")
+        after = pos + 1
+    if depth:
+        _section_name(text, open_pos)
+        raise _error(text, open_pos, "unbalanced parenthesis: section never closes")
+    _expect_blank(text, after, len(text))
     if rules is None:
-        raise _error(text, max(0, n - 1), "no RULES section")
+        raise _error(text, max(0, len(text) - 1), "no RULES section")
     return SrsDocument(rules=rules, other_sections=tuple(others))
 
 

@@ -40,7 +40,7 @@ from relsrs import (
 )
 from relsrs.certificates import SEMIRINGS
 from relsrs.check import _rule_fault
-from relsrs.term import _FLAT_MUL, _FlatKernel
+from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -466,7 +466,7 @@ class TestFrozenMatrixResults:
 def pool_matrices(semiring, d, count):
     """`count` d x d matrices over the semiring's search pool for entries
     up to 3, minus infinity included for arctic."""
-    entry = st.sampled_from(semiring.pool(3))
+    entry = st.sampled_from(_POOL[semiring.name](3))
     row = st.tuples(*[entry] * d)
     return st.lists(st.tuples(*[row] * d), min_size=count, max_size=count)
 
@@ -476,6 +476,21 @@ def decode(flat, d):
         tuple(None if x == float("-inf") else x for x in flat[i : i + d])
         for i in range(0, d * d, d)
     )
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("d,max_entry", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+    def test_rows_filtered_equal_matrices_filtered(self, semiring, d, max_entry):
+        # the checker's letter condition on whole matrices is the reference
+        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
+        expected = [
+            m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None
+        ]
+        kernel = _FlatKernel(semiring, d)
+        made = list(_Candidates(semiring, d, max_entry, kernel.encode))
+        assert [m for m, _ in made] == expected
+        assert [flat for _, flat in made] == [kernel.encode(m) for m in expected]
 
 
 class TestFlatKernel:
