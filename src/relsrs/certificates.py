@@ -12,8 +12,9 @@ checked against any system that uses the same names.
 
 The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
 arithmetic, order, letter conditions and entry codec.  The checker and
-this schema use all of it; the matrix search takes the letter conditions
-and the identity, and has its own arithmetic and entry pool.
+this schema use all of it.  The matrix search takes only the identity,
+`corner_only` and the certificate class from it: it has its own
+arithmetic and entry pool, and restates the letter conditions on rows.
 """
 
 from __future__ import annotations

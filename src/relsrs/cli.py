@@ -21,7 +21,9 @@ inside the searches and between prove's methods.  A prove search it cuts
 short is listed with outcome `deadline` and the result is MAYBE with
 reason timeout; loop and closures print MAYBE and
 `timeout before the search finished (bound N)`.  A prove search cut by
-its node budget or assignment cap is listed with outcome `cap`.
+its node budget or assignment cap is listed with outcome `cap`, and
+a closures run cut by its node budget prints MAYBE and
+`node budget reached before the search finished (bound N)`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .certificates import (
     Certificate,
     CertificateFormatError,
     CertificateMismatchError,
+    SearchReport,
     parse_certificate,
     serialize_certificate,
 )
@@ -116,9 +119,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     return 0 if outcome.verdict in ("YES", "NO") else 1
 
 
-def _print_none_found(deadline: Optional[float], bound: int) -> None:
+def _print_none_found(deadline: Optional[float], bound: int, capped: bool = False) -> None:
     print("MAYBE")
-    if deadline is not None and time.monotonic() >= deadline:
+    if capped:
+        print(f"node budget reached before the search finished (bound {bound})")
+    elif deadline is not None and time.monotonic() >= deadline:
         print(f"timeout before the search finished (bound {bound})")
     else:
         print(f"none found (bound {bound})")
@@ -141,9 +146,12 @@ def cmd_loop(args: argparse.Namespace) -> int:
 def cmd_closures(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
     deadline = _deadline(args)
-    closure = find_looping_forward_closure(system, args.max_closure_size, deadline=deadline)
+    report = SearchReport()
+    closure = find_looping_forward_closure(
+        system, args.max_closure_size, deadline=deadline, report=report
+    )
     if closure is None:
-        _print_none_found(deadline, args.max_closure_size)
+        _print_none_found(deadline, args.max_closure_size, report.capped)
         return 1
     cert = closure_to_loop_certificate(closure, system)
     print("NO")

@@ -42,6 +42,7 @@ from .core import Derivation, RelSRS, Step, Word, replay, used_letters
 DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
 DEFAULT_MAX_CLOSURE_SIZE = 20
+DEFAULT_NODE_BUDGET = 100_000  # nodes of a prove loop search; closures kept by a closure search
 
 
 def _encode(word: Word) -> str:
@@ -286,6 +287,7 @@ def _saturate_closures(
     max_closure_size: int,
     stop_at_looping: bool,
     deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ):
     """Breadth-first saturation, kept closures as flat rows.
 
@@ -299,7 +301,8 @@ def _saturate_closures(
 
     Returns (rows, index of the first looping row, or None when
     stop_at_looping is false or there is none); None when the deadline cut
-    the search short.
+    the search short, and when stop_at_looping and more than
+    DEFAULT_NODE_BUDGET rows are kept before an expansion (report.capped).
     """
     size = max_closure_size
     rules = _encoded_rules(enumerate(system.rules))
@@ -334,6 +337,8 @@ def _saturate_closures(
     while head < len(sources):
         if deadline is not None and time.monotonic() >= deadline:
             return None
+        if stop_at_looping and len(sources) > DEFAULT_NODE_BUDGET:
+            return _capped(report)
         u, v, s = sources[head], targets[head], stricts[head]
         n, used = len(v), s > 0
         for i, lhs, rhs, k, grow, strict in rules:
@@ -397,10 +402,12 @@ def find_looping_forward_closure(
     max_closure_size: int = DEFAULT_MAX_CLOSURE_SIZE,
     *,
     deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ) -> Optional[ForwardClosure]:
     """First closure (u, v) with a strict step and u a factor of v, or None;
-    also None once the monotonic-clock deadline passes."""
-    result = _saturate_closures(system, max_closure_size, True, deadline)
+    also None once the monotonic-clock deadline passes or once more than
+    DEFAULT_NODE_BUDGET closures are kept, which sets report.capped."""
+    result = _saturate_closures(system, max_closure_size, True, deadline, report)
     if result is None or result[1] is None:
         return None
     (sources, targets, stricts, parents, steps), j = result

@@ -6,8 +6,8 @@ checkers that re-verify every certificate, are in `relsrs.check`.
 
 The search has its own arithmetic.  Each candidate letter matrix is
 encoded once as a flat row-major tuple, entry (i, j) at index i*d + j,
-and products are closed forms for d = 1, 2, 3 with a generic product
-above.  Arctic minus infinity is float("-inf") there, which is exact:
+and products are closed forms for d = 2, 3 with a generic product
+otherwise.  Arctic minus infinity is float("-inf") there, which is exact:
 finite entries stay ints, -inf + x = -inf, max(-inf, x) = x and
 -inf < x hold in floats as in the semiring, and sums of pool entries
 never reach +inf, so no nan arises.  A found assignment is returned as
@@ -21,8 +21,9 @@ SN(R/S) once SN(S) holds.  It runs in three phases, and each tries the
 same four methods in the same order: weights, the mixed-loop search, then
 natural and arctic matrices.
 
-- `s-`: S alone made strict.  A proof gives SN(S); a loop ends the phase
-  and skips the next one.
+- `s-`: S alone made strict, also when S is empty (the empty weight
+  vector proves that at once).  A proof gives SN(S); a loop ends the
+  phase and skips the next one.
 - `strictified-`, only once SN(S) is proven: the strictified system
   R union S.  A proof settles YES, a loop NO.
 - no tag: the system itself.  A proof settles YES, a mixed loop NO.
@@ -52,7 +53,6 @@ from .certificates import (
     Attempt,
     Certificate,
     ComposeCertificate,
-    EmptyRCertificate,
     LoopCertificate,
     NaturalMatrixCertificate,
     ProofOutcome,
@@ -64,7 +64,9 @@ from .certificates import (
 )
 from .check import _s_as_strict, check_matrix
 from .core import RelSRS, Rule, strictify, used_letters
-from .nonterm import DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, search_mixed_loop
+from .nonterm import (
+    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, search_mixed_loop,
+)
 
 # unused here, but perfbench/spans.py wraps these names in this module
 from .check import check_loop_certificate, verify_certificate  # noqa: F401
@@ -87,7 +89,7 @@ class ProveBudget:
     loop_max_word_len: int = DEFAULT_MAX_WORD_LEN
     loop_max_steps: int = DEFAULT_MAX_STEPS
     loop_max_start_len: int = 6
-    loop_node_budget: int = 100_000
+    loop_node_budget: int = DEFAULT_NODE_BUDGET
 
 
 SWEEP_BUDGET = ProveBudget(
@@ -148,10 +150,6 @@ def search_weights(
 # ----------------------------------------------------------- matrix search
 
 
-def _nat_mul_1(a, b):
-    return (a[0] * b[0],)
-
-
 def _nat_mul_2(a, b):
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
@@ -172,10 +170,6 @@ def _nat_mul_any(d, a, b):
     return tuple(
         sum(a[i + k] * b[k * d + j] for k in range(d)) for i in range(0, d * d, d) for j in range(d)
     )
-
-
-def _arc_mul_1(a, b):
-    return (a[0] + b[0],)
 
 
 def _arc_mul_2(a, b):
@@ -223,8 +217,8 @@ def _arc_mul_any(d, a, b):
 # the closed-form products by semiring name and dimension; any other
 # dimension takes the generic product of the last entry
 _FLAT_MUL = {
-    "natural": {1: _nat_mul_1, 2: _nat_mul_2, 3: _nat_mul_3, None: _nat_mul_any},
-    "arctic": {1: _arc_mul_1, 2: _arc_mul_2, 3: _arc_mul_3, None: _arc_mul_any},
+    "natural": {2: _nat_mul_2, 3: _nat_mul_3, None: _nat_mul_any},
+    "arctic": {2: _arc_mul_2, 3: _arc_mul_3, None: _arc_mul_any},
 }
 
 _NEG_INF = float("-inf")
@@ -486,11 +480,6 @@ def prove(
 ) -> ProofOutcome:
     budget = budget or ProveBudget()
     attempts: list[Attempt] = []
-
-    def timed_out() -> ProofOutcome:
-        attempts.append(Attempt("timeout", "hit", "wall clock budget exhausted"))
-        return ProofOutcome("MAYBE", None, "timeout", tuple(attempts))
-
     tv = trivial_verdict(system)
     if tv is not None:
         attempts.append(Attempt("trivial", tv.verdict, tv.reason))
@@ -498,21 +487,10 @@ def prove(
 
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
-    for tag in ("s-", "strictified-", ""):
-        if tag == "s-":
-            if not system.relative_rules:
-                s_cert = EmptyRCertificate()
-                attempts.append(Attempt("s-termination", "trivial", "S is empty"))
-                if _expired(deadline):
-                    return timed_out()
-                continue
-            phase_system = _s_as_strict(system)
-        elif tag:
-            if s_cert is None:
-                continue
-            phase_system = strictify(system)
-        else:
-            phase_system = system
+    phases = (("s-", _s_as_strict(system)), ("strictified-", strictify(system)), ("", system))
+    for tag, phase_system in phases:
+        if tag == "strictified-" and s_cert is None:
+            continue
         for method in _METHODS:
             cert, attempt = _attempt(method, tag, phase_system, budget, deadline)
             attempts.append(attempt)
@@ -522,7 +500,8 @@ def prove(
             # a weights search that found nothing leaves the clock to the
             # loop search after it, which logs the expiry as `deadline`
             if (cert is not None or method != "weights") and _expired(deadline):
-                return timed_out()
+                attempts.append(Attempt("timeout", "hit", "wall clock budget exhausted"))
+                return ProofOutcome("MAYBE", None, "timeout", tuple(attempts))
             if cert is not None:
                 if not isinstance(cert, LoopCertificate):
                     s_cert = cert

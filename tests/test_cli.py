@@ -150,6 +150,14 @@ class TestClosures:
         assert code == 1
         assert out == "MAYBE\ntimeout before the search finished (bound 20)\n"
 
+    def test_node_budget_cuts_the_search(self, run, tmp_path):
+        # without a timeout the search stops at its budget of kept closures
+        start = time.monotonic()
+        code, out = run("closures", srs(tmp_path, "(RULES a -> , ->= b , b a ->= a)\n"))
+        assert time.monotonic() - start < 10
+        assert code == 1
+        assert out == "MAYBE\nnode budget reached before the search finished (bound 20)\n"
+
 
 class TestCheckCert:
     def test_certified(self, run):
@@ -186,6 +194,24 @@ class TestCheckCert:
             "REJECTED: part 'strictified-termination': "
             "a termination part must be a YES certificate\n"
         ))
+
+    def test_empty_r_as_s_termination_still_certified(self, run, tmp_path):
+        # what prove printed for this system while an empty S got its own
+        # branch: the s-termination part is an empty-R certificate
+        loop = {
+            "type": "loop-mixed", "start": ["a"], "steps": [{"rule": 0, "position": 0}],
+            "left": [], "right": ["b"],
+        }
+        cert = tmp_path / "empty-s.cert"
+        cert.write_text(json.dumps({
+            "type": "strictify-compose", "verdict": "NO",
+            "parts": [
+                {"role": "s-termination", "certificate": {"type": "empty-R"}},
+                {"role": "strictified-loop", "certificate": loop},
+            ],
+        }))
+        code, out = run("check-cert", srs(tmp_path, "(RULES a -> a b)\n"), str(cert))
+        assert (code, out) == (0, "CERTIFIED\n")
 
     def test_wrong_letters_rejected(self, run, tmp_path):
         cert = tmp_path / "weights.cert"

@@ -1,5 +1,6 @@
 """End-to-end prove() behavior on the strictification fixture set."""
 
+import functools
 import hashlib
 import json
 import time
@@ -57,6 +58,7 @@ FIXTURES = [
     ("(RULES a a -> a, a ->= a a)", "NO", is_loop),
     ("(RULES a -> , b ->= b)", "YES", is_weight),
     ("(RULES a b -> b a)", "YES", compose_roles("strictified-termination")),
+    ("(RULES a -> a b)", "NO", compose_roles("s-termination", "strictified-loop")),
 ]
 
 IDS = [
@@ -70,6 +72,7 @@ IDS = [
     "square-vs-double",
     "plain-weights",
     "swap",
+    "grow-with-empty-s",
 ]
 
 
@@ -148,6 +151,20 @@ class TestOutcomeShape:
             ("strictified-weights", "none"),
             ("strictified-loop", "found"),
         ]
+
+    def test_empty_s_runs_the_s_phase(self):
+        # S is empty, so the empty weight vector proves SN(S) at once
+        system = parse_system("(RULES a -> a b)")
+        outcome = prove(system)
+        assert [(a.method, a.outcome) for a in outcome.attempts] == [
+            ("s-weights", "found"),
+            ("strictified-weights", "none"),
+            ("strictified-loop", "found"),
+        ]
+        assert dict(outcome.certificate.parts)["s-termination"] == WeightCertificate({})
+        data = json.loads(json.dumps(serialize_certificate(outcome.certificate, system)))
+        assert data["parts"][0]["certificate"] == {"type": "weights", "weights": {}}
+        assert parse_certificate(data, system) == outcome.certificate
 
     def test_prove_is_deterministic(self):
         text = "(RULES b a b -> a, c ->= c b, d ->= b d)"
@@ -238,6 +255,24 @@ class TestInvariance:
             assert prove(reverse_system(system)).verdict == verdict, str(system)
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep_digests(budget: ProveBudget) -> tuple[int, str, str]:
+    """One prove sweep of every two-letter system up to size 5: the number
+    of systems, the TestFrozenVerdicts digest and the TestFrozenAttemptLog
+    digest.  The default-budget sweep serves both classes."""
+    verdicts, log = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for system in enumerate_systems(EnumerationConfig(2, 5)):
+        outcome = prove(system, budget)
+        cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
+        verdicts.update(json.dumps([outcome.verdict, cert], sort_keys=True).encode() + b"\n")
+        attempts = [[a.method, a.outcome, a.detail] for a in outcome.attempts]
+        line = [outcome.verdict, cert, outcome.reason, attempts]
+        log.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+        count += 1
+    return count, verdicts.hexdigest(), log.hexdigest()
+
+
 class TestFrozenVerdicts:
     """Verdicts and certificates of every two-letter system up to size 5.
 
@@ -255,15 +290,9 @@ class TestFrozenVerdicts:
     DIGEST = "68f49a38a83c55c5632edc0cf8196feb4f1fafeb785acd4d9d6745d079d191da"
 
     def test_default_budget_digest(self):
-        digest = hashlib.sha256()
-        count = 0
-        for system in enumerate_systems(EnumerationConfig(2, 5)):
-            outcome = prove(system)
-            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
-            digest.update(json.dumps([outcome.verdict, cert], sort_keys=True).encode() + b"\n")
-            count += 1
+        count, digest, _ = _sweep_digests(ProveBudget())
         assert count == 5821
-        assert digest.hexdigest() == self.DIGEST
+        assert digest == self.DIGEST
 
 
 class TestFrozenAttemptLog:
@@ -289,17 +318,9 @@ class TestFrozenAttemptLog:
         (SWEEP_BUDGET, "08bb8c8a6fceedecf9f761425f94ec3644580a638899a2a509911eee4384fccf"),
     ], ids=["default", "sweep"])
     def test_attempt_log_digest(self, budget, expected):
-        digest = hashlib.sha256()
-        count = 0
-        for system in enumerate_systems(EnumerationConfig(2, 5)):
-            outcome = prove(system, budget)
-            cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
-            attempts = [[a.method, a.outcome, a.detail] for a in outcome.attempts]
-            line = [outcome.verdict, cert, outcome.reason, attempts]
-            digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
-            count += 1
+        count, _, digest = _sweep_digests(budget)
         assert count == 5821
-        assert digest.hexdigest() == expected
+        assert digest == expected
 
 
 class TestTraceHooks:
@@ -338,7 +359,7 @@ class TestTraceHooks:
         roles = [s.role for s in tracer.spans if s.role is not None]
         methods = [
             a.method for o in outcomes for a in o.attempts
-            if a.method not in ("trivial", "s-termination", "timeout")
+            if a.method not in ("trivial", "timeout")
         ]
         assert roles == methods and "s-matrix-arctic" in methods
 

@@ -529,8 +529,9 @@ class TestFlatKernel:
                 assert holds(Rule((), (), False)) and not holds(Rule((), (), True))
 
     def test_wrong_product_raises_instead_of_returning(self, monkeypatch):
-        # with a * b read as a, a b -> b a only needs a > b at d = 1
-        monkeypatch.setitem(_FLAT_MUL["natural"], 1, lambda a, b: a)
+        # with a * b read as a, a b -> b a only needs a > b at d = 1, which
+        # takes the generic product
+        monkeypatch.setitem(_FLAT_MUL["natural"], None, lambda d, a, b: a)
         with pytest.raises(RuntimeError, match="unsound certificate"):
             search_matrix(parse_system("(RULES a b -> b a)"), "natural", max_dim=1)
 
