@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
 
@@ -223,6 +222,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.prove:
         budget = _budget_from_args(args)
         payloads = ((s, budget, args.timeout) for s in systems)
+        if args.jobs > 1:
+            from multiprocessing import Pool  # only a parallel run pays its import
         with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
             if pool is None:
                 results = map(_prove_verdict, payloads)

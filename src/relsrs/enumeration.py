@@ -6,7 +6,10 @@ total order: strict before relative, then length-lexicographic lhs, then
 rhs.  A system is canonical when no letter permutation (optionally
 composed with word reversal) produces a smaller sorted rule list; the
 stream emits exactly the canonical systems, ordered by total size, then
-rule count, then rule-list key.
+rule count, then rule-list key.  A block of one size and rule count is
+built slot by slot in ascending rule id, and each slot takes only rules
+whose size leaves at least one unit for every later slot (the last takes
+exactly what is left), so no branch is walked whose sizes cannot add up.
 
 Universe conventions: a relative rule with lhs = rhs is excluded (it never
 affects termination; the exclusion is counted and reported).  A system
@@ -20,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import merge
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -112,6 +114,10 @@ class EnumerationConfig:
     prune_trivial: bool = False
 
     def __post_init__(self):
+        for name in ("alphabet_size", "max_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name.replace('_', ' ')} must be an int, not {value!r}")
         if not 1 <= self.alphabet_size <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be 1..{MAX_ALPHABET}")
         if self.max_size < 0:
@@ -163,9 +169,14 @@ class _Context:
             for i, r in enumerate(rules)
             if not r.strict
         }
-        self.ids_by_size: dict[int, list[int]] = {}
+        # ascending ids of rules of size exactly s, and of size at most s
+        self.ids_of_size: dict[int, list[int]] = {}
         for i, s in enumerate(self.sizes):
-            self.ids_by_size.setdefault(s, []).append(i)
+            self.ids_of_size.setdefault(s, []).append(i)
+        self.ids_up_to_size = [
+            [i for i, s in enumerate(self.sizes) if s <= bound]
+            for bound in range(config.max_size + 1)
+        ]
         # image tables: transformed-rule id per rule id, one table per
         # non-trivial symmetry (non-identity permutations, and every
         # permutation composed with reversal when that is identified)
@@ -229,46 +240,51 @@ def _context(config: EnumerationConfig) -> _Context:
     return _Context(config)
 
 
-def _candidates(ctx: _Context, min_id: int, max_rule_size: int) -> Iterator[int]:
-    """Ids above min_id with rule size at most max_rule_size, ascending."""
-    lists = []
-    for s, ids in ctx.ids_by_size.items():
-        if s <= max_rule_size:
-            lists.append(ids[bisect_left(ids, min_id) :])
-    return merge(*lists)
+def _candidates(ctx: _Context, lo: int, hi: int, remaining: int, slots: int) -> list[int]:
+    """Ids in lo..hi-1, ascending, whose size leaves the block completable.
+
+    The last slot takes rules of size exactly remaining.  An earlier slot
+    leaves at least 1 for each later one: later picks have larger ids, and
+    id 0 (the strict empty rule) is the only rule of size 0.
+    """
+    if slots == 1:
+        ids = ctx.ids_of_size.get(remaining, [])
+    else:
+        bound = min(remaining - (slots - 1), ctx.config.max_size)
+        if bound < 0:
+            return []
+        ids = ctx.ids_up_to_size[bound]
+    return ids[bisect_left(ids, lo) : bisect_left(ids, hi)]
 
 
 def _gen_block(
     ctx: _Context, size: int, rule_count: int, stats: Optional[EnumerationStats]
 ) -> Iterator[RelSRS]:
     cfg = ctx.config
+    n_strict = ctx.n_strict
+    twin = ctx.twin
     chosen: list[int] = []
     chosen_set: set[int] = set()
 
     def rec(min_id: int, remaining: int, slots: int) -> Iterator[RelSRS]:
-        if slots == 0:
-            if remaining == 0:
+        last = slots == 1
+        lo, hi = min_id, len(ctx.rules)
+        if cfg.require_nonempty_r and not chosen:
+            hi = n_strict  # strict ids come first, so R is now or never
+        if cfg.require_nonempty_s and last and (not chosen or chosen[-1] < n_strict):
+            lo = max(lo, n_strict)  # S is still empty: the last rule is relative
+        for i in _candidates(ctx, lo, hi, remaining, slots):
+            if twin.get(i) in chosen_set:
+                continue  # strict copy of the same pair is already in
+            chosen.append(i)
+            if last:
                 system = ctx.admit(chosen, stats)
                 if system is not None:
                     yield system
-            return
-        need_strict = cfg.require_nonempty_r and not chosen
-        need_relative = (
-            cfg.require_nonempty_s
-            and slots == 1
-            and (not chosen or chosen[-1] < ctx.n_strict)
-        )
-        for i in _candidates(ctx, min_id, remaining):
-            if need_strict and i >= ctx.n_strict:
-                break  # ids are ascending; no strict rule can follow
-            if need_relative and i < ctx.n_strict:
-                continue
-            if i in ctx.twin and ctx.twin[i] in chosen_set:
-                continue  # strict copy of the same pair is already in
-            chosen.append(i)
-            chosen_set.add(i)
-            yield from rec(i + 1, remaining - ctx.sizes[i], slots - 1)
-            chosen_set.discard(i)
+            else:
+                chosen_set.add(i)
+                yield from rec(i + 1, remaining - ctx.sizes[i], slots - 1)
+                chosen_set.discard(i)
             chosen.pop()
 
     if rule_count >= 1:

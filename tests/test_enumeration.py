@@ -1,5 +1,7 @@
 """Enumeration stream checked against a naive string-based oracle."""
 
+import hashlib
+from dataclasses import asdict
 from itertools import product
 
 import pytest
@@ -124,6 +126,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EnumerationConfig(2, -1)
 
+    @pytest.mark.parametrize("alphabet, size", [(2, 5.0), (2.0, 5), (True, 3), (2, False), (2, "5")])
+    def test_sizes_must_be_ints(self, alphabet, size):
+        with pytest.raises(ValueError):
+            EnumerationConfig(alphabet, size)
+
 
 class TestCanonicalForm:
     def test_emitted_systems_are_fixed_points(self):
@@ -191,10 +198,102 @@ class TestOracleAgreement:
         # one representative per class, no repeats
         assert sum(len(v) for v in got.values()) == len(emitted)
 
+    def test_alphabet_two_size_six_matches_naive_quotient(self):
+        # sizes 5 and 6 are where the generator's size budget prunes most
+        emitted = list(enumerate_systems(EnumerationConfig(2, 6)))
+        assert len(emitted) == 30_951
+        got: dict[int, set] = {}
+        for system in emitted:
+            got.setdefault(system_size(system), set()).add(
+                oracle_canon(to_strings(system))
+            )
+        assert {s: len(v) for s, v in got.items()} == {
+            2: 14, 3: 122, 4: 851, 5: 4834, 6: 25_130
+        }
+        assert got == oracle_classes(6)
+        assert sum(len(v) for v in got.values()) == len(emitted)
+
     def test_no_system_carries_a_shadowed_relative_rule(self):
         for system in enumerate_systems(EnumerationConfig(2, 4)):
             pairs = {(r.lhs, r.rhs) for r in system.strict_rules}
             assert not any((r.lhs, r.rhs) in pairs for r in system.relative_rules)
+
+
+class TestFrozenStream:
+    """The stream, in order, and its final stats for configs that exercise
+    every filter.  The digests were recorded with the heapq-merge generator
+    that tried every rule of size at most what was left, by this snippet:
+
+        stream = enumerate_systems(EnumerationConfig(**kwargs))
+        h = hashlib.sha256()
+        for system in stream:
+            h.update((str(system) + "\\n").encode())
+        h.hexdigest(), asdict(stream.stats)
+    """
+
+    # name: (config, digest, EnumerationStats fields in declaration order)
+    CASES = {
+        "2-5": (
+            dict(alphabet_size=2, max_size=5),
+            "03520bb6d6f2962457c0e6ef32d34b5621c35832d2cbfa325cce5b55fee71551",
+            (635, 7, 5821, {2: 14, 3: 122, 4: 851, 5: 4834}, 5809, 644, 0),
+        ),
+        "2-6": (
+            dict(alphabet_size=2, max_size=6),
+            "5a5f87aa472434da2a9c1e703e5b7d2585d37d7a5e49f46ed5ffe5b6510bc8f0",
+            (1523, 15, 30951, {2: 14, 3: 122, 4: 851, 5: 4834, 6: 25130}, 30869, 1694, 0),
+        ),
+        "3-5": (
+            dict(alphabet_size=3, max_size=5),
+            "4364b73dd3a8daf7c8941f4b1e291f531e56818d663018031b319d3f781ba7e3",
+            (3997, 13, 10745, {3: 62, 4: 897, 5: 9786}, 52569, 35856, 0),
+        ),
+        "2-6-reversal": (
+            dict(alphabet_size=2, max_size=6, identify_reversal=True),
+            "f6a57b86ed72b8ce800b11845e01f39786fc0597d72420d5cd0d0c6c7bc3ed0b",
+            (1523, 15, 20905, {2: 14, 3: 98, 4: 659, 5: 3392, 6: 16742}, 40915, 1694, 0),
+        ),
+        "2-6-no-filters": (
+            dict(
+                alphabet_size=2,
+                max_size=6,
+                require_all_letters_used=False,
+                require_nonempty_r=False,
+                require_nonempty_s=False,
+            ),
+            "c9a0a4f934dfd2bac0d0fcd7b227cfdd9df5e69f280976626d455119620baa04",
+            (
+                1523, 15, 42331,
+                {0: 1, 1: 8, 2: 50, 3: 272, 4: 1448, 5: 7048, 6: 33504},
+                42140, 0, 0,
+            ),
+        ),
+        "2-6-prune-trivial": (
+            dict(alphabet_size=2, max_size=6, prune_trivial=True),
+            "4ce622d8197bd4b8d9745a10421a402eedc2f5fff33c280a5770e2750c5a8bff",
+            (1523, 15, 6057, {2: 2, 3: 22, 4: 165, 5: 947, 6: 4921}, 30869, 1694, 24894),
+        ),
+        "3-4-reversal-unused-letters": (
+            dict(
+                alphabet_size=3,
+                max_size=4,
+                identify_reversal=True,
+                require_all_letters_used=False,
+            ),
+            "ac4aed26944215589e11bd6263b3d93ce2a26176fe12305104dd871550e3e2d8",
+            (1081, 13, 1618, {1: 2, 2: 21, 3: 188, 4: 1407}, 10156, 0, 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stream_and_stats_are_unchanged(self, name):
+        kwargs, digest, stats = self.CASES[name]
+        stream = enumerate_systems(EnumerationConfig(**kwargs))
+        h = hashlib.sha256()
+        for system in stream:
+            h.update((str(system) + "\n").encode())
+        assert tuple(asdict(stream.stats).values()) == stats
+        assert h.hexdigest() == digest
 
 
 class TestBlocks:
