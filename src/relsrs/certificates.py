@@ -249,11 +249,19 @@ class Attempt:
 
 @dataclass
 class SearchReport:
-    """Handed to a search to learn why it came back empty: `capped` is set
-    when its node budget or assignment cap cut it short, so its None means
-    none within budget, not none up to its bounds."""
+    """Handed to a search to learn why it came back empty.  The search sets
+    `stop` where it gives up: "cap" when its node budget or assignment cap
+    cut it short (the weight search counts its nodes against the matrix
+    assignment cap), "deadline" when the monotonic-clock deadline did.  It
+    stays "none" when the search ran to the end of its space."""
 
-    capped: bool = False
+    stop: str = "none"
+
+
+def give_up(report: Optional[SearchReport], stop: str) -> None:
+    """Record in the report, if any, why a search stops; None, its result."""
+    if report is not None:
+        report.stop = stop
 
 
 @dataclass(frozen=True)

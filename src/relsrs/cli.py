@@ -17,9 +17,10 @@ steps are {"rule": i, "position": p} pairs, matrices are row-major with
 Runs without --timeout are deterministic: identical invocations print
 byte-identical result lines and certificates.  --timeout (prove, loop,
 closures, enumerate --prove) trades that for a wall-clock cap, checked
-inside the searches and between prove's methods.  A prove search it cuts
-short is listed with outcome `deadline` and the result is MAYBE with
-reason timeout; loop and closures print MAYBE and
+inside every search, which records why it stopped; the commands print
+that record instead of reading the clock again.  A prove search the
+deadline cuts short is listed with outcome `deadline` and the result is
+MAYBE with reason timeout; loop and closures print MAYBE and
 `timeout before the search finished (bound N)`.  A prove search cut by
 its node budget or assignment cap is listed with outcome `cap`, and
 a closures run cut by its node budget prints MAYBE and
@@ -118,24 +119,29 @@ def cmd_prove(args: argparse.Namespace) -> int:
     return 0 if outcome.verdict in ("YES", "NO") else 1
 
 
-def _print_none_found(deadline: Optional[float], bound: int, capped: bool = False) -> None:
+# why a search found nothing, by SearchReport.stop
+_NONE_FOUND = {
+    "none": "none found",
+    "cap": "node budget reached before the search finished",
+    "deadline": "timeout before the search finished",
+}
+
+
+def _print_none_found(report: SearchReport, bound: int) -> None:
     print("MAYBE")
-    if capped:
-        print(f"node budget reached before the search finished (bound {bound})")
-    elif deadline is not None and time.monotonic() >= deadline:
-        print(f"timeout before the search finished (bound {bound})")
-    else:
-        print(f"none found (bound {bound})")
+    print(f"{_NONE_FOUND[report.stop]} (bound {bound})")
 
 
 def cmd_loop(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
     deadline = _deadline(args)
-    cert = search_mixed_loop(system, args.max_word_len, args.max_steps, deadline=deadline)
+    report = SearchReport()
+    search_args = (system, args.max_word_len, args.max_steps)
+    cert = search_mixed_loop(*search_args, deadline=deadline, report=report)
     if cert is None:
-        cert = search_emitting_loop(system, args.max_word_len, args.max_steps, deadline=deadline)
+        cert = search_emitting_loop(*search_args, deadline=deadline, report=report)
     if cert is None:
-        _print_none_found(deadline, args.max_word_len)
+        _print_none_found(report, args.max_word_len)
         return 1
     print("NO")
     _print_certificate(cert, system)
@@ -144,13 +150,12 @@ def cmd_loop(args: argparse.Namespace) -> int:
 
 def cmd_closures(args: argparse.Namespace) -> int:
     system = _read_system(args.file)
-    deadline = _deadline(args)
     report = SearchReport()
     closure = find_looping_forward_closure(
-        system, args.max_closure_size, deadline=deadline, report=report
+        system, args.max_closure_size, deadline=_deadline(args), report=report
     )
     if closure is None:
-        _print_none_found(deadline, args.max_closure_size, report.capped)
+        _print_none_found(report, args.max_closure_size)
         return 1
     cert = closure_to_loop_certificate(closure, system)
     print("NO")

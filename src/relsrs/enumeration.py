@@ -47,10 +47,6 @@ def _rule_key(rule: Rule):
     return (0 if rule.strict else 1, _lenlex(rule.lhs), _lenlex(rule.rhs))
 
 
-def _system_key(rules: Iterable[Rule]):
-    return tuple(sorted(_rule_key(r) for r in rules))
-
-
 def _dedupe(rules: Iterable[Rule]) -> list[Rule]:
     pairs = {(r.lhs, r.rhs) for r in rules if r.strict}
     out = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .certificates import EmittingRedex, LoopCertificate, SearchReport
+from .certificates import EmittingRedex, LoopCertificate, SearchReport, give_up
 from .core import Derivation, RelSRS, Step, Word, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
@@ -70,12 +70,6 @@ def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
         (i, _encode(r.lhs), _encode(r.rhs), len(r.lhs), len(r.rhs) - len(r.lhs), r.strict)
         for i, r in rules
     ]
-
-
-def _capped(report: Optional[SearchReport]) -> None:
-    """The node budget ran out: mark the report, if any, and give None."""
-    if report is not None:
-        report.capped = True
 
 
 def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[Step, ...]:
@@ -124,7 +118,7 @@ def _search_loop(
             following = []
             for word, used in level:
                 if deadline is not None and time.monotonic() >= deadline:
-                    return None
+                    return give_up(report, "deadline")
                 room = max_word_len - len(word)
                 for i, lhs, rhs, k, grow, strict in rules:
                     p = word.find(lhs)
@@ -135,7 +129,7 @@ def _search_loop(
                         while p >= 0:
                             nodes += 1
                             if nodes > cap:
-                                return _capped(report)
+                                return give_up(report, "cap")
                             p = word.find(lhs, p + 1)
                         continue
                     nused = used or strict
@@ -144,7 +138,7 @@ def _search_loop(
                     while True:
                         nodes += 1
                         if nodes > cap:
-                            return _capped(report)
+                            return give_up(report, "cap")
                         if start in nxt:
                             found = witness(start, nxt, nused)
                             if found is not None:
@@ -191,8 +185,8 @@ def search_mixed_loop(
     bound (it defaults to max_word_len, the complete choice up to the bound).
     node_budget caps total generated search nodes across all start words;
     successors longer than max_word_len count too.  deadline (monotonic
-    clock) is checked before each word is expanded.  A search cut by
-    node_budget sets report.capped.
+    clock) is checked before each word is expanded.  A search cut short
+    sets report.stop to "cap" or "deadline".
     """
     if not any(r.strict for r in system.rules):
         return None
@@ -301,8 +295,9 @@ def _saturate_closures(
 
     Returns (rows, index of the first looping row, or None when
     stop_at_looping is false or there is none); None when the deadline cut
-    the search short, and when stop_at_looping and more than
-    DEFAULT_NODE_BUDGET rows are kept before an expansion (report.capped).
+    the search short (report.stop "deadline"), and when stop_at_looping and
+    more than DEFAULT_NODE_BUDGET rows are kept before an expansion
+    (report.stop "cap").
     """
     size = max_closure_size
     rules = _encoded_rules(enumerate(system.rules))
@@ -336,9 +331,9 @@ def _saturate_closures(
     head = 0
     while head < len(sources):
         if deadline is not None and time.monotonic() >= deadline:
-            return None
+            return give_up(report, "deadline")
         if stop_at_looping and len(sources) > DEFAULT_NODE_BUDGET:
-            return _capped(report)
+            return give_up(report, "cap")
         u, v, s = sources[head], targets[head], stricts[head]
         n, used = len(v), s > 0
         for i, lhs, rhs, k, grow, strict in rules:
@@ -406,7 +401,7 @@ def find_looping_forward_closure(
 ) -> Optional[ForwardClosure]:
     """First closure (u, v) with a strict step and u a factor of v, or None;
     also None once the monotonic-clock deadline passes or once more than
-    DEFAULT_NODE_BUDGET closures are kept, which sets report.capped."""
+    DEFAULT_NODE_BUDGET closures are kept, which report.stop records."""
     result = _saturate_closures(system, max_closure_size, True, deadline, report)
     if result is None or result[1] is None:
         return None

@@ -6,7 +6,7 @@ checkers that re-verify every certificate, are in `relsrs.check`.
 
 The search has its own arithmetic.  Each candidate letter matrix is
 encoded once as a flat row-major tuple, entry (i, j) at index i*d + j,
-and products are closed forms for d = 2, 3 with a generic product
+and products are closed forms for d = 2 with a generic product
 otherwise.  Arctic minus infinity is float("-inf") there, which is exact:
 finite entries stay ints, -inf + x = -inf, max(-inf, x) = x and
 -inf < x hold in floats as in the semiring, and sums of pool entries
@@ -30,11 +30,13 @@ natural and arctic matrices.
 
 Most small systems are strictly terminating and settled by weights, and a
 system with weights has no loop, so putting the loop search after them
-only saves time.  After each attempt, except a weights search that found
-nothing, prove returns `timeout` once the deadline has passed; a
-certificate that settles the system is returned as its verdict.  A search
-cut by its node budget or assignment cap is logged `cap`, one cut by the
-deadline `deadline`, one that found nothing within its bounds `none`.
+only saves time.  A certificate that settles the system is returned as its
+verdict.  Every search checks the deadline itself and records in its
+SearchReport why it stopped; the attempt is logged `found` or with that
+record: `cap` for a search cut by its node budget or assignment cap,
+`deadline` for one cut by the deadline, `none` for one that found nothing
+within its bounds.  prove reads no clock: it returns `timeout` after the
+first attempt logged `deadline`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .certificates import (
     SearchReport,
     Semiring,
     WeightCertificate,
+    give_up,
     matrix_semiring,
     trivial_verdict,
 )
@@ -79,7 +82,8 @@ from .nonterm import search_emitting_loop  # noqa: F401
 @dataclass(frozen=True)
 class ProveBudget:
     """The bounds of prove's searches; the loop bounds hold in every phase.
-    The searches below take their defaults from here."""
+    matrix_assignment_cap also caps the nodes of the weight search.  The
+    searches below take their defaults from here."""
 
     max_weight: int = 16
     # exhaustive matrix search for every dimension up to matrix_max_dim
@@ -104,11 +108,20 @@ SWEEP_BUDGET = ProveBudget(
 )
 
 
+class _SearchStop(Exception):
+    """Unwinds a depth-first search cut by its cap or the deadline."""
+
+
 # ---------------------------------------------------------------- weights
 
 
 def search_weights(
-    system: RelSRS, max_weight: int = ProveBudget.max_weight
+    system: RelSRS,
+    max_weight: int = ProveBudget.max_weight,
+    *,
+    assignment_cap: int = ProveBudget.matrix_assignment_cap,
+    deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
 ) -> Optional[WeightCertificate]:
     """The lexicographically first vector of integer weights 0..max_weight
     over the letters used in rules (in letter order) that proves the system,
@@ -118,7 +131,9 @@ def search_weights(
     smallest first.  A rule only sees its per-letter count differences
     delta = |lhs| - |rhs|, and the letters still to come can add at most
     max_weight * max(0, delta) each to its total; a branch whose total
-    cannot reach 0 (1 for a strict rule) even so is cut.
+    cannot reach 0 (1 for a strict rule) even so is cut.  Each partial
+    vector is a node; the search gives up after assignment_cap nodes or at
+    the monotonic-clock deadline, as search_matrix does.
     """
     used = used_letters(system)
     n = len(used)
@@ -130,7 +145,13 @@ def search_weights(
         for k in range(n + 1)
     ]
 
+    nodes = 0
+
     def first(k: int, totals: list[int]) -> Optional[list[int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > assignment_cap or (deadline is not None and time.monotonic() >= deadline):
+            raise _SearchStop()
         if any(t + r < m for t, r, m in zip(totals, reach[k], need)):
             return None
         if k == n:
@@ -141,7 +162,10 @@ def search_weights(
                 return [w] + rest
         return None
 
-    vec = first(0, [0] * len(deltas))
+    try:
+        vec = first(0, [0] * len(deltas))
+    except _SearchStop:
+        return give_up(report, "cap" if nodes > assignment_cap else "deadline")
     if vec is None:
         return None
     return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
@@ -154,16 +178,6 @@ def _nat_mul_2(a, b):
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
-
-
-def _nat_mul_3(a, b):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )
 
 
 def _nat_mul_any(d, a, b):
@@ -186,28 +200,6 @@ def _arc_mul_2(a, b):
     return (c0, c1, c2, x if x > y else y)
 
 
-def _max3(x, y, z):
-    if y > x:
-        x = y
-    return z if z > x else x
-
-
-def _arc_mul_3(a, b):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        _max3(a0 + b0, a1 + b3, a2 + b6),
-        _max3(a0 + b1, a1 + b4, a2 + b7),
-        _max3(a0 + b2, a1 + b5, a2 + b8),
-        _max3(a3 + b0, a4 + b3, a5 + b6),
-        _max3(a3 + b1, a4 + b4, a5 + b7),
-        _max3(a3 + b2, a4 + b5, a5 + b8),
-        _max3(a6 + b0, a7 + b3, a8 + b6),
-        _max3(a6 + b1, a7 + b4, a8 + b7),
-        _max3(a6 + b2, a7 + b5, a8 + b8),
-    )
-
-
 def _arc_mul_any(d, a, b):
     return tuple(
         max(a[i + k] + b[k * d + j] for k in range(d)) for i in range(0, d * d, d) for j in range(d)
@@ -217,8 +209,8 @@ def _arc_mul_any(d, a, b):
 # the closed-form products by semiring name and dimension; any other
 # dimension takes the generic product of the last entry
 _FLAT_MUL = {
-    "natural": {2: _nat_mul_2, 3: _nat_mul_3, None: _nat_mul_any},
-    "arctic": {2: _arc_mul_2, 3: _arc_mul_3, None: _arc_mul_any},
+    "natural": {2: _nat_mul_2, None: _nat_mul_any},
+    "arctic": {2: _arc_mul_2, None: _arc_mul_any},
 }
 
 _NEG_INF = float("-inf")
@@ -305,10 +297,6 @@ class _Candidates:
             i += 1
 
 
-class _SearchCap(Exception):
-    pass
-
-
 def _exhaustive_matrix_search(
     system: RelSRS,
     semiring: Semiring,
@@ -345,7 +333,7 @@ def _exhaustive_matrix_search(
         for m, flat in candidates:
             visited += 1
             if visited > cap or (deadline is not None and time.monotonic() >= deadline):
-                raise _SearchCap()
+                raise _SearchStop()
             flats[letter] = flat
             for rule in rules:
                 if not holds(rule):
@@ -358,10 +346,8 @@ def _exhaustive_matrix_search(
 
     try:
         found = rec(0)
-    except _SearchCap:
-        if visited > cap and report is not None:
-            report.capped = True
-        return None
+    except _SearchStop:
+        return give_up(report, "cap" if visited > cap else "deadline")
     return dict(zip(used, chosen)) if found else None
 
 
@@ -377,9 +363,10 @@ def search_matrix(
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
     """Exhaustive certificate search (with pruning) for each dimension
     1..max_dim in turn, each giving up after assignment_cap letter
-    assignments (which sets report.capped) or at the monotonic-clock
-    deadline.  None is not a proof of absence.  A certificate found is
-    re-checked by check_matrix, and a rejected one raises RuntimeError."""
+    assignments or at the monotonic-clock deadline, which sets report.stop
+    to "cap" or "deadline".  None is not a proof of absence.  A certificate
+    found is re-checked by check_matrix, and a rejected one raises
+    RuntimeError."""
     sr = next((s for s in SEMIRINGS if s.name == semiring), None)
     if sr is None:
         raise ValueError(f"semiring must be natural or arctic, got {semiring!r}")
@@ -402,20 +389,6 @@ def search_matrix(
 _METHODS = ("weights", "loop", "natural", "arctic")
 
 
-def _expired(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
-
-
-def _outcome(cert, deadline: Optional[float], report: SearchReport) -> str:
-    """How a search ended: found, cut by the deadline, cut by its node
-    budget or assignment cap, or none up to its bounds."""
-    if cert is not None:
-        return "found"
-    if _expired(deadline):
-        return "deadline"
-    return "cap" if report.capped else "none"
-
-
 def _attempt(
     method: str,
     tag: str,
@@ -424,13 +397,19 @@ def _attempt(
     deadline: Optional[float],
 ) -> tuple[Optional[Certificate], Attempt]:
     """Run one method of the phase `tag` on its subsystem: the certificate
-    found, or None, and the attempt to log."""
+    found, or None, and the attempt to log, `found` or the search's stop."""
     b = budget
-    if method == "weights":
-        cert = search_weights(system, b.max_weight)
-        return cert, Attempt(f"{tag}weights", "found" if cert else "none", f"max {b.max_weight}")
     report = SearchReport()
-    if method == "loop":
+    if method == "weights":
+        cert = search_weights(
+            system,
+            b.max_weight,
+            assignment_cap=b.matrix_assignment_cap,
+            deadline=deadline,
+            report=report,
+        )
+        name, detail = f"{tag}weights", f"max {b.max_weight}"
+    elif method == "loop":
         cert = search_mixed_loop(
             system,
             b.loop_max_word_len,
@@ -440,19 +419,21 @@ def _attempt(
             deadline=deadline,
             report=report,
         )
+        name = f"{tag or 'mixed-'}loop"
         detail = "S alone does not terminate" if cert is not None and tag == "s-" else ""
-        return cert, Attempt(f"{tag or 'mixed-'}loop", _outcome(cert, deadline, report), detail)
-    cert = search_matrix(
-        system,
-        method,
-        b.matrix_max_dim,
-        b.matrix_max_entry,
-        assignment_cap=b.matrix_assignment_cap,
-        deadline=deadline,
-        report=report,
-    )
-    detail = f"dim <= {b.matrix_max_dim}, entries <= {b.matrix_max_entry}"
-    return cert, Attempt(f"{tag}matrix-{method}", _outcome(cert, deadline, report), detail)
+    else:
+        cert = search_matrix(
+            system,
+            method,
+            b.matrix_max_dim,
+            b.matrix_max_entry,
+            assignment_cap=b.matrix_assignment_cap,
+            deadline=deadline,
+            report=report,
+        )
+        name = f"{tag}matrix-{method}"
+        detail = f"dim <= {b.matrix_max_dim}, entries <= {b.matrix_max_entry}"
+    return cert, Attempt(name, "found" if cert is not None else report.stop, detail)
 
 
 def _settled(tag: str, cert: Certificate, s_cert: Optional[Certificate]) -> tuple:
@@ -494,18 +475,16 @@ def prove(
         for method in _METHODS:
             cert, attempt = _attempt(method, tag, phase_system, budget, deadline)
             attempts.append(attempt)
-            if cert is not None and tag != "s-":
-                verdict, cert, reason = _settled(tag, cert, s_cert)
-                return ProofOutcome(verdict, cert, reason, tuple(attempts))
-            # a weights search that found nothing leaves the clock to the
-            # loop search after it, which logs the expiry as `deadline`
-            if (cert is not None or method != "weights") and _expired(deadline):
+            if attempt.outcome == "deadline":
                 attempts.append(Attempt("timeout", "hit", "wall clock budget exhausted"))
                 return ProofOutcome("MAYBE", None, "timeout", tuple(attempts))
-            if cert is not None:
-                if not isinstance(cert, LoopCertificate):
-                    s_cert = cert
-                break
+            if cert is None:
+                continue
+            if tag != "s-":
+                return ProofOutcome(*_settled(tag, cert, s_cert), tuple(attempts))
+            if not isinstance(cert, LoopCertificate):
+                s_cert = cert
+            break
     return ProofOutcome(
         "MAYBE", None, "no method conclusive within budget", tuple(attempts)
     )

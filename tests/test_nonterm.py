@@ -88,13 +88,13 @@ class TestMixedLoopSearch:
         short, enough = SearchReport(), SearchReport()
         search_mixed_loop(system, node_budget=needed - 1, report=short)
         search_mixed_loop(system, node_budget=needed, report=enough)
-        assert short.capped and not enough.capped
+        assert (short.stop, enough.stop) == ("cap", "none")
 
     def test_exhausted_search_is_not_capped(self):
         report = SearchReport()
         sys_ = parse_system("(RULES a b -> a, b ->= )")
         assert search_mixed_loop(sys_, 6, 8, node_budget=100_000, report=report) is None
-        assert not report.capped
+        assert report.stop == "none"
 
     def test_overlapping_matches_are_successors(self):
         # from a a a the loop needs the rewrite at position 1, which overlaps
@@ -106,7 +106,9 @@ class TestMixedLoopSearch:
 
     def test_expired_deadline_gives_up(self):
         assert search_mixed_loop(ABA) is not None
-        assert search_mixed_loop(ABA, deadline=time.monotonic() - 1) is None
+        report = SearchReport()
+        assert search_mixed_loop(ABA, deadline=time.monotonic() - 1, report=report) is None
+        assert report.stop == "deadline"
 
     def test_letters_past_255(self):
         # ABA renamed into letters 297..299 of a 300-letter alphabet
@@ -210,7 +212,7 @@ class TestEmittingLoopSearch:
         short, enough = SearchReport(), SearchReport()
         search_emitting_loop(sys_, node_budget=0, report=short)
         search_emitting_loop(sys_, node_budget=1, report=enough)
-        assert short.capped and not enough.capped
+        assert (short.stop, enough.stop) == ("cap", "none")
 
     def test_overlapping_matches_are_successors(self):
         # b a a a -> b a c rewrites the second of two overlapping a a
@@ -221,7 +223,9 @@ class TestEmittingLoopSearch:
 
     def test_expired_deadline_gives_up(self):
         sys_ = parse_system("(RULES a -> b, c ->= a c)")
-        assert search_emitting_loop(sys_, deadline=time.monotonic() - 1) is None
+        report = SearchReport()
+        assert search_emitting_loop(sys_, deadline=time.monotonic() - 1, report=report) is None
+        assert report.stop == "deadline"
 
     def test_steps_are_all_relative(self):
         sys_ = parse_system("(RULES a -> b, c ->= a c)")
@@ -300,7 +304,10 @@ class TestForwardClosures:
     def test_expired_deadline_gives_up(self):
         rev = reverse_system(ABA)
         assert find_looping_forward_closure(rev, 20, deadline=time.monotonic() + 60) is not None
-        assert find_looping_forward_closure(rev, 20, deadline=time.monotonic() - 1) is None
+        report = SearchReport()
+        expired = time.monotonic() - 1
+        assert find_looping_forward_closure(rev, 20, deadline=expired, report=report) is None
+        assert report.stop == "deadline"
 
     def test_bab_and_its_reversal_have_none(self):
         assert find_looping_forward_closure(BAB, 20) is None

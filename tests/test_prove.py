@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import json
 import time
 
@@ -19,10 +20,15 @@ from relsrs import (
     Rule,
     WeightCertificate,
     enumerate_systems,
+    find_looping_forward_closure,
     parse_certificate,
     parse_system,
     prove,
     reverse_system,
+    search_emitting_loop,
+    search_matrix,
+    search_mixed_loop,
+    search_weights,
     serialize_certificate,
     verify_certificate,
 )
@@ -186,12 +192,35 @@ class TestBudgets:
         outcome = prove(system, SWEEP_BUDGET, deadline=time.monotonic())
         assert outcome.verdict == "MAYBE"
         assert outcome.reason == "timeout"
-        assert outcome.attempts[-1].method == "timeout"
-        # S has no weights; the S loop search looks at the deadline before
-        # its first word
-        assert outcome.attempts[0].method == "s-weights"
-        assert outcome.attempts[1].method == "s-loop"
-        assert outcome.attempts[1].outcome == "deadline"
+        # the first search looks at the deadline at its first node
+        assert [(a.method, a.outcome) for a in outcome.attempts] == [
+            ("s-weights", "deadline"),
+            ("timeout", "hit"),
+        ]
+
+    # every letter x_i has weight 0..16 before z meets its conflict, so the
+    # weight search's tree has 17^7 leaves; ->= z then z -> is a loop
+    W6 = "(RULES x0 x1 x2 x3 x4 x5 ->= x0 x1 x2 x3 x4 x5, z -> , ->= z)"
+
+    def test_weight_search_stops_at_the_deadline(self):
+        # the cap is lifted so that only the deadline can stop it
+        start = time.monotonic()
+        budget = ProveBudget(matrix_assignment_cap=10**9)
+        outcome = prove(parse_system(self.W6), budget, deadline=start + 0.5)
+        assert time.monotonic() - start < 3.0
+        assert outcome.reason == "timeout"
+        assert [(a.method, a.outcome) for a in outcome.attempts][-2:] == [
+            ("weights", "deadline"),
+            ("timeout", "hit"),
+        ]
+
+    def test_weight_search_stops_at_the_cap(self):
+        outcome = prove(parse_system(self.W6))
+        assert outcome.verdict == "NO" and is_loop(outcome.certificate)
+        assert [(a.method, a.outcome) for a in outcome.attempts][-2:] == [
+            ("weights", "cap"),
+            ("mixed-loop", "found"),
+        ]
 
     @pytest.mark.parametrize("budget, verdict, logged", [
         (1719, "MAYBE", ("mixed-loop", "cap")),
@@ -238,6 +267,19 @@ class TestBudgets:
         for text, verdict, _ in FIXTURES:
             outcome = prove(parse_system(text), SWEEP_BUDGET)
             assert outcome.verdict == verdict, text
+
+    @pytest.mark.parametrize("search", [
+        search_weights,
+        search_matrix,
+        search_mixed_loop,
+        search_emitting_loop,
+        find_looping_forward_closure,
+    ], ids=lambda f: f.__name__)
+    def test_every_search_takes_a_deadline_and_a_report(self, search):
+        # prove and the CLI read why a search stopped from its report alone
+        params = inspect.signature(search).parameters
+        for name in ("deadline", "report"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
 
 
 class TestInvariance:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -119,6 +120,21 @@ class TestWeightSearch:
         sys = type(AB_A)(("a", "b", "z"), AB_A.rules)
         cert = search_weights(sys)
         assert cert is not None and set(cert.weights) == {"a", "b"}
+
+    def test_assignment_cap_is_reported(self):
+        report = SearchReport()
+        assert search_weights(AB_A, assignment_cap=0, report=report) is None
+        assert report.stop == "cap"
+
+    def test_expired_deadline_gives_up(self):
+        report = SearchReport()
+        assert search_weights(AB_A, deadline=time.monotonic() - 1, report=report) is None
+        assert report.stop == "deadline"
+
+    def test_exhausted_search_is_not_capped(self):
+        report = SearchReport()
+        assert search_weights(parse_system("(RULES a b -> b a)"), report=report) is None
+        assert report.stop == "none"
 
 
 def first_fit_weights(system, max_weight):
@@ -388,11 +404,11 @@ class TestMatrixSearch:
         sys = parse_system("(RULES a b -> b a)")
         report = SearchReport()
         assert search_matrix(sys, "natural", assignment_cap=0, report=report) is None
-        assert report.capped
+        assert report.stop == "cap"
         # a search that runs out of space without reaching the cap is not capped
         report = SearchReport()
         assert search_matrix(sys, "natural", max_dim=1, report=report) is None
-        assert not report.capped
+        assert report.stop == "none"
 
     def test_entry_bound_can_make_search_fail(self):
         # natural letters need a positive corner, max_entry=0 leaves nothing
@@ -434,7 +450,8 @@ class TestFrozenMatrixResults:
                             cert = search_matrix(form, semiring, max_dim, max_entry,
                                                  assignment_cap=cap, report=report)
                             data = None if cert is None else serialize_certificate(cert, form)
-                            h.update(json.dumps([data, report.capped], sort_keys=True).encode()
+                            h.update(json.dumps([data, report.stop == "cap"], sort_keys=True)
+                                     .encode()
                                      + b"\n")
             h.hexdigest()
         """
@@ -455,10 +472,11 @@ class TestFrozenMatrixResults:
                             form, semiring, max_dim, max_entry, assignment_cap=cap, report=report
                         )
                         data = None if cert is None else serialize_certificate(cert, form)
-                        h.update(json.dumps([data, report.capped], sort_keys=True).encode() + b"\n")
+                        is_capped = report.stop == "cap"
+                        h.update(json.dumps([data, is_capped], sort_keys=True).encode() + b"\n")
                         searches += 1
                         found += cert is not None
-                        capped += report.capped
+                        capped += is_capped
         assert (searches, found, capped) == (3402, 1598, 664)
         assert h.hexdigest() == self.DIGEST
 
