@@ -11,9 +11,11 @@ Matrix and weight maps are keyed by letter name, so a certificate can be
 checked against any system that uses the same names.
 
 The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
-arithmetic, order, letter conditions and entry codec.  The checker and
-this schema use all of it.  The matrix search takes only the identity,
-`corner_only` and the certificate class from it: it has its own
+arithmetic, order, letter conditions and entry codec.  Arctic minus
+infinity is the arctic zero, NEG_INF = float("-inf"), in every matrix
+held in memory; "-inf" is only its JSON spelling.  The checker and this
+schema use all of it.  The matrix search takes only the identity, the
+arctic zero, `corner_only` and the certificate class: it has its own
 arithmetic and entry pool, and restates the letter conditions on rows.
 """
 
@@ -68,9 +70,10 @@ class WeightCertificate:
     weights: dict[str, Fraction]
 
 
+NEG_INF = float("-inf")  # arctic minus infinity, the zero of max-plus
+
 NatMatrix = tuple[tuple[int, ...], ...]
-ArcEntry = Optional[int]  # None is minus infinity
-ArcMatrix = tuple[tuple[ArcEntry, ...], ...]
+ArcMatrix = tuple[tuple[Union[int, float], ...], ...]  # ints and NEG_INF
 
 
 @dataclass(frozen=True)
@@ -97,29 +100,13 @@ def _nat_mul(a: NatMatrix, b: NatMatrix, d: int) -> NatMatrix:
 
 
 def _arc_mul(a: ArcMatrix, b: ArcMatrix, d: int) -> ArcMatrix:
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            best = None
-            for k in range(d):
-                x, y = a[i][k], b[k][j]
-                if x is None or y is None:
-                    continue
-                s = x + y
-                if best is None or s > best:
-                    best = s
-            row.append(best)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(max(a[i][k] + b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
+    )
 
 
-def _arc_ge(x: ArcEntry, y: ArcEntry) -> bool:
-    return y is None or (x is not None and x >= y)
-
-
-def _arc_gg(x: ArcEntry, y: ArcEntry) -> bool:
-    return y is None or (x is not None and x > y)
+def _arc_gg(x, y) -> bool:
+    return x > y or y == NEG_INF
 
 
 def _nat_letter_fault(m: NatMatrix, d: int) -> Optional[str]:
@@ -131,7 +118,7 @@ def _nat_letter_fault(m: NatMatrix, d: int) -> Optional[str]:
 
 
 def _arc_letter_fault(m: ArcMatrix, d: int) -> Optional[str]:
-    if m[0][0] is None or m[0][0] < 0:
+    if m[0][0] < 0:
         return "needs a finite entry (1,1) >= 0"
     return None
 
@@ -160,7 +147,7 @@ class Semiring:
 
     name: str  # the JSON type tag is matrix-<name>
     certificate: type
-    zero: Optional[int]
+    zero: Union[int, float]
     one: int
     mul: Callable  # (a, b, d) -> the product of two d x d matrices
     weak: Callable[[object, object], bool]
@@ -197,15 +184,15 @@ NATURAL = Semiring(
 ARCTIC = Semiring(
     name="arctic",
     certificate=ArcticMatrixCertificate,
-    zero=None,
+    zero=NEG_INF,
     one=0,
     mul=_arc_mul,
-    weak=_arc_ge,
+    weak=operator.ge,
     strict=_arc_gg,
     corner_only=False,
     rule_fault=_arc_rule_fault,
     letter_fault=_arc_letter_fault,
-    entry_ok=lambda x: x is None or is_int(x),
+    entry_ok=lambda x: x == NEG_INF or is_int(x),
     entries='an integer or "-inf"',
 )
 
@@ -319,8 +306,9 @@ def _tokens_word(tokens, index: dict[str, int]) -> Word:
 
 
 def _entry_in(v, semiring: Semiring):
-    x = None if v == "-inf" else v
-    if not semiring.entry_ok(x):
+    # json.loads reads the bare literal -Infinity as a float: no float is an entry
+    x = NEG_INF if v == "-inf" else v
+    if isinstance(v, float) or not semiring.entry_ok(x):
         raise CertificateFormatError(
             f"{semiring.name} matrix entry must be {semiring.entries}, got {v!r}"
         )
@@ -328,7 +316,7 @@ def _entry_in(v, semiring: Semiring):
 
 
 def _matrix_out(m) -> list:
-    return [["-inf" if x is None else x for x in row] for row in m]
+    return [["-inf" if x == NEG_INF else x for x in row] for row in m]
 
 
 def _matrix_in(data, dimension: int, semiring: Semiring):

@@ -6,18 +6,22 @@ interpretations are checked rule by rule, and a strictification composite
 checks each part against the system its role names.  This module imports
 only `.core` and `.certificates`, so the searches stay outside it.
 
-Weights and matrices use exact integer arithmetic throughout; minus
-infinity in the arctic semiring is a distinguished value (None), never a
-sentinel integer.  A word maps to the product of its letter matrices in
-word order, the empty word to the identity.  Natural letter matrices need
-corner entries (1,1) and (d,d) at least 1; a strict rule needs entry-wise
->= plus strict decrease at the (1,d) corner.  Both corner requirements
-make the strict decrease survive left and right contexts (C[1,1] >= 1
-feeds the left product, D[d,d] >= 1 the right).  Arctic letter matrices
-need a finite (1,1) entry >= 0; strict decrease is entry-wise x >> y,
-i.e. x > y or x = y = -inf.  One checker and one rule test serve both
-semirings, each described by a `Semiring` record (certificates.NATURAL
-and certificates.ARCTIC).
+Weights and matrices use exact arithmetic throughout.  Arctic minus
+infinity is float("-inf") (certificates.NEG_INF), never a sentinel
+integer, and every finite entry must be an int, so the max-plus products
+stay exact: -inf is absorbing under + and neutral under max, a sum or
+max of ints is an int and never becomes a float, no +inf arises (so no
+nan either), and comparing an int with -inf is exact.  A word maps to
+the product of its letter matrices in word order, the empty word to the
+identity.  Natural letter matrices need corner entries (1,1) and (d,d)
+at least 1; a strict rule needs entry-wise >= plus strict decrease at
+the (1,d) corner.  Both corner requirements make the strict decrease
+survive left and right contexts (C[1,1] >= 1 feeds the left product,
+D[d,d] >= 1 the right).  Arctic letter matrices need a finite (1,1)
+entry >= 0; strict decrease is entry-wise x >> y, i.e. x > y or
+x = y = -inf.  One checker and one rule test serve both semirings, each
+described by a `Semiring` record (certificates.NATURAL and
+certificates.ARCTIC).
 """
 
 from __future__ import annotations

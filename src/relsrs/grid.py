@@ -148,51 +148,37 @@ def check_grid_algebra(fixture: GridAlgebra, system: RelSRS, bound: int) -> Grid
             (PropertyResult("letters", False, f"no interpretation for {missing}"),),
         )
     points = _grid_points(fixture.domain, bound)
+    # each rule with its two sides as functions on the grid
+    sides = [
+        (rule, _word_fn(rule.lhs, system, fixture.letters),
+         _word_fn(rule.rhs, system, fixture.letters))
+        for rule in system.rules
+    ]
+
+    def record(name: str, counterexamples) -> None:
+        """A property holds when it has no counterexample; report the first."""
+        bad = next(counterexamples, None)
+        results.append(PropertyResult(name, bad is None, bad or ""))
 
     if fixture.check_model:
-        bad = None
-        for rule in system.rules:
-            lf = _word_fn(rule.lhs, system, fixture.letters)
-            rf = _word_fn(rule.rhs, system, fixture.letters)
-            for p in points:
-                if lf(p) != rf(p):
-                    bad = f"{system.rule_str(rule)} at {p}: {lf(p)} != {rf(p)}"
-                    break
-            if bad:
-                break
-        results.append(PropertyResult("model", bad is None, bad or ""))
+        record("model", (
+            f"{system.rule_str(rule)} at {p}: {lf(p)} != {rf(p)}"
+            for rule, lf, rf in sides for p in points if lf(p) != rf(p)
+        ))
 
     if fixture.check_monotone:
-        bad = None
-        for name in sorted(fixture.letters):
-            f = fixture.letters[name]
-            for p in points:
-                for q in points:
-                    if fixture.strict_order(p, q) and not fixture.strict_order(f(p), f(q)):
-                        bad = f"letter {name} at {p} > {q}: {f(p)} not > {f(q)}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        results.append(PropertyResult("monotonicity", bad is None, bad or ""))
+        above = fixture.strict_order
+        record("monotonicity", (
+            f"letter {name} at {p} > {q}: {f(p)} not > {f(q)}"
+            for name, f in sorted(fixture.letters.items()) for p in points for q in points
+            if above(p, q) and not above(f(p), f(q))
+        ))
 
     if fixture.check_compat:
-        bad = None
-        for rule in system.rules:
-            lf = _word_fn(rule.lhs, system, fixture.letters)
-            rf = _word_fn(rule.rhs, system, fixture.letters)
-            order = fixture.strict_order if rule.strict else fixture.weak_order
-            rel = ">" if rule.strict else ">="
-            for p in points:
-                if not order(lf(p), rf(p)):
-                    bad = (
-                        f"{system.rule_str(rule)} at {p}: "
-                        f"{lf(p)} not {rel} {rf(p)}"
-                    )
-                    break
-            if bad:
-                break
-        results.append(PropertyResult("compatibility", bad is None, bad or ""))
+        record("compatibility", (
+            f"{system.rule_str(rule)} at {p}: {lf(p)} not {'>' if rule.strict else '>='} {rf(p)}"
+            for rule, lf, rf in sides for p in points
+            if not (fixture.strict_order if rule.strict else fixture.weak_order)(lf(p), rf(p))
+        ))
 
     return GridReport(fixture.name, bound, tuple(results))

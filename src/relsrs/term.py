@@ -4,15 +4,13 @@ Matrix search is exhaustive for every dimension up to the bound, under an
 assignment cap and the prove deadline.  The matrix conventions, and the
 checkers that re-verify every certificate, are in `relsrs.check`.
 
-The search has its own arithmetic.  Each candidate letter matrix is
-encoded once as a flat row-major tuple, entry (i, j) at index i*d + j,
-and products are closed forms for d = 2 with a generic product
-otherwise.  Arctic minus infinity is float("-inf") there, which is exact:
-finite entries stay ints, -inf + x = -inf, max(-inf, x) = x and
--inf < x hold in floats as in the semiring, and sums of pool entries
-never reach +inf, so no nan arises.  A found assignment is returned as
-the candidates' nested tuples (None for minus infinity), and
-search_matrix re-checks it with check_matrix before returning it.
+The search has its own arithmetic.  Each candidate letter matrix is a
+flat row-major tuple, entry (i, j) at index i*d + j, and products are
+closed forms for d = 2 with a generic product otherwise.  Its entries
+are those of the checker, ints and NEG_INF, so they are exact for the
+reasons given in `relsrs.check`.  A found assignment is cut back into
+rows, and search_matrix re-checks it with check_matrix before returning
+it.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
@@ -50,6 +48,7 @@ from operator import ge
 from typing import Optional
 
 from .certificates import (
+    NEG_INF,
     SEMIRINGS,
     ArcticMatrixCertificate,
     Attempt,
@@ -131,14 +130,17 @@ def search_weights(
     smallest first.  A rule only sees its per-letter count differences
     delta = |lhs| - |rhs|, and the letters still to come can add at most
     max_weight * max(0, delta) each to its total; a branch whose total
-    cannot reach 0 (1 for a strict rule) even so is cut.  Each partial
-    vector is a node; the search gives up after assignment_cap nodes or at
-    the monotonic-clock deadline, as search_matrix does.
+    cannot reach 0 (1 for a strict rule) even so is cut.  A letter whose
+    delta is 0 in every rule moves no total and only tries weight 0,
+    which keeps the first vector the same.  Each partial vector is a node;
+    the search gives up after assignment_cap nodes or at the
+    monotonic-clock deadline, as search_matrix does.
     """
     used = used_letters(system)
     n = len(used)
     deltas = [[rule.lhs.count(c) - rule.rhs.count(c) for c in used] for rule in system.rules]
     need = [1 if rule.strict else 0 for rule in system.rules]
+    moves = [any(delta[k] for delta in deltas) for k in range(n)]
     # reach[k][j]: the most the letters used[k:] can add to rule j's total
     reach = [
         [max_weight * sum(max(0, x) for x in delta[k:]) for delta in deltas]
@@ -156,7 +158,7 @@ def search_weights(
             return None
         if k == n:
             return []
-        for w in range(max_weight + 1):
+        for w in range(max_weight + 1 if moves[k] else 1):
             rest = first(k + 1, [t + w * delta[k] for t, delta in zip(totals, deltas)])
             if rest is not None:
                 return [w] + rest
@@ -213,8 +215,6 @@ _FLAT_MUL = {
     "arctic": {2: _arc_mul_2, None: _arc_mul_any},
 }
 
-_NEG_INF = float("-inf")
-
 
 class _FlatKernel:
     """The search's arithmetic for one semiring at one dimension."""
@@ -223,11 +223,7 @@ class _FlatKernel:
         muls = _FLAT_MUL[semiring.name]
         self.mul = muls[d] if d in muls else partial(muls[None], d)
         self.corner = d - 1 if semiring.corner_only else None
-        self.identity = self.encode(semiring.identity(d))
-
-    @staticmethod
-    def encode(m) -> tuple:
-        return tuple(_NEG_INF if x is None else x for row in m for x in row)
+        self.identity = tuple(x for row in semiring.identity(d) for x in row)
 
     def rule_test(self, flats: list):
         """The test of a rule against the letter matrices in `flats`,
@@ -248,7 +244,7 @@ class _FlatKernel:
                 # x >> y, i.e. x > y or y = -inf, at every entry; a loop
                 # is about twice as fast as all() over a generator
                 for x, y in zip(left, right):
-                    if x <= y and y != _NEG_INF:
+                    if x <= y and y != NEG_INF:
                         return False
                 return True
             return left[corner] > right[corner] and all(map(ge, left, right))
@@ -259,29 +255,29 @@ class _FlatKernel:
 # the search's entries up to a bound, in search order
 _POOL = {
     "natural": lambda max_entry: list(range(max_entry + 1)),
-    "arctic": lambda max_entry: [None, *range(-1, max_entry + 1)],
+    "arctic": lambda max_entry: [NEG_INF, *range(-1, max_entry + 1)],
 }
 
 
 class _Candidates:
-    """The matrices allowed for a letter, in row-major lexicographic order
-    over the semiring's entry pool, each with its flat encoding.  They are
-    made as the search first reaches them and kept for the next pass: at
-    d = 3 the arctic pool gives over a million, more than a capped or timed
-    search visits.
+    """The matrices allowed for a letter as flat tuples, in row-major
+    lexicographic order over the semiring's entry pool.  They are made as
+    the search first reaches them and kept for the next pass: at d = 3 the
+    arctic pool gives over a million, more than a capped or timed search
+    visits.
 
     The letter condition (`Semiring.letter_fault`) is put on the rows it
     reads, and filtering the factors of a product keeps its order."""
 
-    def __init__(self, semiring: Semiring, d: int, max_entry: int, encode):
+    def __init__(self, semiring: Semiring, d: int, max_entry: int):
         rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
         slots = [rows] * d
         if semiring.name == "natural":  # entries (1,1) and (d,d) at least 1
             slots[0] = [r for r in rows if r[0] >= 1]
             slots[-1] = [r for r in slots[-1] if r[-1] >= 1]
         else:  # a finite entry (1,1) >= 0
-            slots[0] = [r for r in rows if r[0] is not None and r[0] >= 0]
-        self._source = ((m, encode(m)) for m in product(*slots))
+            slots[0] = [r for r in rows if r[0] >= 0]
+        self._source = (sum(m, ()) for m in product(*slots))
         self._made: list = []
 
     def __iter__(self):
@@ -289,10 +285,10 @@ class _Candidates:
         i = 0
         while True:
             if i == len(made):
-                pair = next(self._source, None)
-                if pair is None:
+                flat = next(self._source, None)
+                if flat is None:
                     return
-                made.append(pair)
+                made.append(flat)
             yield made[i]
             i += 1
 
@@ -310,7 +306,7 @@ def _exhaustive_matrix_search(
     kernel = _FlatKernel(semiring, d)
     flats: list = [None] * len(system.letters)
     holds = kernel.rule_test(flats)
-    candidates = _Candidates(semiring, d, max_entry, kernel.encode)
+    candidates = _Candidates(semiring, d, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard
     position = {c: i for i, c in enumerate(used)}
@@ -330,7 +326,7 @@ def _exhaustive_matrix_search(
         if level == len(used):
             return True
         letter, rules = used[level], ready[level]
-        for m, flat in candidates:
+        for flat in candidates:
             visited += 1
             if visited > cap or (deadline is not None and time.monotonic() >= deadline):
                 raise _SearchStop()
@@ -340,7 +336,7 @@ def _exhaustive_matrix_search(
                     break
             else:
                 if rec(level + 1):
-                    chosen[level] = m
+                    chosen[level] = flat
                     return True
         return False
 
@@ -348,7 +344,9 @@ def _exhaustive_matrix_search(
         found = rec(0)
     except _SearchStop:
         return give_up(report, "cap" if visited > cap else "deadline")
-    return dict(zip(used, chosen)) if found else None
+    if not found:
+        return None
+    return {c: tuple(flat[i : i + d] for i in range(0, d * d, d)) for c, flat in zip(used, chosen)}
 
 
 def search_matrix(

@@ -1,5 +1,6 @@
 """Certificate values, trivial verdicts, and the JSON schema round-trip."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from relsrs import (
     serialize_certificate,
     trivial_verdict,
 )
+from relsrs.certificates import ARCTIC, NEG_INF
 from relsrs.core import Derivation
 
 SYS = parse_system("(RULES a b -> a, c ->= b c)")
@@ -132,10 +134,25 @@ class TestMatrixSchema:
         assert round_trip(cert) == cert
 
     def test_arctic_minus_infinity_spelled_out(self):
-        cert = ArcticMatrixCertificate(2, {"a": ((0, None), (None, 0))})
+        cert = ArcticMatrixCertificate(2, {"a": ((0, NEG_INF), (NEG_INF, 0))})
         data = serialize_certificate(cert, SYS)
         assert data["matrices"]["a"][0][1] == "-inf"
         assert round_trip(cert) == cert
+
+    def test_arctic_entries_are_ints_and_minus_infinity(self):
+        data = {"type": "matrix-arctic", "dimension": 2,
+                "matrices": {"a": [[0, "-inf"], ["-inf", -1]]}}
+        parsed = parse_certificate(data, SYS).interp["a"]
+        assert parsed == ((0, NEG_INF), (NEG_INF, -1))
+        for m in (parsed, ARCTIC.identity(3)):
+            assert all(type(x) is int or x == NEG_INF for row in m for x in row)
+
+    @pytest.mark.parametrize("literal", ["-Infinity", "Infinity", "NaN", "null", "0.0"])
+    def test_arctic_entry_that_json_reads_as_no_int_rejected(self, literal):
+        # json.loads reads the bare literal -Infinity as float("-inf") itself
+        text = '{"type": "matrix-arctic", "dimension": 1, "matrices": {"a": [[%s]]}}'
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(json.loads(text % literal), SYS)
 
     def test_wrong_row_count_rejected(self):
         data = {"type": "matrix-natural", "dimension": 2, "matrices": {"a": [[1, 0]]}}

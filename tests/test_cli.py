@@ -177,6 +177,16 @@ class TestCheckCert:
             "REJECTED: rule b p b -> b a p b: entry (1,1) violates >> (0 vs 0)\n"
         )
 
+    def test_rejected_reason_spells_minus_infinity(self, run, tmp_path):
+        cert = tmp_path / "arctic.cert"
+        cert.write_text(json.dumps({
+            "type": "matrix-arctic", "dimension": 2, "matrices": {
+                "a": [[1, "-inf"], ["-inf", 1]], "b": [[0, 0], ["-inf", 0]],
+            },
+        }))
+        code, out = run("check-cert", srs(tmp_path, "(RULES a -> b)\n"), str(cert))
+        assert (code, out) == (1, "REJECTED: rule a -> b: entry (1,2) violates >> (-inf vs 0)\n")
+
     def test_loop_in_a_termination_role_rejected(self, run, tmp_path):
         # a mixed loop of the strictified system posing as its termination
         # proof; prove settles this system NO

@@ -18,6 +18,7 @@ from relsrs import (
     ProveBudget,
     RelSRS,
     Rule,
+    SearchReport,
     WeightCertificate,
     enumerate_systems,
     find_looping_forward_closure,
@@ -198,9 +199,10 @@ class TestBudgets:
             ("timeout", "hit"),
         ]
 
-    # every letter x_i has weight 0..16 before z meets its conflict, so the
-    # weight search's tree has 17^7 leaves; ->= z then z -> is a loop
-    W6 = "(RULES x0 x1 x2 x3 x4 x5 ->= x0 x1 x2 x3 x4 x5, z -> , ->= z)"
+    # every letter x_i moves the first rule's total, so it has weight 0..16
+    # before z meets its conflict, and the weight search's tree has 17^7
+    # leaves; ->= z then z -> is a loop
+    W6 = "(RULES x0 x1 x2 x3 x4 x5 ->= , z -> , ->= z)"
 
     def test_weight_search_stops_at_the_deadline(self):
         # the cap is lifted so that only the deadline can stop it
@@ -219,6 +221,19 @@ class TestBudgets:
         assert outcome.verdict == "NO" and is_loop(outcome.certificate)
         assert [(a.method, a.outcome) for a in outcome.attempts][-2:] == [
             ("weights", "cap"),
+            ("mixed-loop", "found"),
+        ]
+
+    def test_letters_that_move_no_total_only_try_weight_zero(self):
+        # x0..x5 occur as often on both sides of every rule, so only z
+        # branches: the search ends in space exhausted, not at the cap
+        system = parse_system("(RULES x0 x1 x2 x3 x4 x5 ->= x0 x1 x2 x3 x4 x5, z -> , ->= z)")
+        report = SearchReport()
+        start = time.monotonic()
+        assert search_weights(system, report=report) is None
+        assert report.stop == "none" and time.monotonic() - start < 1.0
+        assert [(a.method, a.outcome) for a in prove(system).attempts][-2:] == [
+            ("weights", "none"),
             ("mixed-loop", "found"),
         ]
 

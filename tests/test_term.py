@@ -39,7 +39,7 @@ from relsrs import (
     trivial_verdict,
     verify_certificate,
 )
-from relsrs.certificates import SEMIRINGS
+from relsrs.certificates import NEG_INF, SEMIRINGS
 from relsrs.check import _rule_fault
 from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel
 
@@ -284,7 +284,7 @@ class TestNaturalChecker:
         assert check_matrix_natural(moved, renamed)
 
 
-N = None
+N = NEG_INF
 
 
 class TestArcticChecker:
@@ -359,7 +359,7 @@ class TestDimensionOneOracle:
         # at dimension 1 max-plus is integer addition: letters need a finite
         # value >= 0 and every rule compares the sums of its sides
         sys = parse_system("(RULES a a -> a, b ->= a)")
-        values = (None, -1, 0, 1, 2)
+        values = (None, NEG_INF, -1, 0, 1, 2)
         for va in values:
             for vb in values:
                 cert = ArcticMatrixCertificate(1, {"a": ((va,),), "b": ((vb,),)})
@@ -418,6 +418,22 @@ class TestMatrixSearch:
     def test_unknown_semiring(self):
         with pytest.raises(ValueError):
             search_matrix(AB_A, "tropical")
+
+    def test_arctic_certificates_hold_ints_and_minus_infinity(self):
+        # every entry of a found arctic matrix is an int or NEG_INF, the
+        # checker's own encoding: over the two-letter systems up to size 4,
+        # all settled at d = 1, and a size-5 system that needs d = 2
+        systems = [
+            s for s in enumerate_systems(EnumerationConfig(2, 4)) if trivial_verdict(s) is None
+        ]
+        systems.append(parse_system("(RULES a a -> , b ->= a a)"))
+        entries = []
+        for system in systems:
+            cert = search_matrix(system, "arctic", 2, 1, assignment_cap=3000)
+            if cert is not None:
+                entries += [x for m in cert.interp.values() for row in m for x in row]
+        assert all(type(x) is int or x == NEG_INF for x in entries)
+        assert NEG_INF in entries
 
     def test_higher_dimension_returns_the_dimension_two_certificate(self):
         sys = parse_system("(RULES a b -> b a)")
@@ -489,11 +505,12 @@ def pool_matrices(semiring, d, count):
     return st.lists(st.tuples(*[row] * d), min_size=count, max_size=count)
 
 
-def decode(flat, d):
-    return tuple(
-        tuple(None if x == float("-inf") else x for x in flat[i : i + d])
-        for i in range(0, d * d, d)
-    )
+def flatten(m):
+    return tuple(x for row in m for x in row)
+
+
+def rows_of(flat, d):
+    return tuple(flat[i : i + d] for i in range(0, d * d, d))
 
 
 class TestCandidates:
@@ -505,10 +522,9 @@ class TestCandidates:
         expected = [
             m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None
         ]
-        kernel = _FlatKernel(semiring, d)
-        made = list(_Candidates(semiring, d, max_entry, kernel.encode))
-        assert [m for m, _ in made] == expected
-        assert [flat for _, flat in made] == [kernel.encode(m) for m in expected]
+        made = list(_Candidates(semiring, d, max_entry))
+        assert [rows_of(flat, d) for flat in made] == expected
+        assert made == [flatten(m) for m in expected]
 
 
 class TestFlatKernel:
@@ -523,7 +539,7 @@ class TestFlatKernel:
         word = st.lists(st.integers(0, 2), max_size=4).map(tuple)
         rule = Rule(data.draw(word), data.draw(word), data.draw(st.booleans()))
         kernel = _FlatKernel(semiring, d)
-        holds = kernel.rule_test([kernel.encode(m) for m in mats])
+        holds = kernel.rule_test([flatten(m) for m in mats])
         expected = _rule_fault(rule, dict(enumerate(mats)), semiring, d) is None
         assert holds(rule) == expected
 
@@ -534,10 +550,10 @@ class TestFlatKernel:
         d = data.draw(st.integers(1, 4))
         a, b = data.draw(pool_matrices(semiring, d, 2))
         kernel = _FlatKernel(semiring, d)
-        flat = kernel.mul(kernel.encode(a), kernel.encode(b))
+        flat = kernel.mul(flatten(a), flatten(b))
         # finite entries stay exact ints
-        assert all(type(x) is int or x == float("-inf") for x in flat)
-        assert decode(flat, d) == semiring.mul(a, b, d)
+        assert all(type(x) is int or x == NEG_INF for x in flat)
+        assert rows_of(flat, d) == semiring.mul(a, b, d)
 
     def test_letterless_rules_use_the_identity(self):
         # a weak empty rule always holds, a strict one never does
