@@ -240,9 +240,11 @@ class SearchReport:
     `stop` where it gives up: "cap" when its node budget or assignment cap
     cut it short (the weight search counts its nodes against the matrix
     assignment cap), "deadline" when the monotonic-clock deadline did.  It
-    stays "none" when the search ran to the end of its space."""
+    stays "none" when the search ran to the end of its space.  `nodes` is
+    what it counted against its cap, summed over matrix dimensions."""
 
     stop: str = "none"
+    nodes: int = 0
 
 
 def give_up(report: Optional[SearchReport], stop: str) -> None:

@@ -110,58 +110,62 @@ def _search_loop(
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     cap = sys.maxsize if node_budget is None else node_budget
     nodes = 0
-    for start in _start_words(system, start_bound, lhss):
-        # one parent table per flag "a strict step was used"
-        seen: tuple[dict, dict] = ({start: None}, {})
-        level = [(start, False)]
-        for _ in range(max_steps):
-            following = []
-            for word, used in level:
-                if deadline is not None and time.monotonic() >= deadline:
-                    return give_up(report, "deadline")
-                room = max_word_len - len(word)
-                for i, lhs, rhs, k, grow, strict in rules:
-                    p = word.find(lhs)
-                    if p < 0:
-                        continue
-                    if grow > room:
-                        # too long to keep, but every match counts as a node
-                        while p >= 0:
+    try:
+        for start in _start_words(system, start_bound, lhss):
+            # one parent table per flag "a strict step was used"
+            seen: tuple[dict, dict] = ({start: None}, {})
+            level = [(start, False)]
+            for _ in range(max_steps):
+                following = []
+                for word, used in level:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        return give_up(report, "deadline")
+                    room = max_word_len - len(word)
+                    for i, lhs, rhs, k, grow, strict in rules:
+                        p = word.find(lhs)
+                        if p < 0:
+                            continue
+                        if grow > room:
+                            # too long to keep, but every match counts as a node
+                            while p >= 0:
+                                nodes += 1
+                                if nodes > cap:
+                                    return give_up(report, "cap")
+                                p = word.find(lhs, p + 1)
+                            continue
+                        nused = used or strict
+                        table = seen[nused]
+                        nxt = word.replace(lhs, rhs, 1)  # the match at p
+                        while True:
                             nodes += 1
                             if nodes > cap:
                                 return give_up(report, "cap")
+                            if start in nxt:
+                                found = witness(start, nxt, nused)
+                                if found is not None:
+                                    q, redex = found
+                                    return LoopCertificate(
+                                        kind=kind,
+                                        start=_decode(start),
+                                        steps=_steps(seen, word, used, Step(i, p)),
+                                        left=_decode(nxt[:q]),
+                                        right=_decode(nxt[q + len(start) :]),
+                                        redex=redex,
+                                    )
+                            if nxt not in table:
+                                table[nxt] = (i, p, word, used)
+                                following.append((nxt, nused))
                             p = word.find(lhs, p + 1)
-                        continue
-                    nused = used or strict
-                    table = seen[nused]
-                    nxt = word.replace(lhs, rhs, 1)  # the match at p
-                    while True:
-                        nodes += 1
-                        if nodes > cap:
-                            return give_up(report, "cap")
-                        if start in nxt:
-                            found = witness(start, nxt, nused)
-                            if found is not None:
-                                q, redex = found
-                                return LoopCertificate(
-                                    kind=kind,
-                                    start=_decode(start),
-                                    steps=_steps(seen, word, used, Step(i, p)),
-                                    left=_decode(nxt[:q]),
-                                    right=_decode(nxt[q + len(start) :]),
-                                    redex=redex,
-                                )
-                        if nxt not in table:
-                            table[nxt] = (i, p, word, used)
-                            following.append((nxt, nused))
-                        p = word.find(lhs, p + 1)
-                        if p < 0:
-                            break
-                        nxt = word[:p] + rhs + word[p + k :]
-            if not following:
-                break
-            level = following
-    return None
+                            if p < 0:
+                                break
+                            nxt = word[:p] + rhs + word[p + k :]
+                if not following:
+                    break
+                level = following
+        return None
+    finally:
+        if report is not None:
+            report.nodes = nodes
 
 
 def _mixed_witness(start: str, word: str, used: bool):
@@ -321,56 +325,60 @@ def _saturate_closures(
         steps.append(step)
         return stop_at_looping and s > 0 and u in v
 
-    for i, lhs, rhs, k, _, strict in rules:
-        if k <= size and len(rhs) <= size:
-            known = seen.setdefault((lhs, strict), set())
-            if rhs not in known:
-                known.add(rhs)
-                if keep(lhs, rhs, int(strict), -1, (i, 0)):
-                    return rows, len(sources) - 1
-    head = 0
-    while head < len(sources):
-        if deadline is not None and time.monotonic() >= deadline:
-            return give_up(report, "deadline")
-        if stop_at_looping and len(sources) > DEFAULT_NODE_BUDGET:
-            return give_up(report, "cap")
-        u, v, s = sources[head], targets[head], stricts[head]
-        n, used = len(v), s > 0
-        for i, lhs, rhs, k, grow, strict in rules:
-            if grow > size - n:
-                continue
-            p = v.find(lhs)
-            if p < 0:
-                continue
-            known = seen.setdefault((u, used or strict), set())
-            nv = v.replace(lhs, rhs, 1)  # the match at p
-            while True:
-                if nv not in known:
-                    known.add(nv)
-                    if keep(u, nv, s + strict, head, (i, p)):
+    try:
+        for i, lhs, rhs, k, _, strict in rules:
+            if k <= size and len(rhs) <= size:
+                known = seen.setdefault((lhs, strict), set())
+                if rhs not in known:
+                    known.add(rhs)
+                    if keep(lhs, rhs, int(strict), -1, (i, 0)):
                         return rows, len(sources) - 1
-                p = v.find(lhs, p + 1)
-                if p < 0:
-                    break
-                nv = v[:p] + rhs + v[p + k :]
-        for i, lhs, rhs, k, grow, strict in extending:
-            # v[split:] is a nonempty proper prefix of lhs.  The old steps
-            # replay unchanged on the extended source; the new step fires the
-            # rule across the old target's end.  Source and target both grow
-            # with split, so the size bound caps it.
-            stop = min(n, size - k - grow + 1, size - len(u) - k + n + 1)
-            for split in range(max(0, n - k + 1), stop):
-                if not lhs.startswith(v[split:]):
+        head = 0
+        while head < len(sources):
+            if deadline is not None and time.monotonic() >= deadline:
+                return give_up(report, "deadline")
+            if stop_at_looping and len(sources) > DEFAULT_NODE_BUDGET:
+                return give_up(report, "cap")
+            u, v, s = sources[head], targets[head], stricts[head]
+            n, used = len(v), s > 0
+            for i, lhs, rhs, k, grow, strict in rules:
+                if grow > size - n:
                     continue
-                nu = u + lhs[n - split :]
-                nv = v[:split] + rhs
-                known = seen.setdefault((nu, used or strict), set())
-                if nv not in known:
-                    known.add(nv)
-                    if keep(nu, nv, s + strict, head, (i, split)):
-                        return rows, len(sources) - 1
-        head += 1
-    return rows, None
+                p = v.find(lhs)
+                if p < 0:
+                    continue
+                known = seen.setdefault((u, used or strict), set())
+                nv = v.replace(lhs, rhs, 1)  # the match at p
+                while True:
+                    if nv not in known:
+                        known.add(nv)
+                        if keep(u, nv, s + strict, head, (i, p)):
+                            return rows, len(sources) - 1
+                    p = v.find(lhs, p + 1)
+                    if p < 0:
+                        break
+                    nv = v[:p] + rhs + v[p + k :]
+            for i, lhs, rhs, k, grow, strict in extending:
+                # v[split:] is a nonempty proper prefix of lhs.  The old steps
+                # replay unchanged on the extended source; the new step fires the
+                # rule across the old target's end.  Source and target both grow
+                # with split, so the size bound caps it.
+                stop = min(n, size - k - grow + 1, size - len(u) - k + n + 1)
+                for split in range(max(0, n - k + 1), stop):
+                    if not lhs.startswith(v[split:]):
+                        continue
+                    nu = u + lhs[n - split :]
+                    nv = v[:split] + rhs
+                    known = seen.setdefault((nu, used or strict), set())
+                    if nv not in known:
+                        known.add(nv)
+                        if keep(nu, nv, s + strict, head, (i, split)):
+                            return rows, len(sources) - 1
+            head += 1
+        return rows, None
+    finally:
+        if report is not None:
+            report.nodes = len(sources)
 
 
 def forward_closures(

@@ -4,13 +4,18 @@ Matrix search is exhaustive for every dimension up to the bound, under an
 assignment cap and the prove deadline.  The matrix conventions, and the
 checkers that re-verify every certificate, are in `relsrs.check`.
 
-The search has its own arithmetic.  Each candidate letter matrix is a
-flat row-major tuple, entry (i, j) at index i*d + j, and products are
-closed forms for d = 2 with a generic product otherwise.  Its entries
-are those of the checker, ints and NEG_INF, so they are exact for the
-reasons given in `relsrs.check`.  A found assignment is cut back into
-rows, and search_matrix re-checks it with check_matrix before returning
-it.
+The search has its own arithmetic: each candidate letter matrix is a flat
+row-major tuple, entry (i, j) at index i*d + j, with closed-form products
+for d = 2 and a generic product otherwise.  Its entries are the checker's,
+ints and NEG_INF, exact for the reasons given in `relsrs.check`.  A found
+assignment is cut back into rows and re-checked by check_matrix.  At d = 2
+the arctic search skips conjugates: D M D^-1 with D = diag(0, p) keeps
+every rule's verdict and adds -p to (1,2) entries and p to (2,1) ones.  An
+assignment is canonical unless the shift p = 1 or -1 that lowers its
+first finite off-diagonal entry in search order stays in the pool {-inf,
+-1, ..., max_entry}.  The first assignment that holds is canonical, or
+that shift of it would hold and come first, so the last letter only
+completes canonical assignments.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
@@ -167,7 +172,9 @@ def search_weights(
     try:
         vec = first(0, [0] * len(deltas))
     except _SearchStop:
-        return give_up(report, "cap" if nodes > assignment_cap else "deadline")
+        vec = give_up(report, "cap" if nodes > assignment_cap else "deadline")
+    if report is not None:
+        report.nodes = nodes
     if vec is None:
         return None
     return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
@@ -293,6 +300,25 @@ class _Candidates:
             i += 1
 
 
+def _last_candidates(semiring: Semiring, d: int, cands, top: int):
+    """last(prefix): the last letter's candidates; in arctic at d = 2 the canonical completions."""
+    if semiring.name != "arctic" or d != 2:
+        return lambda prefix: cands
+
+    def blocks(m: tuple, p: int) -> bool:  # the shift p takes m out of the pool
+        return m[1] == -1 or m[2] == top if p > 0 else m[1] == top or m[2] == -1
+
+    def last(prefix: list) -> list:  # p lowers the first finite off-diagonal entry; 0, none
+        p = next((1 if m[1] != NEG_INF else -1 for m in prefix if max(m[1:3]) != NEG_INF), 0)
+        return cands if any(blocks(m, p) for m in prefix) else lists[p]
+
+    cands = list(cands)
+    lists = {p: [m for m in cands if blocks(m, p)] for p in (1, -1)}
+    # canonical alone: no finite off-diagonal entry, or m blocks its own shift
+    lists[0] = [m for m in cands if max(m[1:3]) == NEG_INF or last([m]) is cands]
+    return last
+
+
 def _exhaustive_matrix_search(
     system: RelSRS,
     semiring: Semiring,
@@ -307,6 +333,7 @@ def _exhaustive_matrix_search(
     flats: list = [None] * len(system.letters)
     holds = kernel.rule_test(flats)
     candidates = _Candidates(semiring, d, max_entry)
+    last = _last_candidates(semiring, d, candidates, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard
     position = {c: i for i, c in enumerate(used)}
@@ -326,7 +353,8 @@ def _exhaustive_matrix_search(
         if level == len(used):
             return True
         letter, rules = used[level], ready[level]
-        for flat in candidates:
+        pool = candidates if level < len(used) - 1 else last([flats[c] for c in used[:level]])
+        for flat in pool:
             visited += 1
             if visited > cap or (deadline is not None and time.monotonic() >= deadline):
                 raise _SearchStop()
@@ -343,7 +371,9 @@ def _exhaustive_matrix_search(
     try:
         found = rec(0)
     except _SearchStop:
-        return give_up(report, "cap" if visited > cap else "deadline")
+        found = give_up(report, "cap" if visited > cap else "deadline")
+    if report is not None:
+        report.nodes += visited
     if not found:
         return None
     return {c: tuple(flat[i : i + d] for i in range(0, d * d, d)) for c, flat in zip(used, chosen)}

@@ -89,6 +89,8 @@ class TestMixedLoopSearch:
         search_mixed_loop(system, node_budget=needed - 1, report=short)
         search_mixed_loop(system, node_budget=needed, report=enough)
         assert (short.stop, enough.stop) == ("cap", "none")
+        # the node that crosses the budget is counted
+        assert short.nodes == enough.nodes == needed
 
     def test_exhausted_search_is_not_capped(self):
         report = SearchReport()
@@ -213,6 +215,7 @@ class TestEmittingLoopSearch:
         search_emitting_loop(sys_, node_budget=0, report=short)
         search_emitting_loop(sys_, node_budget=1, report=enough)
         assert (short.stop, enough.stop) == ("cap", "none")
+        assert short.nodes == enough.nodes == 1
 
     def test_overlapping_matches_are_successors(self):
         # b a a a -> b a c rewrites the second of two overlapping a a
@@ -308,6 +311,15 @@ class TestForwardClosures:
         expired = time.monotonic() - 1
         assert find_looping_forward_closure(rev, 20, deadline=expired, report=report) is None
         assert report.stop == "deadline"
+
+    def test_report_counts_kept_closures(self):
+        report = SearchReport()
+        assert find_looping_forward_closure(ABA, 12, report=report) is None
+        assert (report.stop, report.nodes) == ("none", len(forward_closures(ABA, 12)))
+        rev = reverse_system(ABA)
+        report = SearchReport()
+        assert find_looping_forward_closure(rev, 12, report=report) is not None
+        assert 0 < report.nodes <= len(forward_closures(rev, 12))
 
     def test_bab_and_its_reversal_have_none(self):
         assert find_looping_forward_closure(BAB, 20) is None

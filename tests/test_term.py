@@ -9,7 +9,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relsrs import (
@@ -39,11 +39,12 @@ from relsrs import (
     trivial_verdict,
     verify_certificate,
 )
-from relsrs.certificates import NEG_INF, SEMIRINGS
-from relsrs.check import _rule_fault
-from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel
+from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
+from relsrs.check import _rule_fault, check_matrix
+from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _last_candidates
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FRONTIER = Path(__file__).parent.parent / "perfbench" / "data" / "frontier"
 
 
 def load_pair(stem):
@@ -568,6 +569,163 @@ class TestFlatKernel:
         monkeypatch.setitem(_FLAT_MUL["natural"], None, lambda d, a, b: a)
         with pytest.raises(RuntimeError, match="unsound certificate"):
             search_matrix(parse_system("(RULES a b -> b a)"), "natural", max_dim=1)
+
+
+def arctic_letter_matrices(d, max_entry):
+    """Every d x d matrix over {-inf, -1, ..., max_entry} with a finite
+    (1,1) entry >= 0, in row-major lexicographic order."""
+    rows = list(product([NEG_INF, *range(-1, max_entry + 1)], repeat=d))
+    return [m for m in product(rows, repeat=d) if m[0][0] >= 0]
+
+
+def first_fit_arctic(system, max_dim, max_entry):
+    """Brute-force oracle: for d = 1 .. max_dim in turn, the first
+    assignment of the letters used in rules, in itertools.product order
+    over the full candidate lists, that check_matrix accepts."""
+    used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
+    for d in range(1, max_dim + 1):
+        for mats in product(arctic_letter_matrices(d, max_entry), repeat=len(used)):
+            cert = ArcticMatrixCertificate(d, {system.letters[c]: m for c, m in zip(used, mats)})
+            if check_matrix(cert, system):
+                return cert
+    return None
+
+
+def is_canonical(mats, top):
+    """The canonical rule for arctic 2 x 2 matrices in search order: let e
+    be the first finite off-diagonal entry, row-major within each matrix.  At a (1,2) entry some matrix must have (1,2) = -1 or
+    (2,1) = top, at a (2,1) entry (1,2) = top or (2,1) = -1; with no finite
+    off-diagonal entry the assignment is canonical."""
+    for m in mats:
+        for i, j in ((0, 1), (1, 0)):
+            if m[i][j] != NEG_INF:
+                return any(x[i][j] == -1 or x[j][i] == top for x in mats)
+    return True
+
+
+def conjugate(mats, p):
+    """D M D^-1 for D = diag(0, p) in max-plus: (1,2) entries lose p, (2,1)
+    entries gain it."""
+    return [((m[0][0], m[0][1] - p), (m[1][0] + p, m[1][1])) for m in mats]
+
+
+def canonical_conjugate(mats, top):
+    """Lower the first finite off-diagonal entry by conjugation until the
+    assignment is canonical."""
+    for _ in range(2 * top + 4):
+        if is_canonical(mats, top):
+            return mats
+        first = next(m for m in mats if m[0][1] != NEG_INF or m[1][0] != NEG_INF)
+        mats = conjugate(mats, 1 if first[0][1] != NEG_INF else -1)
+    raise AssertionError("no canonical conjugate")
+
+
+two_letter_rules = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 1), max_size=3),
+        st.lists(st.integers(0, 1), max_size=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda rules: RelSRS(("a", "b"), tuple(Rule(tuple(x), tuple(y), s) for x, y, s in rules)))
+
+
+class TestArcticConjugates:
+    """At d = 2 the arctic search completes only canonical assignments."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_canonical_conjugate_stays_in_the_pool_and_checks_alike(self, data):
+        top = data.draw(st.integers(0, 2))
+        letters = arctic_letter_matrices(2, top)
+        mats = data.draw(st.lists(st.sampled_from(letters), min_size=2, max_size=2))
+        system = data.draw(two_letter_rules)
+        canon = canonical_conjugate(mats, top)
+        assert all(m in letters for m in canon)
+        assert is_canonical(canon, top)
+        assert [flatten(m) for m in canon] <= [flatten(m) for m in mats]
+        # every rule holds or fails alike under the conjugate
+        for rule in system.rules:
+            one = RelSRS(system.letters, (rule,))
+            before = check_matrix(ArcticMatrixCertificate(2, dict(zip("ab", mats))), one)
+            after = check_matrix(ArcticMatrixCertificate(2, dict(zip("ab", canon))), one)
+            assert bool(before) == bool(after), str(one)
+
+    @pytest.mark.parametrize("top", [0, 1, 2])
+    def test_last_letter_gets_exactly_the_canonical_completions(self, top):
+        cands = list(_Candidates(ARCTIC, 2, top))
+        last = _last_candidates(ARCTIC, 2, cands, top)
+        prefixes = [[]] + [[m] for m in cands] + [[a, b] for a in cands[::29] for b in cands[::31]]
+        for prefix in prefixes:
+            expected = [
+                m for m in cands if is_canonical([rows_of(x, 2) for x in prefix + [m]], top)
+            ]
+            assert last(prefix) == expected, prefix
+
+    def test_other_searches_keep_every_candidate(self):
+        for semiring, d in ((NATURAL, 2), (ARCTIC, 1), (ARCTIC, 3)):
+            cands = _Candidates(semiring, d, 1)
+            assert _last_candidates(semiring, d, cands, 1)([]) is cands
+
+    # random systems seldom need d = 2; these do
+    @example(parse_system("(RULES a b b -> a , ->= a b a)"))
+    @example(parse_system("(RULES b b -> b a b)"))
+    @example(parse_system("(RULES a b b -> , b ->= b a b)"))
+    @example(parse_system("(RULES a b b -> , a ->= a b a)"))
+    @example(parse_system("(RULES a a -> , b ->= a a)"))
+    @settings(max_examples=20, deadline=None)
+    @given(two_letter_rules)
+    def test_search_equals_first_fit(self, system):
+        assert search_matrix(system, "arctic", 2, 1) == first_fit_arctic(system, 2, 1)
+
+
+class TestSearchNodes:
+    @pytest.mark.parametrize(
+        "stem, unfiltered", [("ab_bba", 16_518), ("abb_aba", 16_518), ("a_ab_baa", 2_180)]
+    )
+    def test_arctic_search_visits_fewer_assignments(self, stem, unfiltered):
+        """search_matrix(s, "arctic", 2, 1) finds nothing on these frontier
+        systems.  Completing every assignment at the last letter visits
+        16,518, 16,518 and 2,180 assignments over d = 1 and 2; completing
+        canonical ones only visits 11,398, 11,398 and 1,540."""
+        system = parse_system((FRONTIER / f"{stem}.srs").read_text())
+        report = SearchReport()
+        assert search_matrix(system, "arctic", 2, 1, report=report) is None
+        assert report.stop == "none"
+        assert report.nodes < unfiltered
+
+    def test_assignment_cap_bounds_each_dimension(self):
+        # the cap holds per dimension, so its boundary is the d = 2 count
+        system = parse_system((FRONTIER / "a_ab_baa.srs").read_text())
+        one, both = SearchReport(), SearchReport()
+        search_matrix(system, "arctic", 1, 1, report=one)
+        search_matrix(system, "arctic", 2, 1, report=both)
+        at_two = both.nodes - one.nodes
+        at, below = SearchReport(), SearchReport()
+        assert search_matrix(system, "arctic", 2, 1, assignment_cap=at_two, report=at) is None
+        assert search_matrix(system, "arctic", 2, 1, assignment_cap=at_two - 1, report=below) is None
+        assert (at.stop, below.stop) == ("none", "cap")
+        # the assignment that crosses the cap is counted
+        assert at.nodes == below.nodes == both.nodes
+
+    def test_matrix_nodes_sum_over_dimensions(self):
+        sys_ = parse_system("(RULES a b -> b a)")
+        one, both = SearchReport(), SearchReport()
+        assert search_matrix(sys_, "natural", 1, report=one) is None
+        assert search_matrix(sys_, "natural", 2, report=both) is not None
+        assert 0 < one.nodes < both.nodes
+
+    @pytest.mark.parametrize("text", ["(RULES a b -> a, b ->= )", "(RULES a b -> b a)"])
+    def test_weight_search_cap_boundary(self, text):
+        system = parse_system(text)
+        report = SearchReport()
+        cert = search_weights(system, report=report)
+        at, below = SearchReport(), SearchReport()
+        assert search_weights(system, assignment_cap=report.nodes, report=at) == cert
+        assert search_weights(system, assignment_cap=report.nodes - 1, report=below) is None
+        assert (at.stop, below.stop) == ("none", "cap")
+        assert at.nodes == below.nodes == report.nodes
 
 
 class TestVerifyDispatch:
