@@ -140,8 +140,8 @@ class Semiring:
     schema need to know about it.
 
     A word maps to the product of its letter matrices, the empty word to
-    the identity.  Every rule needs lhs >= rhs entry-wise (`weak`); a strict
-    rule needs `strict` at the (1,d) corner only when `corner_only`, else at
+    the identity.  Every rule needs lhs >= rhs entry-wise; a strict rule
+    needs `strict` at the (1,d) corner only when `corner_only`, else at
     every entry.
     """
 
@@ -150,7 +150,6 @@ class Semiring:
     zero: Union[int, float]
     one: int
     mul: Callable  # (a, b, d) -> the product of two d x d matrices
-    weak: Callable[[object, object], bool]
     strict: Callable[[object, object], bool]
     corner_only: bool
     rule_fault: Callable[..., str]  # (rule text, i, j, lhs entry, rhs entry, strict) -> reason
@@ -172,7 +171,6 @@ NATURAL = Semiring(
     zero=0,
     one=1,
     mul=_nat_mul,
-    weak=operator.ge,
     strict=operator.gt,
     corner_only=True,
     rule_fault=_nat_rule_fault,
@@ -187,7 +185,6 @@ ARCTIC = Semiring(
     zero=NEG_INF,
     one=0,
     mul=_arc_mul,
-    weak=operator.ge,
     strict=_arc_gg,
     corner_only=False,
     rule_fault=_arc_rule_fault,

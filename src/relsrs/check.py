@@ -26,6 +26,7 @@ certificates.ARCTIC).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .certificates import (
@@ -218,7 +219,7 @@ def _rule_fault(rule: Rule, mats: dict, semiring: Semiring, d: int):
     lm = _word_matrix(rule.lhs, mats, semiring, d)
     rm = _word_matrix(rule.rhs, mats, semiring, d)
     strict = rule.strict and not semiring.corner_only
-    cmp = semiring.strict if strict else semiring.weak
+    cmp = semiring.strict if strict else operator.ge
     for i in range(d):
         for j in range(d):
             if not cmp(lm[i][j], rm[i][j]):

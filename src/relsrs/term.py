@@ -20,9 +20,14 @@ completes canonical assignments.
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
 rests on SN(R union S) => SN(R/S) and on a loop of R union S refuting
-SN(R/S) once SN(S) holds.  It runs in three phases, and each tries the
-same four methods in the same order: weights, the mixed-loop search, then
-natural and arctic matrices.
+SN(R/S) once SN(S) holds.  Its methods are one table, built per call from
+the budget and the deadline, with a row per method in order (weights, the
+mixed-loop search, natural and arctic matrices): the attempt name, its
+detail, the reason a direct-phase certificate gives, and the search.  The
+rows look their searches up in this module when they are called, so a
+wrapper put on `search_weights`, `search_mixed_loop` or `search_matrix`
+here (perfbench's tracer, the tests) sees every attempt.  prove runs the
+table in three phases:
 
 - `s-`: S alone made strict, also when S is empty (the empty weight
   vector proves that at once).  A proof gives SN(S); a loop ends the
@@ -66,7 +71,6 @@ from .certificates import (
     Semiring,
     WeightCertificate,
     give_up,
-    matrix_semiring,
     trivial_verdict,
 )
 from .check import _s_as_strict, check_matrix
@@ -328,6 +332,10 @@ def _exhaustive_matrix_search(
     deadline: Optional[float],
     report: Optional[SearchReport],
 ) -> Optional[dict]:
+    # a strict rule with an empty lhs never holds: the identity cannot beat
+    # a product at the natural (1,d) corner or at the arctic (1,1) entry
+    if any(rule.strict and not rule.lhs for rule in system.rules):
+        return None
     used = used_letters(system)
     kernel = _FlatKernel(semiring, d)
     flats: list = [None] * len(system.letters)
@@ -335,16 +343,14 @@ def _exhaustive_matrix_search(
     candidates = _Candidates(semiring, d, max_entry)
     last = _last_candidates(semiring, d, candidates, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
-    # at the earliest such depth prunes the assignment tree hard
+    # at the earliest such depth prunes the assignment tree hard.  A weak
+    # rule with no letters always holds.
     position = {c: i for i, c in enumerate(used)}
     ready: list[list[Rule]] = [[] for _ in used]
     for rule in system.rules:
         letters = set(rule.lhs) | set(rule.rhs)
-        if not letters:
-            if not holds(rule):
-                return None
-            continue
-        ready[max(position[c] for c in letters)].append(rule)
+        if letters:
+            ready[max(position[c] for c in letters)].append(rule)
     chosen: list = [None] * len(used)
     visited = 0
 
@@ -414,71 +420,44 @@ def search_matrix(
 # ------------------------------------------------------------------ prove
 
 
-_METHODS = ("weights", "loop", "natural", "arctic")
+def _methods(b: ProveBudget, deadline: Optional[float]) -> tuple:
+    """prove's methods in order, one row each: the attempt name in the
+    direct phase (the other phases put their tag in front of it, and the
+    loop drops `mixed-`), its detail, the reason a certificate found in the
+    direct phase gives, and search(system, report)."""
+    cap = {"assignment_cap": b.matrix_assignment_cap, "deadline": deadline}
+    dims = f"dim <= {b.matrix_max_dim}, entries <= {b.matrix_max_entry}"
 
-
-def _attempt(
-    method: str,
-    tag: str,
-    system: RelSRS,
-    budget: ProveBudget,
-    deadline: Optional[float],
-) -> tuple[Optional[Certificate], Attempt]:
-    """Run one method of the phase `tag` on its subsystem: the certificate
-    found, or None, and the attempt to log, `found` or the search's stop."""
-    b = budget
-    report = SearchReport()
-    if method == "weights":
-        cert = search_weights(
-            system,
-            b.max_weight,
-            assignment_cap=b.matrix_assignment_cap,
-            deadline=deadline,
-            report=report,
+    def matrix(semiring: str):
+        return lambda system, report: search_matrix(
+            system, semiring, b.matrix_max_dim, b.matrix_max_entry, **cap, report=report
         )
-        name, detail = f"{tag}weights", f"max {b.max_weight}"
-    elif method == "loop":
-        cert = search_mixed_loop(
-            system,
-            b.loop_max_word_len,
-            b.loop_max_steps,
-            max_start_len=b.loop_max_start_len,
-            node_budget=b.loop_node_budget,
-            deadline=deadline,
-            report=report,
+
+    def weights(system: RelSRS, report: SearchReport):
+        return search_weights(system, b.max_weight, **cap, report=report)
+
+    def loop(system: RelSRS, report: SearchReport):
+        return search_mixed_loop(
+            system, b.loop_max_word_len, b.loop_max_steps, max_start_len=b.loop_max_start_len,
+            node_budget=b.loop_node_budget, deadline=deadline, report=report,
         )
-        name = f"{tag or 'mixed-'}loop"
-        detail = "S alone does not terminate" if cert is not None and tag == "s-" else ""
-    else:
-        cert = search_matrix(
-            system,
-            method,
-            b.matrix_max_dim,
-            b.matrix_max_entry,
-            assignment_cap=b.matrix_assignment_cap,
-            deadline=deadline,
-            report=report,
-        )
-        name = f"{tag}matrix-{method}"
-        detail = f"dim <= {b.matrix_max_dim}, entries <= {b.matrix_max_entry}"
-    return cert, Attempt(name, "found" if cert is not None else report.stop, detail)
+
+    return (
+        ("weights", f"max {b.max_weight}", "weight certificate", weights),
+        ("mixed-loop", "", "mixed loop", loop),
+        ("matrix-natural", dims, "natural matrix certificate", matrix("natural")),
+        ("matrix-arctic", dims, "arctic matrix certificate", matrix("arctic")),
+    )
 
 
-def _settled(tag: str, cert: Certificate, s_cert: Optional[Certificate]) -> tuple:
-    """Verdict, certificate and reason for a certificate found in the
-    strictified phase (tag `strictified-`) or the direct one (no tag)."""
-    is_loop = isinstance(cert, LoopCertificate)
-    if tag:
-        if is_loop:
-            parts = (("s-termination", s_cert), ("strictified-loop", cert))
-            return "NO", ComposeCertificate("NO", parts), "loop of R union S while S terminates"
-        parts = (("strictified-termination", cert),)
-        return "YES", ComposeCertificate("YES", parts), "R union S terminates"
-    if is_loop:
-        return "NO", cert, "mixed loop"
-    if isinstance(cert, WeightCertificate):
-        return "YES", cert, "weight certificate"
-    return "YES", cert, f"{matrix_semiring(cert).name} matrix certificate"
+def _settled(cert: Certificate, s_cert: Certificate) -> tuple:
+    """Verdict, certificate and reason for a certificate of the strictified
+    system, given the proof of SN(S)."""
+    if isinstance(cert, LoopCertificate):
+        parts = (("s-termination", s_cert), ("strictified-loop", cert))
+        return "NO", ComposeCertificate("NO", parts), "loop of R union S while S terminates"
+    parts = (("strictified-termination", cert),)
+    return "YES", ComposeCertificate("YES", parts), "R union S terminates"
 
 
 def prove(
@@ -487,30 +466,38 @@ def prove(
     *,
     deadline: Optional[float] = None,
 ) -> ProofOutcome:
-    budget = budget or ProveBudget()
     attempts: list[Attempt] = []
     tv = trivial_verdict(system)
     if tv is not None:
         attempts.append(Attempt("trivial", tv.verdict, tv.reason))
         return ProofOutcome(tv.verdict, tv.certificate, tv.reason, tuple(attempts))
 
+    methods = _methods(budget or ProveBudget(), deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
     phases = (("s-", _s_as_strict(system)), ("strictified-", strictify(system)), ("", system))
     for tag, phase_system in phases:
         if tag == "strictified-" and s_cert is None:
             continue
-        for method in _METHODS:
-            cert, attempt = _attempt(method, tag, phase_system, budget, deadline)
+        for name, detail, reason, search in methods:
+            report = SearchReport()
+            cert = search(phase_system, report)
+            loop = isinstance(cert, LoopCertificate)
+            if tag == "s-" and loop:
+                detail = "S alone does not terminate"
+            name = tag + name.removeprefix("mixed-") if tag else name
+            attempt = Attempt(name, "found" if cert is not None else report.stop, detail)
             attempts.append(attempt)
             if attempt.outcome == "deadline":
                 attempts.append(Attempt("timeout", "hit", "wall clock budget exhausted"))
                 return ProofOutcome("MAYBE", None, "timeout", tuple(attempts))
             if cert is None:
                 continue
-            if tag != "s-":
-                return ProofOutcome(*_settled(tag, cert, s_cert), tuple(attempts))
-            if not isinstance(cert, LoopCertificate):
+            if tag == "strictified-":
+                return ProofOutcome(*_settled(cert, s_cert), tuple(attempts))
+            if not tag:
+                return ProofOutcome("NO" if loop else "YES", cert, reason, tuple(attempts))
+            if not loop:
                 s_cert = cert
             break
     return ProofOutcome(
