@@ -26,6 +26,22 @@ closure factor test are then str.find, startswith and `in`, which run in
 C.  Words are decoded back to tuples only for what is returned: the
 certificate, or the ForwardClosure records.  Certificates and their
 checker, `relsrs.check.check_loop_certificate`, stay on tuple words.
+
+Each search call expands a word once.  `_redexes` lists a word's one-step
+rewrites by rule, then position; a rule whose successors would pass the
+length bound gives only its number of matches and builds no string.
+Closure saturation counts kept closures, not successors, so it asks for no
+such counts and those rules go unsearched.  The loop BFS keeps one dict
+word -> those rows for all its start words, which meet the same words
+again and again, and closure saturation keeps one keyed by target.  A
+memo takes no new entry once it holds _MEMO_ROWS (DEFAULT_NODE_BUDGET)
+rows, about 17 MiB on 64-bit CPython 3.11; words past that are expanded
+afresh each time they come up.
+The memo changes what is computed, not what is counted: the kernels walk
+the rows in the order the rewriting generates them, count a row as one
+node and a too-long rule as its number of matches, and check the cap after
+each, so a cap that falls inside a run of too-long matches still stops at
+cap + 1 nodes.  The deadline is checked before each expansion, as before.
 """
 
 from __future__ import annotations
@@ -43,6 +59,8 @@ DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
 DEFAULT_MAX_CLOSURE_SIZE = 20
 DEFAULT_NODE_BUDGET = 100_000  # nodes of a prove loop search; closures kept by a closure search
+# a search call stops memoising successors once its memo holds this many rows
+_MEMO_ROWS = DEFAULT_NODE_BUDGET
 
 
 def _encode(word: Word) -> str:
@@ -70,6 +88,36 @@ def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
         (i, _encode(r.lhs), _encode(r.rhs), len(r.lhs), len(r.rhs) - len(r.lhs), r.strict)
         for i, r in rules
     ]
+
+
+def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
+    """The one-step rewrites of `word` by the encoded `rules`, by rule, then
+    position: (rule index, position, successor, strict) per match, and for
+    a rule whose successors would be longer than `bound` just the number
+    of its matches, overlapping ones included, with no successor built.
+    With `counts` false such a rule is skipped without looking for it.
+    An empty lhs matches at every position 0..len(word)."""
+    out: list = []
+    room = bound - len(word)
+    for i, lhs, rhs, k, grow, strict in rules:
+        if not counts and grow > room:
+            continue
+        p = word.find(lhs)
+        if p < 0:
+            continue
+        if grow > room:
+            count = 0
+            while p >= 0:
+                count += 1
+                p = word.find(lhs, p + 1)
+            out.append(count)
+            continue
+        out.append((i, p, word.replace(lhs, rhs, 1), strict))  # the match at p
+        p = word.find(lhs, p + 1)
+        while p >= 0:
+            out.append((i, p, word[:p] + rhs + word[p + k :], strict))
+            p = word.find(lhs, p + 1)
+    return tuple(out)
 
 
 def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[Step, ...]:
@@ -110,6 +158,9 @@ def _search_loop(
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     cap = sys.maxsize if node_budget is None else node_budget
     nodes = 0
+    # one redex tuple per word for the whole call, shared by all start words
+    memo: dict[str, tuple] = {}
+    memo_rows = 0
     try:
         for start in _start_words(system, start_bound, lhss):
             # one parent table per flag "a strict step was used"
@@ -120,45 +171,41 @@ def _search_loop(
                 for word, used in level:
                     if deadline is not None and time.monotonic() >= deadline:
                         return give_up(report, "deadline")
-                    room = max_word_len - len(word)
-                    for i, lhs, rhs, k, grow, strict in rules:
-                        p = word.find(lhs)
-                        if p < 0:
-                            continue
-                        if grow > room:
+                    redexes = memo.get(word)
+                    if redexes is None:
+                        redexes = _redexes(word, rules, max_word_len)
+                        if memo_rows < _MEMO_ROWS:
+                            memo[word] = redexes
+                            memo_rows += len(redexes)
+                    for row in redexes:
+                        if row.__class__ is int:
                             # too long to keep, but every match counts as a node
-                            while p >= 0:
-                                nodes += 1
-                                if nodes > cap:
-                                    return give_up(report, "cap")
-                                p = word.find(lhs, p + 1)
-                            continue
-                        nused = used or strict
-                        table = seen[nused]
-                        nxt = word.replace(lhs, rhs, 1)  # the match at p
-                        while True:
-                            nodes += 1
+                            nodes += row
                             if nodes > cap:
+                                nodes = cap + 1
                                 return give_up(report, "cap")
-                            if start in nxt:
-                                found = witness(start, nxt, nused)
-                                if found is not None:
-                                    q, redex = found
-                                    return LoopCertificate(
-                                        kind=kind,
-                                        start=_decode(start),
-                                        steps=_steps(seen, word, used, Step(i, p)),
-                                        left=_decode(nxt[:q]),
-                                        right=_decode(nxt[q + len(start) :]),
-                                        redex=redex,
-                                    )
-                            if nxt not in table:
-                                table[nxt] = (i, p, word, used)
-                                following.append((nxt, nused))
-                            p = word.find(lhs, p + 1)
-                            if p < 0:
-                                break
-                            nxt = word[:p] + rhs + word[p + k :]
+                            continue
+                        nodes += 1
+                        if nodes > cap:
+                            return give_up(report, "cap")
+                        i, p, nxt, strict = row
+                        nused = used or strict
+                        if start in nxt:
+                            found = witness(start, nxt, nused)
+                            if found is not None:
+                                q, redex = found
+                                return LoopCertificate(
+                                    kind=kind,
+                                    start=_decode(start),
+                                    steps=_steps(seen, word, used, Step(i, p)),
+                                    left=_decode(nxt[:q]),
+                                    right=_decode(nxt[q + len(start) :]),
+                                    redex=redex,
+                                )
+                        table = seen[nused]
+                        if nxt not in table:
+                            table[nxt] = (i, p, word, used)
+                            following.append((nxt, nused))
                 if not following:
                     break
                 level = following
@@ -315,6 +362,9 @@ def _saturate_closures(
     rows = (sources, targets, stricts, parents, steps)
     # seen[(source, any strict step used)] = targets of the kept rows
     seen: dict[tuple[str, bool], set[str]] = {}
+    # memo[target] = its redexes, for the whole call
+    memo: dict[str, tuple] = {}
+    memo_rows = 0
 
     def keep(u: str, v: str, s: int, parent: int, step: tuple[int, int]) -> bool:
         """Add a row; True when the search stops at it as a looping closure."""
@@ -341,23 +391,20 @@ def _saturate_closures(
                 return give_up(report, "cap")
             u, v, s = sources[head], targets[head], stricts[head]
             n, used = len(v), s > 0
-            for i, lhs, rhs, k, grow, strict in rules:
-                if grow > size - n:
-                    continue
-                p = v.find(lhs)
-                if p < 0:
-                    continue
-                known = seen.setdefault((u, used or strict), set())
-                nv = v.replace(lhs, rhs, 1)  # the match at p
-                while True:
-                    if nv not in known:
-                        known.add(nv)
-                        if keep(u, nv, s + strict, head, (i, p)):
-                            return rows, len(sources) - 1
-                    p = v.find(lhs, p + 1)
-                    if p < 0:
-                        break
-                    nv = v[:p] + rhs + v[p + k :]
+            redexes = memo.get(v)
+            if redexes is None:
+                redexes = _redexes(v, rules, size, False)
+                if memo_rows < _MEMO_ROWS:
+                    memo[v] = redexes
+                    memo_rows += len(redexes)
+            # the targets kept for (u, used or strict), indexed by strict
+            same_source = (seen.setdefault((u, used), set()), seen.setdefault((u, True), set()))
+            for i, p, nv, strict in redexes:
+                known = same_source[strict]
+                if nv not in known:
+                    known.add(nv)
+                    if keep(u, nv, s + strict, head, (i, p)):
+                        return rows, len(sources) - 1
             for i, lhs, rhs, k, grow, strict in extending:
                 # v[split:] is a nonempty proper prefix of lhs.  The old steps
                 # replay unchanged on the extended source; the new step fires the

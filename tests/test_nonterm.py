@@ -5,9 +5,10 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relsrs import nonterm
 from relsrs import (
     SWEEP_BUDGET,
     Derivation,
@@ -33,6 +34,7 @@ from relsrs import (
     serialize_certificate,
     strict_step_count,
     strictify,
+    successors,
     trivial_verdict,
 )
 
@@ -134,6 +136,76 @@ class TestMixedLoopSearch:
 
     def test_deterministic(self):
         assert search_mixed_loop(BAB) == search_mixed_loop(BAB)
+
+
+class TestRedexes:
+    """The successor rows both loop engines cache, against core.successors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 2), max_size=4),
+                st.lists(st.integers(0, 2), max_size=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(0, 2), max_size=8),
+        st.integers(0, 10),
+    )
+    # "a a a" holds two overlapping matches of "a a", but str.count sees one
+    @example([([0, 0], [1, 1, 1], True)], [0, 0, 0], 3)
+    # likewise "a b a b" twice in "a b a b a b", an lhs that ends unlike it begins
+    @example([([0, 1, 0, 1], [0, 1, 0, 1, 0], True)], [0, 1, 0, 1, 0, 1], 6)
+    def test_rows_are_core_successors(self, rules, word, bound):
+        system = RelSRS(
+            ("a", "b", "c"),
+            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+        )
+        word = tuple(word)
+        expected = []
+        for i, rule in enumerate(system.rules):
+            steps = [(step, succ) for step, succ in successors(word, system) if step.rule_index == i]
+            if not steps:
+                continue
+            if len(word) + len(rule.rhs) - len(rule.lhs) > bound:
+                expected.append(len(steps))
+            else:
+                expected += [
+                    (i, step.position, nonterm._encode(succ), rule.strict) for step, succ in steps
+                ]
+        encoded = nonterm._encoded_rules(enumerate(system.rules))
+        assert nonterm._redexes(nonterm._encode(word), encoded, bound) == tuple(expected)
+        # without counts, as closure saturation asks: the too-long rules drop out
+        in_bound = tuple(row for row in expected if row.__class__ is not int)
+        assert nonterm._redexes(nonterm._encode(word), encoded, bound, False) == in_bound
+
+
+class TestNodeBudgetSweep:
+    # every budget up to one past the search's total; the empty-lhs and
+    # growing rules make runs of too-long matches for the cap to fall in.
+    # Recorded on the search that expanded every word afresh: no budget
+    # below the total finds a certificate, each stops "cap" on the node
+    # that crosses it, and the totals are the nodes of the whole search.
+    @pytest.mark.parametrize(
+        "text, search, total",
+        [
+            ("(RULES a b -> b b a , b ->= )", search_mixed_loop, 1135),
+            ("(RULES a -> b , c ->= b c)", search_emitting_loop, 908),
+            ("(RULES a a -> , ->= b a b)", search_mixed_loop, 819),
+        ],
+    )
+    @pytest.mark.parametrize("memo_rows", [nonterm._MEMO_ROWS, 0], ids=["memo", "no-memo"])
+    def test_every_budget(self, text, search, total, memo_rows, monkeypatch):
+        monkeypatch.setattr(nonterm, "_MEMO_ROWS", memo_rows)
+        system = parse_system(text)
+        for budget in range(total + 2):
+            report = SearchReport()
+            cert = search(system, 5, node_budget=budget, report=report)
+            want = ("cap", budget + 1) if budget < total else ("none", total)
+            assert (cert, report.stop, report.nodes) == (None, *want), budget
 
 
 class TestLoopChecker:
@@ -432,10 +504,20 @@ class TestFrozenClosureResults:
         assert (systems, found, total) == (987, 1732, 122_212)
         assert h.hexdigest() == self.DIGEST
 
+    def test_size_four_results_without_memo(self, monkeypatch):
+        # a full memo: every target's successors are computed afresh
+        monkeypatch.setattr(nonterm, "_MEMO_ROWS", 0)
+        self.test_size_four_results_are_unchanged()
+
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
     def test_saturation_sizes(self, bound, count):
         # recorded with the tuple-word saturation
         assert len(forward_closures(self.A_B_BA_A, bound)) == count
+
+    @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
+    def test_saturation_sizes_without_memo(self, bound, count, monkeypatch):
+        monkeypatch.setattr(nonterm, "_MEMO_ROWS", 0)
+        self.test_saturation_sizes(bound, count)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -521,3 +603,8 @@ class TestFrozenSearchResults:
                     found += cert is not None
         assert (searches, found) == (1134, 347)
         assert h.hexdigest() == self.DIGEST
+
+    def test_size_four_results_without_memo(self, monkeypatch):
+        # a full memo: every word's successors are computed afresh
+        monkeypatch.setattr(nonterm, "_MEMO_ROWS", 0)
+        self.test_size_four_results_are_unchanged()
