@@ -8,14 +8,28 @@ The search has its own arithmetic: each candidate letter matrix is a flat
 row-major tuple, entry (i, j) at index i*d + j, with closed-form products
 for d = 2 and a generic product otherwise.  Its entries are the checker's,
 ints and NEG_INF, exact for the reasons given in `relsrs.check`.  A found
-assignment is cut back into rows and re-checked by check_matrix.  At d = 2
-the arctic search skips conjugates: D M D^-1 with D = diag(0, p) keeps
-every rule's verdict and adds -p to (1,2) entries and p to (2,1) ones.  An
-assignment is canonical unless the shift p = 1 or -1 that lowers its
-first finite off-diagonal entry in search order stays in the pool {-inf,
--1, ..., max_entry}.  The first assignment that holds is canonical, or
-that shift of it would hold and come first, so the last letter only
-completes canonical assignments.
+assignment is cut back into rows and re-checked by check_matrix.
+
+The search gives the letters their matrices in turn, and checks each rule
+at the level of its last letter, in stages.  Each side is split into runs
+of letters assigned earlier and runs of the level's letter.  Once per
+search, each candidate gets an entry that holds the powers those runs need
+(b b in a b -> b b a), or None when a rule in the level's letter alone
+fails (b ->=); once per prefix, each run of earlier letters is multiplied;
+a visit to a candidate only multiplies what mixes it with the prefix.
+Every candidate visited counts as a node, so the order of the search, its
+node counts and its certificates are those of multiplying out every rule
+afresh.
+
+At d = 2 the arctic search skips conjugates: D M D^-1 with D = diag(0, p)
+keeps every rule's verdict and adds -p to (1,2) entries and p to (2,1)
+ones.  An assignment is canonical unless the shift p = 1 or -1 that lowers
+its first finite off-diagonal entry in search order stays in the pool
+{-inf, -1, ..., max_entry}.  The first assignment that holds is canonical,
+or that shift of it would hold and come first, so the last letter only
+completes canonical assignments.  No earlier letter can be pruned this way:
+every prefix has a canonical completion, such as a last letter with (1,2)
+= (2,1) = -1.
 
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
@@ -53,8 +67,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product
-from operator import ge
+from itertools import groupby, product
+from operator import ge, itemgetter
 from typing import Optional
 
 from .certificates import (
@@ -236,31 +250,138 @@ class _FlatKernel:
         self.corner = d - 1 if semiring.corner_only else None
         self.identity = tuple(x for row in semiring.identity(d) for x in row)
 
-    def rule_test(self, flats: list):
-        """The test of a rule against the letter matrices in `flats`,
-        indexed by letter and read at each call: lhs >= rhs entry-wise, and
-        for a strict rule > at the (1,d) corner (natural) or >> at every
-        entry (arctic).  A word maps to the product of its letters'
-        matrices, the empty word to the identity."""
-        mul, identity, corner = self.mul, self.identity, self.corner
-        get = flats.__getitem__
+    def decreases(self, left: tuple, right: tuple, strict: bool) -> bool:
+        """The test of a rule whose sides map to `left` and `right`: >=
+        entry-wise, and for a strict rule > at the (1,d) corner (natural) or
+        >> at every entry (arctic)."""
+        corner = self.corner
+        if not strict:
+            return all(map(ge, left, right))
+        if corner is None:
+            # x >> y, i.e. x > y or y = -inf, at every entry; a loop is
+            # about twice as fast as all() over a generator
+            for x, y in zip(left, right):
+                if x <= y and y != NEG_INF:
+                    return False
+            return True
+        return left[corner] > right[corner] and all(map(ge, left, right))
 
-        def holds(rule: Rule) -> bool:
-            lhs, rhs = rule.lhs, rule.rhs
-            left = reduce(mul, map(get, lhs)) if lhs else identity
-            right = reduce(mul, map(get, rhs)) if rhs else identity
-            if not rule.strict:
-                return all(map(ge, left, right))
-            if corner is None:
-                # x >> y, i.e. x > y or y = -inf, at every entry; a loop
-                # is about twice as fast as all() over a generator
-                for x, y in zip(left, right):
-                    if x <= y and y != NEG_INF:
-                        return False
-                return True
-            return left[corner] > right[corner] and all(map(ge, left, right))
+
+def _runs(word: tuple, letter: int) -> list:
+    """The runs of a word, in order: a run of `letter` as its length, a run
+    of other letters as a tuple of them."""
+    return [len(list(run)) if mine else tuple(run) for mine, run in groupby(word, letter.__eq__)]
+
+
+def _side(kernel: _FlatKernel, factors: list):
+    """A side's value as a function of a candidate's entry: `factors` holds
+    products of earlier letters, and functions that take a power of the
+    candidate from its entry, in word order."""
+    mul = kernel.mul
+    if not factors:
+        return lambda entry, one=kernel.identity: one
+    first, *rest = factors
+    side = first if callable(first) else lambda entry: first
+    for f in rest:
+        if callable(f):
+            side = lambda entry, g=side, power=f: mul(g(entry), power(entry))
+        else:
+            side = lambda entry, g=side, b=f: mul(g(entry), b)
+    return side
+
+
+class _Level:
+    """The rules the search checks at one level: those whose last letter in
+    search order is `letter`, their other letters being assigned at earlier
+    levels.
+
+    A rule in `letter` alone is decided once per candidate, by `entry`.
+    Each side of any other rule is split into runs of earlier letters and
+    runs of `letter`: `enter` multiplies the former once per prefix, and
+    `entry` gives each candidate the powers the latter need, so a visit
+    only multiplies what mixes the candidate with the prefix."""
+
+    def __init__(self, kernel: _FlatKernel, letter: int, rules: list[Rule]):
+        self.kernel = kernel
+        self.alone = []  # (|lhs|, |rhs|, strict)
+        self.mixed = []  # (runs of lhs, runs of rhs, strict)
+        for rule in rules:
+            if set(rule.lhs + rule.rhs) <= {letter}:
+                self.alone.append((len(rule.lhs), len(rule.rhs), rule.strict))
+            else:
+                self.mixed.append((_runs(rule.lhs, letter), _runs(rule.rhs, letter), rule.strict))
+        # the longest run of `letter`: an entry holds the powers up to it
+        self.reach = max([1] + [k for lhs, rhs, _ in self.mixed for k in lhs + rhs if type(k) is int])
+        self.top = max([self.reach] + [n for lhs, rhs, _ in self.alone for n in (lhs, rhs)])
+        # the entries keep each distinct power above the first once
+        self.shared: dict = {}
+        # flat(entry) is the candidate, power(k)(entry) its k-th power
+        if self.reach == 1:
+            self.flat = lambda entry: entry
+            self.power = lambda k: self.flat
+        else:
+            self.flat = itemgetter(0)
+            self.power = lambda k: itemgetter(k - 1)
+
+    def entry(self, flat: tuple):
+        """A candidate's entry: None when a rule in `letter` alone fails,
+        else the candidate itself when `reach` is 1, and its powers 1, ...,
+        `reach` otherwise."""
+        kernel = self.kernel
+        power = [kernel.identity, flat]
+        while len(power) <= self.top:
+            power.append(kernel.mul(power[-1], flat))
+        for lhs, rhs, strict in self.alone:
+            if not kernel.decreases(power[lhs], power[rhs], strict):
+                return None
+        if self.reach == 1:
+            return flat
+        return (flat, *(self.shared.setdefault(m, m) for m in power[2 : self.reach + 1]))
+
+    def enter(self, flats: list):
+        """The test of the other rules for the prefix in `flats`: whether
+        they hold with a candidate, given its entry."""
+        kernel = self.kernel
+        decreases, mul, get = kernel.decreases, kernel.mul, flats.__getitem__
+
+        def side(runs: list):
+            return _side(
+                kernel, [self.power(k) if type(k) is int else reduce(mul, map(get, k)) for k in runs]
+            )
+
+        plans = [(side(lhs), side(rhs), strict) for lhs, rhs, strict in self.mixed]
+
+        def holds(entry) -> bool:
+            for lhs, rhs, strict in plans:
+                if not decreases(lhs(entry), rhs(entry), strict):
+                    return False
+            return True
 
         return holds
+
+
+_END = object()
+
+
+class _Made:
+    """A sequence made as iteration first reaches it and kept for the next
+    pass."""
+
+    def __init__(self, source):
+        self._source = iter(source)
+        self._made: list = []
+
+    def __iter__(self):
+        made = self._made
+        i = 0
+        while True:
+            if i == len(made):
+                item = next(self._source, _END)  # an item may be None
+                if item is _END:
+                    return
+                made.append(item)
+            yield made[i]
+            i += 1
 
 
 # the search's entries up to a bound, in search order
@@ -270,7 +391,7 @@ _POOL = {
 }
 
 
-class _Candidates:
+class _Candidates(_Made):
     """The matrices allowed for a letter as flat tuples, in row-major
     lexicographic order over the semiring's entry pool.  They are made as
     the search first reaches them and kept for the next pass: at d = 3 the
@@ -288,38 +409,32 @@ class _Candidates:
             slots[-1] = [r for r in slots[-1] if r[-1] >= 1]
         else:  # a finite entry (1,1) >= 0
             slots[0] = [r for r in rows if r[0] >= 0]
-        self._source = (sum(m, ()) for m in product(*slots))
-        self._made: list = []
-
-    def __iter__(self):
-        made = self._made
-        i = 0
-        while True:
-            if i == len(made):
-                flat = next(self._source, None)
-                if flat is None:
-                    return
-                made.append(flat)
-            yield made[i]
-            i += 1
+        super().__init__(sum(m, ()) for m in product(*slots))
 
 
-def _last_candidates(semiring: Semiring, d: int, cands, top: int):
-    """last(prefix): the last letter's candidates; in arctic at d = 2 the canonical completions."""
+def _last_candidates(semiring: Semiring, d: int, cands, top: int, items=None):
+    """last(prefix): the last letter's candidates, or the `items` made for
+    them in the same order; in arctic at d = 2 only the canonical
+    completions."""
+    items = cands if items is None else items
     if semiring.name != "arctic" or d != 2:
-        return lambda prefix: cands
+        return lambda prefix: items
 
     def blocks(m: tuple, p: int) -> bool:  # the shift p takes m out of the pool
         return m[1] == -1 or m[2] == top if p > 0 else m[1] == top or m[2] == -1
 
-    def last(prefix: list) -> list:  # p lowers the first finite off-diagonal entry; 0, none
-        p = next((1 if m[1] != NEG_INF else -1 for m in prefix if max(m[1:3]) != NEG_INF), 0)
-        return cands if any(blocks(m, p) for m in prefix) else lists[p]
+    def shift(prefix: list) -> int:  # p lowers the first finite off-diagonal entry; 0, none
+        return next((1 if m[1] != NEG_INF else -1 for m in prefix if max(m[1:3]) != NEG_INF), 0)
 
-    cands = list(cands)
-    lists = {p: [m for m in cands if blocks(m, p)] for p in (1, -1)}
+    def last(prefix: list) -> list:
+        p = shift(prefix)
+        return items if any(blocks(m, p) for m in prefix) else lists[p]
+
+    pairs = list(zip(cands, items))
+    items = [x for _, x in pairs]
+    lists = {p: [x for m, x in pairs if blocks(m, p)] for p in (1, -1)}
     # canonical alone: no finite off-diagonal entry, or m blocks its own shift
-    lists[0] = [m for m in cands if max(m[1:3]) == NEG_INF or last([m]) is cands]
+    lists[0] = [x for m, x in pairs if max(m[1:3]) == NEG_INF or blocks(m, shift([m]))]
     return last
 
 
@@ -339,9 +454,7 @@ def _exhaustive_matrix_search(
     used = used_letters(system)
     kernel = _FlatKernel(semiring, d)
     flats: list = [None] * len(system.letters)
-    holds = kernel.rule_test(flats)
     candidates = _Candidates(semiring, d, max_entry)
-    last = _last_candidates(semiring, d, candidates, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard.  A weak
     # rule with no letters always holds.
@@ -351,26 +464,25 @@ def _exhaustive_matrix_search(
         letters = set(rule.lhs) | set(rule.rhs)
         if letters:
             ready[max(position[c] for c in letters)].append(rule)
-    chosen: list = [None] * len(used)
+    levels = [_Level(kernel, c, rules) for c, rules in zip(used, ready)]
+    # each level's entry for each candidate, made once per search
+    entries = [_Made(map(level.entry, candidates)) for level in levels]
+    last = _last_candidates(semiring, d, candidates, max_entry, entries[-1]) if used else None
     visited = 0
 
     def rec(level: int) -> bool:
         nonlocal visited
         if level == len(used):
             return True
-        letter, rules = used[level], ready[level]
-        pool = candidates if level < len(used) - 1 else last([flats[c] for c in used[:level]])
-        for flat in pool:
+        letter, flat, holds = used[level], levels[level].flat, levels[level].enter(flats)
+        pool = entries[level] if level < len(used) - 1 else last([flats[c] for c in used[:level]])
+        for entry in pool:
             visited += 1
             if visited > cap or (deadline is not None and time.monotonic() >= deadline):
                 raise _SearchStop()
-            flats[letter] = flat
-            for rule in rules:
-                if not holds(rule):
-                    break
-            else:
+            if entry is not None and holds(entry):
+                flats[letter] = flat(entry)
                 if rec(level + 1):
-                    chosen[level] = flat
                     return True
         return False
 
@@ -382,7 +494,8 @@ def _exhaustive_matrix_search(
         report.nodes += visited
     if not found:
         return None
-    return {c: tuple(flat[i : i + d] for i in range(0, d * d, d)) for c, flat in zip(used, chosen)}
+    # the letters keep the matrices they had when the last level held
+    return {c: tuple(flats[c][i : i + d] for i in range(0, d * d, d)) for c in used}
 
 
 def search_matrix(

@@ -465,11 +465,14 @@ class TestFrozenClosureResults:
     # recorded with the tuple-word saturation (987 systems, 1732 looping
     # closures, 122,212 closures at bound 6)
     DIGEST = "1903c46f3feb1e65558ad3468aca8a49ef16efd1c28868382377e1110023e238"
+    # why each looping-closure search stopped and how many closures it kept
+    REPORT_DIGEST = "e4042c1dbc26b4cd2a93d44b6cee3ee957f9ce0ee762e35556d3ff9ffdac42de"
 
     def test_size_four_results_are_unchanged(self):
         """The looping closure at bounds 6 and 8 and the saturation at
-        bound 6 of every two-letter system up to size 4.  The digest was
-        made by this snippet:
+        bound 6 of every two-letter system up to size 4.  DIGEST was made by
+        this snippet, and REPORT_DIGEST by hashing `[report.stop,
+        report.nodes]` of each looping-closure search the same way:
 
             def row(c):
                 return None if c is None else [
@@ -490,19 +493,22 @@ class TestFrozenClosureResults:
                 return None
             return [c.source, c.target, c.strict_steps, [[s.rule_index, s.position] for s in c.trace]]
 
-        h = hashlib.sha256()
+        h, reports = hashlib.sha256(), hashlib.sha256()
         systems = found = total = 0
         for system in enumerate_systems(EnumerationConfig(2, 4)):
             systems += 1
             for bound in (6, 8):
-                c = find_looping_forward_closure(system, bound)
+                report = SearchReport()
+                c = find_looping_forward_closure(system, bound, report=report)
                 found += c is not None
                 h.update(json.dumps(row(c)).encode() + b"\n")
+                reports.update(json.dumps([report.stop, report.nodes]).encode() + b"\n")
             closures = forward_closures(system, 6)
             total += len(closures)
             h.update(json.dumps([row(c) for c in closures]).encode() + b"\n")
         assert (systems, found, total) == (987, 1732, 122_212)
         assert h.hexdigest() == self.DIGEST
+        assert reports.hexdigest() == self.REPORT_DIGEST
 
     def test_size_four_results_without_memo(self, monkeypatch):
         # a full memo: every target's successors are computed afresh
@@ -549,12 +555,16 @@ class TestFrozenClosureResults:
 class TestFrozenSearchResults:
     # recorded with the tuple-word searches: 1134 searches, 347 certificates
     DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
+    # why each search stopped and how many nodes it visited
+    REPORT_DIGEST = "8dda97d8f6063552e8510ebb0a630d9a96b97163c23d1461cb8b4e165eb22f7b"
 
     def test_size_four_results_are_unchanged(self):
         """Both loop searches, with the SWEEP_BUDGET loop bounds and the
         emitting bounds SWEEP_BUDGET had while prove ran that search, on every
         non-trivial two-letter system up to size 4 as is, strictified, and
-        with S alone made strict.  The digest was made by this snippet:
+        with S alone made strict.  DIGEST was made by this snippet, and
+        REPORT_DIGEST by hashing `[report.stop, report.nodes]` of each search
+        the same way:
 
             b = SWEEP_BUDGET
             h = hashlib.sha256()
@@ -576,7 +586,7 @@ class TestFrozenSearchResults:
             h.hexdigest()
         """
         b = SWEEP_BUDGET
-        h = hashlib.sha256()
+        h, reports = hashlib.sha256(), hashlib.sha256()
         searches = found = 0
         for system in enumerate_systems(EnumerationConfig(2, 4)):
             if trivial_verdict(system) is not None:
@@ -586,23 +596,27 @@ class TestFrozenSearchResults:
                 tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
             )
             for form in (system, strictify(system), s_only):
+                mixed_report, emitting_report = SearchReport(), SearchReport()
                 mixed = search_mixed_loop(
                     form,
                     b.loop_max_word_len,
                     b.loop_max_steps,
                     max_start_len=b.loop_max_start_len,
                     node_budget=b.loop_node_budget,
+                    report=mixed_report,
                 )
                 emitting = search_emitting_loop(
-                    form, 8, 8, max_start_len=4, node_budget=2_000
+                    form, 8, 8, max_start_len=4, node_budget=2_000, report=emitting_report
                 )
-                for cert in (mixed, emitting):
+                for cert, report in ((mixed, mixed_report), (emitting, emitting_report)):
                     data = None if cert is None else serialize_certificate(cert, form)
                     h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+                    reports.update(json.dumps([report.stop, report.nodes]).encode() + b"\n")
                     searches += 1
                     found += cert is not None
         assert (searches, found) == (1134, 347)
         assert h.hexdigest() == self.DIGEST
+        assert reports.hexdigest() == self.REPORT_DIGEST
 
     def test_size_four_results_without_memo(self, monkeypatch):
         # a full memo: every word's successors are computed afresh

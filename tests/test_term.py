@@ -41,7 +41,7 @@ from relsrs import (
 )
 from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
 from relsrs.check import _rule_fault, check_matrix
-from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _last_candidates
+from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _Level, _last_candidates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FRONTIER = Path(__file__).parent.parent / "perfbench" / "data" / "frontier"
@@ -450,12 +450,17 @@ class TestFrozenMatrixResults:
     # each on a form with such a rule and each without a certificate, end
     # `none`: 234 capped.
     DIGEST = "4c9dc116b05706c947962f34eb0badf32ec86523b18673672a92e11527c69a6a"
+    # each search's certificate, why it stopped and how many assignments it
+    # visited, recorded before the search evaluated rules in stages
+    REPORT_DIGEST = "3a28115dba7bb0f22770145db6b75770d707e37bc6c258c15c5f2d7eff5f68a4"
+    THREE_LETTER_DIGEST = "53cab46bf32c7f00b874f9ba43f5b73bd729a5380f29c9b0b1cdbaf9d2026779"
 
     def test_size_four_results_are_unchanged(self):
         """Both semirings at (max_dim, max_entry) = (2, 1) and (2, 2) under
         an assignment cap of 3,000, and at (3, 1) under a cap of 500, on
         every non-trivial two-letter system up to size 4 as is, strictified,
-        and with S alone made strict.  The digest was made by this snippet:
+        and with S alone made strict.  DIGEST was made by this snippet, and
+        REPORT_DIGEST by hashing `[data, report.stop, report.nodes]` instead:
 
             h = hashlib.sha256()
             for system in enumerate_systems(EnumerationConfig(2, 4)):
@@ -475,30 +480,59 @@ class TestFrozenMatrixResults:
                                      + b"\n")
             h.hexdigest()
         """
+        h, reports = hashlib.sha256(), hashlib.sha256()
+        searches = found = capped = 0
+        for form in self.forms(EnumerationConfig(2, 4)):
+            for semiring in ("natural", "arctic"):
+                for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
+                    report = SearchReport()
+                    cert = search_matrix(
+                        form, semiring, max_dim, max_entry, assignment_cap=cap, report=report
+                    )
+                    data = None if cert is None else serialize_certificate(cert, form)
+                    is_capped = report.stop == "cap"
+                    h.update(json.dumps([data, is_capped], sort_keys=True).encode() + b"\n")
+                    reports.update(self.report_line(data, report))
+                    searches += 1
+                    found += cert is not None
+                    capped += is_capped
+        assert (searches, found, capped) == (3402, 1598, 234)
+        assert h.hexdigest() == self.DIGEST
+        assert reports.hexdigest() == self.REPORT_DIGEST
+
+    def test_three_letter_size_four_reports_are_unchanged(self):
+        """Both semirings at (max_dim, max_entry) = (2, 1) under a cap of
+        5,000 on the same forms of every non-trivial three-letter system up
+        to size 4, whose rules can hold runs of two earlier letters."""
         h = hashlib.sha256()
         searches = found = capped = 0
-        for system in enumerate_systems(EnumerationConfig(2, 4)):
+        for form in self.forms(EnumerationConfig(3, 4)):
+            for semiring in ("natural", "arctic"):
+                report = SearchReport()
+                cert = search_matrix(form, semiring, 2, 1, assignment_cap=5000, report=report)
+                data = None if cert is None else serialize_certificate(cert, form)
+                h.update(self.report_line(data, report))
+                searches += 1
+                found += cert is not None
+                capped += report.stop == "cap"
+        assert (searches, found, capped) == (1152, 642, 32)
+        assert h.hexdigest() == self.THREE_LETTER_DIGEST
+
+    @staticmethod
+    def forms(config):
+        """Each non-trivial system as is, strictified, and with S alone made strict."""
+        for system in enumerate_systems(config):
             if trivial_verdict(system) is not None:
                 continue
             s_only = RelSRS(
                 system.letters,
                 tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
             )
-            for form in (system, strictify(system), s_only):
-                for semiring in ("natural", "arctic"):
-                    for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
-                        report = SearchReport()
-                        cert = search_matrix(
-                            form, semiring, max_dim, max_entry, assignment_cap=cap, report=report
-                        )
-                        data = None if cert is None else serialize_certificate(cert, form)
-                        is_capped = report.stop == "cap"
-                        h.update(json.dumps([data, is_capped], sort_keys=True).encode() + b"\n")
-                        searches += 1
-                        found += cert is not None
-                        capped += is_capped
-        assert (searches, found, capped) == (3402, 1598, 234)
-        assert h.hexdigest() == self.DIGEST
+            yield from (system, strictify(system), s_only)
+
+    @staticmethod
+    def report_line(data, report):
+        return json.dumps([data, report.stop, report.nodes], sort_keys=True).encode() + b"\n"
 
 
 def pool_matrices(semiring, d, count):
@@ -531,6 +565,21 @@ class TestCandidates:
         assert made == [flatten(m) for m in expected]
 
 
+def staged_test(semiring, d, flats, letter):
+    """holds(rule): the matrix search's test of a rule at the level of
+    `letter`, every other letter in `flats` being assigned earlier."""
+    kernel = _FlatKernel(semiring, d)
+    # the prefix does not hold the current letter
+    prefix = [None if c == letter else flat for c, flat in enumerate(flats)]
+
+    def holds(rule):
+        level = _Level(kernel, letter, [rule])
+        entry = level.entry(flats[letter])
+        return entry is not None and level.enter(prefix)(entry)
+
+    return holds
+
+
 class TestFlatKernel:
     """The matrix search's own arithmetic against the checker's."""
 
@@ -542,10 +591,35 @@ class TestFlatKernel:
         mats = data.draw(pool_matrices(semiring, d, 3))
         word = st.lists(st.integers(0, 2), max_size=4).map(tuple)
         rule = Rule(data.draw(word), data.draw(word), data.draw(st.booleans()))
-        kernel = _FlatKernel(semiring, d)
-        holds = kernel.rule_test([flatten(m) for m in mats])
+        letter = data.draw(st.sampled_from(sorted(set(rule.lhs + rule.rhs)) or [0]))
+        holds = staged_test(semiring, d, [flatten(m) for m in mats], letter)
         expected = _rule_fault(rule, dict(enumerate(mats)), semiring, d) is None
         assert holds(rule) == expected
+
+    # letters 0, 1, 2 with 1 current: runs of earlier letters before, after
+    # and between runs of the current letter, one-letter rules, empty sides
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ((0, 1), (1, 1, 0)),
+            ((2, 0, 0, 1, 1, 2, 0), (0, 1, 2)),
+            ((1, 2, 1), (1, 1, 1, 0)),
+            ((1, 1), ()),
+            ((), (1,)),
+            ((0, 2), (1,)),
+            ((), (0, 1, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("strict", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rule_shapes_agree_with_the_checker(self, lhs, rhs, strict, data):
+        semiring = data.draw(st.sampled_from(SEMIRINGS))
+        d = data.draw(st.integers(1, 4))
+        mats = data.draw(pool_matrices(semiring, d, 3))
+        rule = Rule(lhs, rhs, strict)
+        holds = staged_test(semiring, d, [flatten(m) for m in mats], 1)
+        assert holds(rule) == (_rule_fault(rule, dict(enumerate(mats)), semiring, d) is None)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -563,7 +637,7 @@ class TestFlatKernel:
         # a weak empty rule always holds, a strict one never does
         for semiring in SEMIRINGS:
             for d in (1, 2, 3, 4):
-                holds = _FlatKernel(semiring, d).rule_test([])
+                holds = staged_test(semiring, d, [semiring.identity(d)], 0)
                 assert holds(Rule((), (), False)) and not holds(Rule((), (), True))
 
     def test_wrong_product_raises_instead_of_returning(self, monkeypatch):
@@ -581,17 +655,23 @@ def arctic_letter_matrices(d, max_entry):
     return [m for m in product(rows, repeat=d) if m[0][0] >= 0]
 
 
-def first_fit_arctic(system, max_dim, max_entry):
+def first_fit(system, semiring, max_dim, max_entry):
     """Brute-force oracle: for d = 1 .. max_dim in turn, the first
     assignment of the letters used in rules, in itertools.product order
     over the full candidate lists, that check_matrix accepts."""
     used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
     for d in range(1, max_dim + 1):
-        for mats in product(arctic_letter_matrices(d, max_entry), repeat=len(used)):
-            cert = ArcticMatrixCertificate(d, {system.letters[c]: m for c, m in zip(used, mats)})
+        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
+        letters = [m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None]
+        for mats in product(letters, repeat=len(used)):
+            cert = semiring.certificate(d, {system.letters[c]: m for c, m in zip(used, mats)})
             if check_matrix(cert, system):
                 return cert
     return None
+
+
+def first_fit_arctic(system, max_dim, max_entry):
+    return first_fit(system, ARCTIC, max_dim, max_entry)
 
 
 def is_canonical(mats, top):
@@ -681,6 +761,50 @@ class TestArcticConjugates:
     @given(two_letter_rules)
     def test_search_equals_first_fit(self, system):
         assert search_matrix(system, "arctic", 2, 1) == first_fit_arctic(system, 2, 1)
+
+
+three_letter_rules = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 2), max_size=3),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=3,
+).map(
+    lambda rules: RelSRS(("a", "b", "c"), tuple(Rule(tuple(x), tuple(y), s) for x, y, s in rules))
+)
+
+
+class TestNaturalSearchOracle:
+    """The natural search, which evaluates each rule in stages, returns the
+    first assignment over the full candidate product that the checker
+    accepts."""
+
+    @example(parse_system("(RULES a b b -> b b a , a ->= a a)"))
+    @settings(max_examples=50, deadline=None)
+    @given(two_letter_rules | three_letter_rules)
+    def test_search_equals_first_fit(self, system):
+        assert search_matrix(system, "natural", 2, 1) == first_fit(system, NATURAL, 2, 1)
+
+    # entries <= 1 seldom give a natural certificate at d = 2; these need
+    # one with entries <= 2: repeated letters, and three letters with runs
+    # of two earlier letters
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(RULES a b -> b a)",
+            "(RULES a a b -> b a a , b ->= )",
+            "(RULES b b a -> a b b)",
+            "(RULES a b c -> c b a)",
+            "(RULES a c -> c b a , b c ->= c b)",
+        ],
+    )
+    def test_search_equals_first_fit_at_entry_two(self, text):
+        system = parse_system(text)
+        cert = search_matrix(system, "natural", 2, 2)
+        assert cert == first_fit(system, NATURAL, 2, 2)
+        assert cert is not None and cert.dimension == 2
 
 
 class TestSearchNodes:
