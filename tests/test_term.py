@@ -670,10 +670,6 @@ def first_fit(system, semiring, max_dim, max_entry):
     return None
 
 
-def first_fit_arctic(system, max_dim, max_entry):
-    return first_fit(system, ARCTIC, max_dim, max_entry)
-
-
 def is_canonical(mats, top):
     """The canonical rule for arctic 2 x 2 matrices in search order: let e
     be the first finite off-diagonal entry, row-major within each matrix.  At a (1,2) entry some matrix must have (1,2) = -1 or
@@ -760,7 +756,7 @@ class TestArcticConjugates:
     @settings(max_examples=20, deadline=None)
     @given(two_letter_rules)
     def test_search_equals_first_fit(self, system):
-        assert search_matrix(system, "arctic", 2, 1) == first_fit_arctic(system, 2, 1)
+        assert search_matrix(system, "arctic", 2, 1) == first_fit(system, ARCTIC, 2, 1)
 
 
 three_letter_rules = st.lists(
