@@ -237,8 +237,10 @@ class SearchReport:
     `stop` where it gives up: "cap" when its node budget or assignment cap
     cut it short (the weight search counts its nodes against the matrix
     assignment cap), "deadline" when the monotonic-clock deadline did.  It
-    stays "none" when the search ran to the end of its space.  `nodes` is
-    what it counted against its cap, summed over matrix dimensions."""
+    stays "none" when the search ran to the end of its space.  Every search
+    adds what it counted against its cap to `nodes`, so a report handed to
+    several searches, or to the matrix search's several dimensions, holds
+    their sum."""
 
     stop: str = "none"
     nodes: int = 0
@@ -262,30 +264,16 @@ def trivial_verdict(system: RelSRS) -> Optional[ProofOutcome]:
     """Immediate verdicts that need no search.
 
     A strict rule with lhs = rhs loops in place; a strict rule with empty
-    lhs re-applies inside its own output forever.  Empty R terminates
-    relative to anything.
+    lhs re-applies inside its own output forever.  Either way the lhs is a
+    prefix of the rhs, so one step from the lhs is the loop, with the rest
+    of the rhs as its right flank.  Empty R terminates relative to anything.
     """
     for i, rule in enumerate(system.rules):
-        if not rule.strict:
-            continue
-        if rule.lhs == rule.rhs:
-            cert = LoopCertificate(
-                kind="mixed",
-                start=rule.lhs,
-                steps=(Step(i, 0),),
-                left=(),
-                right=(),
-            )
-            return ProofOutcome("NO", cert, reason="strict rule with lhs = rhs")
-        if not rule.lhs:
-            cert = LoopCertificate(
-                kind="mixed",
-                start=(),
-                steps=(Step(i, 0),),
-                left=(),
-                right=rule.rhs,
-            )
-            return ProofOutcome("NO", cert, reason="strict rule with empty lhs")
+        same = rule.lhs == rule.rhs
+        if rule.strict and (same or not rule.lhs):
+            cert = LoopCertificate("mixed", rule.lhs, (Step(i, 0),), (), rule.rhs[len(rule.lhs) :])
+            reason = "strict rule with lhs = rhs" if same else "strict rule with empty lhs"
+            return ProofOutcome("NO", cert, reason=reason)
     if not system.strict_rules:
         return ProofOutcome("YES", EmptyRCertificate(), reason="R is empty")
     return None

@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -67,16 +68,8 @@ def _read_system(path: str) -> RelSRS:
 
 
 def _budget_from_args(args: argparse.Namespace) -> ProveBudget:
-    updates = {}
-    if args.max_word_len is not None:
-        updates["loop_max_word_len"] = args.max_word_len
-    if args.max_steps is not None:
-        updates["loop_max_steps"] = args.max_steps
-    if args.max_dim is not None:
-        updates["matrix_max_dim"] = args.max_dim
-    if args.max_entry is not None:
-        updates["matrix_max_entry"] = args.max_entry
-    return ProveBudget(**updates)
+    given = {f.name: getattr(args, f.name, None) for f in fields(ProveBudget)}
+    return ProveBudget(**{name: value for name, value in given.items() if value is not None})
 
 
 def _deadline(args: argparse.Namespace) -> Optional[float]:
@@ -289,10 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def budget_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-word-len", type=_COUNT, default=None, metavar="N")
-        p.add_argument("--max-steps", type=_COUNT, default=None, metavar="N")
-        p.add_argument("--max-dim", type=_at_least(1), default=None, metavar="N")
-        p.add_argument("--max-entry", type=_COUNT, default=None, metavar="N")
+        # each flag is stored under the ProveBudget field it sets
+        p.add_argument("--max-word-len", type=_COUNT, dest="loop_max_word_len", metavar="N")
+        p.add_argument("--max-steps", type=_COUNT, dest="loop_max_steps", metavar="N")
+        p.add_argument("--max-dim", type=_at_least(1), dest="matrix_max_dim", metavar="N")
+        p.add_argument("--max-entry", type=_COUNT, dest="matrix_max_entry", metavar="N")
         p.add_argument("--timeout", type=_SECONDS, default=None, metavar="SECONDS")
 
     p = sub.add_parser("prove", help="decide relative termination of an SRS file")

@@ -20,6 +20,7 @@ system trivially non-terminating, which is a verdict, not a redundancy.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,7 +28,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .certificates import trivial_verdict
-from .core import RelSRS, Rule, Word, system_size
+from .core import RelSRS, Rule, Word
 
 LETTER_NAMES = ("a", "b", "c", "d")
 MAX_ALPHABET = 4
@@ -60,6 +61,14 @@ def _dedupe(rules: Iterable[Rule]) -> list[Rule]:
     return out
 
 
+def _image(rule: Rule, name, mirror: bool) -> Rule:
+    """The rule with each letter c renamed name[c], both sides reversed
+    when `mirror` is set."""
+    step = -1 if mirror else 1
+    lhs, rhs = (tuple(name[c] for c in side[::step]) for side in (rule.lhs, rule.rhs))
+    return Rule(lhs, rhs, rule.strict)
+
+
 def canonical_form(system: RelSRS, identify_reversal: bool = False) -> RelSRS:
     """Minimal representative of the system under letter renaming.
 
@@ -73,30 +82,17 @@ def canonical_form(system: RelSRS, identify_reversal: bool = False) -> RelSRS:
     used = sorted({c for r in rules for c in r.lhs + r.rhs})
     k = len(system.letters)
     m = len(used)
-    count = 1
-    for i in range(m):
-        count *= k - i
-    if count > 500_000:
+    if math.perm(k, m) > 500_000:
         raise ValueError(f"alphabet too large to canonicalize ({m} letters used of {k})")
     mirrors = (False, True) if identify_reversal else (False,)
-    best_key = None
-    best_rules = None
-    for target in permutations(range(k), m):
-        mapping = dict(zip(used, target))
-        for mirror in mirrors:
-            mapped = []
-            for r in rules:
-                lhs = r.lhs[::-1] if mirror else r.lhs
-                rhs = r.rhs[::-1] if mirror else r.rhs
-                mapped.append(
-                    Rule(tuple(mapping[c] for c in lhs), tuple(mapping[c] for c in rhs), r.strict)
-                )
-            mapped.sort(key=_rule_key)
-            key = tuple(_rule_key(r) for r in mapped)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_rules = mapped
-    return RelSRS(system.letters, tuple(best_rules or ()))
+    images = (
+        sorted((_image(r, dict(zip(used, target)), mirror) for r in rules), key=_rule_key)
+        for target in permutations(range(k), m)
+        for mirror in mirrors
+    )
+    # never empty: RelSRS keeps every letter inside the alphabet, so m <= k
+    best = min(images, key=lambda mapped: [_rule_key(r) for r in mapped])
+    return RelSRS(system.letters, tuple(best))
 
 
 @dataclass(frozen=True)
@@ -182,13 +178,7 @@ class _Context:
         if config.identify_reversal:
             variants += [(p, True) for p in perms]
         for perm, mirror in variants:
-            table = []
-            for r in rules:
-                lhs = r.lhs[::-1] if mirror else r.lhs
-                rhs = r.rhs[::-1] if mirror else r.rhs
-                img = Rule(tuple(perm[c] for c in lhs), tuple(perm[c] for c in rhs), r.strict)
-                table.append(self.id_of[img])
-            self.tables.append(table)
+            self.tables.append([self.id_of[_image(r, perm, mirror)] for r in rules])
 
     def is_canonical(self, ids: list[int]) -> bool:
         for table in self.tables:
@@ -354,21 +344,15 @@ def _flag(value: bool) -> str:
     return "on" if value else "off"
 
 
-def enumeration_manifest(config: EnumerationConfig, stream: Iterable[RelSRS]) -> str:
+def enumeration_manifest(config: EnumerationConfig, stream: EnumerationStream) -> str:
     """Drain what is left of the stream and render a stable text report.
 
-    A stream with stats (an EnumerationStream) is counted by its stats, so
-    one already consumed, in part or whole, reports the same as a fresh
-    one; a plain iterable is counted here and gets no stats lines.
+    Every count is read from the stream's stats, so a stream already
+    consumed, in part or whole, reports the same as a fresh one.
     """
-    stats = getattr(stream, "stats", None)
-    by_size: dict[int, int] = {}
-    for system in stream:
-        s = system_size(system)
-        by_size[s] = by_size.get(s, 0) + 1
-    total = sum(by_size.values())
-    if stats is not None:
-        by_size, total = stats.by_size, stats.emitted
+    for _ in stream:
+        pass
+    stats = stream.stats
     lines = [
         "relative SRS enumeration manifest",
         (
@@ -379,19 +363,17 @@ def enumeration_manifest(config: EnumerationConfig, stream: Iterable[RelSRS]) ->
             f" identify-reversal={_flag(config.identify_reversal)}"
             f" prune-trivial={_flag(config.prune_trivial)}"
         ),
+        f"universe: {stats.universe_rules} rules"
+        f" (relative identity rules excluded: {stats.excluded_identity_rules})",
     ]
-    if stats is not None:
-        lines.append(
-            f"universe: {stats.universe_rules} rules"
-            f" (relative identity rules excluded: {stats.excluded_identity_rules})"
-        )
-    if by_size.get(0):
-        lines.append(f"size 0: {by_size[0]}")
+    if stats.by_size.get(0):
+        lines.append(f"size 0: {stats.by_size[0]}")
     for s in range(1, config.max_size + 1):
-        lines.append(f"size {s}: {by_size.get(s, 0)}")
-    lines.append(f"total: {total}")
-    if stats is not None:
-        lines.append(f"noncanonical skipped: {stats.noncanonical_skipped}")
-        lines.append(f"rejected (letters unused): {stats.rejected_letters_unused}")
-        lines.append(f"pruned trivial: {stats.pruned_trivial}")
+        lines.append(f"size {s}: {stats.by_size.get(s, 0)}")
+    lines += [
+        f"total: {stats.emitted}",
+        f"noncanonical skipped: {stats.noncanonical_skipped}",
+        f"rejected (letters unused): {stats.rejected_letters_unused}",
+        f"pruned trivial: {stats.pruned_trivial}",
+    ]
     return "\n".join(lines) + "\n"

@@ -26,6 +26,8 @@ closure factor test are then str.find, startswith and `in`, which run in
 C.  Words are decoded back to tuples only for what is returned: the
 certificate, or the ForwardClosure records.  Certificates and their
 checker, `relsrs.check.check_loop_certificate`, stay on tuple words.
+Saturation keeps each closure as one record (source, target, strict steps,
+parent row, step); a closure's trace is its parent's trace and its step.
 
 Each search call expands a word once.  `_redexes` lists a word's one-step
 rewrites by rule, then position; a rule whose successors would pass the
@@ -212,7 +214,7 @@ def _search_loop(
         return None
     finally:
         if report is not None:
-            report.nodes = nodes
+            report.nodes += nodes
 
 
 def _mixed_witness(start: str, word: str, used: bool):
@@ -334,11 +336,11 @@ def _saturate_closures(
     deadline: Optional[float] = None,
     report: Optional[SearchReport] = None,
 ):
-    """Breadth-first saturation, kept closures as flat rows.
+    """Breadth-first saturation, each kept closure one row of a list.
 
-    Row j is sources[j] ->+ targets[j] (encoded words) with stricts[j]
-    strict steps, extending row parents[j] (-1 for a seed, one per rule) by
-    the step steps[j] = (rule, position).  Rows are expanded in the order
+    A row is (source, target, strict steps, parent, step): source ->+
+    target (encoded words), extending row `parent` (-1 for a seed, one per
+    rule) by the step (rule, position).  Rows are expanded in the order
     they are kept: target rewrites by (rule, position), then
     right-extensions across the target's end by (rule, split position).
     A successor with the endpoints of a kept row and the same answer to
@@ -354,12 +356,7 @@ def _saturate_closures(
     rules = _encoded_rules(enumerate(system.rules))
     # a rule extends a target only across a nonempty proper prefix of its lhs
     extending = [rule for rule in rules if rule[3] >= 2]
-    sources: list[str] = []
-    targets: list[str] = []
-    stricts: list[int] = []
-    parents: list[int] = []
-    steps: list[tuple[int, int]] = []
-    rows = (sources, targets, stricts, parents, steps)
+    rows: list[tuple[str, str, int, int, tuple[int, int]]] = []
     # seen[(source, any strict step used)] = targets of the kept rows
     seen: dict[tuple[str, bool], set[str]] = {}
     # memo[target] = its redexes, for the whole call
@@ -368,11 +365,7 @@ def _saturate_closures(
 
     def keep(u: str, v: str, s: int, parent: int, step: tuple[int, int]) -> bool:
         """Add a row; True when the search stops at it as a looping closure."""
-        sources.append(u)
-        targets.append(v)
-        stricts.append(s)
-        parents.append(parent)
-        steps.append(step)
+        rows.append((u, v, s, parent, step))
         return stop_at_looping and s > 0 and u in v
 
     try:
@@ -382,14 +375,14 @@ def _saturate_closures(
                 if rhs not in known:
                     known.add(rhs)
                     if keep(lhs, rhs, int(strict), -1, (i, 0)):
-                        return rows, len(sources) - 1
+                        return rows, len(rows) - 1
         head = 0
-        while head < len(sources):
+        while head < len(rows):
             if deadline is not None and time.monotonic() >= deadline:
                 return give_up(report, "deadline")
-            if stop_at_looping and len(sources) > DEFAULT_NODE_BUDGET:
+            if stop_at_looping and len(rows) > DEFAULT_NODE_BUDGET:
                 return give_up(report, "cap")
-            u, v, s = sources[head], targets[head], stricts[head]
+            u, v, s, _, _ = rows[head]
             n, used = len(v), s > 0
             redexes = memo.get(v)
             if redexes is None:
@@ -404,7 +397,7 @@ def _saturate_closures(
                 if nv not in known:
                     known.add(nv)
                     if keep(u, nv, s + strict, head, (i, p)):
-                        return rows, len(sources) - 1
+                        return rows, len(rows) - 1
             for i, lhs, rhs, k, grow, strict in extending:
                 # v[split:] is a nonempty proper prefix of lhs.  The old steps
                 # replay unchanged on the extended source; the new step fires the
@@ -420,12 +413,12 @@ def _saturate_closures(
                     if nv not in known:
                         known.add(nv)
                         if keep(nu, nv, s + strict, head, (i, split)):
-                            return rows, len(sources) - 1
+                            return rows, len(rows) - 1
             head += 1
         return rows, None
     finally:
         if report is not None:
-            report.nodes = len(sources)
+            report.nodes += len(rows)
 
 
 def forward_closures(
@@ -437,13 +430,11 @@ def forward_closures(
     target anywhere and under right-extension across the target's end.
     Closures whose source or target exceeds the bound are discarded.
     """
-    (sources, targets, stricts, parents, steps), _ = _saturate_closures(
-        system, max_closure_size, stop_at_looping=False
-    )
+    rows, _ = _saturate_closures(system, max_closure_size, stop_at_looping=False)
     out: list[ForwardClosure] = []
-    for j, parent in enumerate(parents):
-        trace = (out[parent].trace if parent >= 0 else ()) + (Step(*steps[j]),)
-        out.append(ForwardClosure(_decode(sources[j]), _decode(targets[j]), stricts[j], trace))
+    for u, v, s, parent, step in rows:
+        trace = (out[parent].trace if parent >= 0 else ()) + (Step(*step),)
+        out.append(ForwardClosure(_decode(u), _decode(v), s, trace))
     return out
 
 
@@ -460,14 +451,13 @@ def find_looping_forward_closure(
     result = _saturate_closures(system, max_closure_size, True, deadline, report)
     if result is None or result[1] is None:
         return None
-    (sources, targets, stricts, parents, steps), j = result
+    rows, j = result
+    u, v, s, _, _ = rows[j]
     trace = []
-    row = j
-    while row >= 0:
-        trace.append(Step(*steps[row]))
-        row = parents[row]
-    trace.reverse()
-    return ForwardClosure(_decode(sources[j]), _decode(targets[j]), stricts[j], tuple(trace))
+    while j >= 0:  # from the looping row back to its seed
+        _, _, _, j, step = rows[j]
+        trace.append(Step(*step))
+    return ForwardClosure(_decode(u), _decode(v), s, tuple(reversed(trace)))
 
 
 def replay_closure(closure: ForwardClosure, system: RelSRS) -> Word:

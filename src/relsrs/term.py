@@ -191,8 +191,10 @@ def search_weights(
         vec = first(0, [0] * len(deltas))
     except _SearchStop:
         vec = give_up(report, "cap" if nodes > assignment_cap else "deadline")
+    finally:
+        del first  # it refers to itself: free it now, not at the next collection
     if report is not None:
-        report.nodes = nodes
+        report.nodes += nodes
     if vec is None:
         return None
     return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
@@ -412,11 +414,10 @@ class _Candidates(_Made):
         super().__init__(sum(m, ()) for m in product(*slots))
 
 
-def _last_candidates(semiring: Semiring, d: int, cands, top: int, items=None):
-    """last(prefix): the last letter's candidates, or the `items` made for
-    them in the same order; in arctic at d = 2 only the canonical
-    completions."""
-    items = cands if items is None else items
+def _last_candidates(semiring: Semiring, d: int, cands, top: int, items):
+    """last(prefix): the `items` made for the last letter's candidates
+    `cands`, in the same order; in arctic at d = 2 only those of the
+    canonical completions."""
     if semiring.name != "arctic" or d != 2:
         return lambda prefix: items
 
@@ -490,6 +491,8 @@ def _exhaustive_matrix_search(
         found = rec(0)
     except _SearchStop:
         found = give_up(report, "cap" if visited > cap else "deadline")
+    finally:
+        del rec  # it refers to itself: free its tables now, not at the next collection
     if report is not None:
         report.nodes += visited
     if not found:

@@ -1,10 +1,13 @@
 """Certificate values, trivial verdicts, and the JSON schema round-trip."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import relsrs
 from relsrs import (
     ArcticMatrixCertificate,
     CertificateFormatError,
@@ -59,6 +62,21 @@ class TestTrivialVerdict:
 
     def test_ordinary_system_is_not_trivial(self):
         assert trivial_verdict(SYS) is None
+
+    @pytest.mark.parametrize(
+        "text, reason, right",
+        [
+            ("(RULES a b -> a b)", "strict rule with lhs = rhs", ()),
+            ("(RULES -> a b)", "strict rule with empty lhs", (0, 1)),
+            ("(RULES -> , a ->= b)", "strict rule with lhs = rhs", ()),
+        ],
+    )
+    def test_one_step_from_the_lhs_loops(self, text, reason, right):
+        sys_ = parse_system(text)
+        out = trivial_verdict(sys_)
+        lhs = sys_.rules[0].lhs
+        assert (out.verdict, out.reason) == ("NO", reason)
+        assert out.certificate == LoopCertificate("mixed", lhs, (Step(0, 0),), (), right)
 
 
 class TestLoopSchema:
@@ -236,3 +254,36 @@ class TestEnvelope:
     def test_non_object_rejected(self):
         with pytest.raises(CertificateFormatError):
             parse_certificate([1, 2], SYS)
+
+
+def _package_imports(module: str) -> set[str]:
+    """The relsrs modules that src/relsrs/<module>.py imports from."""
+    tree = ast.parse((Path(relsrs.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package
+                base = f"relsrs.{base}".rstrip(".")
+            # `from . import x` and `from relsrs import x` name the module x
+            names = [f"{base}.{a.name}" for a in node.names] if base == "relsrs" else [base]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "relsrs":
+                found.add(parts[1] if len(parts) > 1 else name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed", [("check", {"certificates", "core"}), ("certificates", {"core"})]
+)
+def test_trust_base_imports_no_search_code(module, allowed):
+    """The checker and the certificate records are the trust base: they
+    import nothing from the package but each other and `core`."""
+    found = _package_imports(module)
+    assert "core" in found  # the parse sees the imports at all
+    assert found <= allowed

@@ -405,12 +405,6 @@ class TestManifest:
         fresh = enumeration_manifest(cfg, enumerate_systems(cfg))
         assert enumeration_manifest(cfg, drained) == fresh
 
-    def test_plain_iterable_gets_no_stats_lines(self):
-        cfg = EnumerationConfig(2, 2)
-        systems = list(enumerate_systems(cfg))
-        text = enumeration_manifest(cfg, systems)
-        assert "universe" not in text and "total: 14" in text
-
 
 class TestReversalStream:
     def test_identification_only_merges_classes(self):
