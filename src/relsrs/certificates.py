@@ -90,7 +90,7 @@ class ArcticMatrixCertificate:
 
 def is_int(v) -> bool:
     """An int that is not a bool (JSON true/false load as bool, a subclass of int)."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
 
 
 def _nat_mul(a: NatMatrix, b: NatMatrix, d: int) -> NatMatrix:
@@ -284,6 +284,12 @@ def _word_tokens(word: Word, system: RelSRS) -> list[str]:
 
 
 def _tokens_word(tokens, index: dict[str, int]) -> Word:
+    if type(tokens) is list:
+        try:
+            # the index is keyed by str: no other JSON value finds a letter there
+            return tuple(map(index.__getitem__, tokens))
+        except (KeyError, TypeError):
+            pass  # the checks below name the fault, a format error first
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CertificateFormatError("word must be a list of letter tokens")
     try:
@@ -326,13 +332,11 @@ def _steps_in(data) -> tuple[Step, ...]:
         raise CertificateFormatError("steps must be a list")
     out = []
     for s in data:
-        if (
-            not isinstance(s, dict)
-            or not is_int(s.get("rule"))
-            or not is_int(s.get("position"))
+        if not isinstance(s, dict) or not (
+            is_int(rule := s.get("rule")) and is_int(position := s.get("position"))
         ):
             raise CertificateFormatError('each step must be {"rule": int, "position": int}')
-        out.append(Step(s["rule"], s["position"]))
+        out.append(Step(rule, position))
     return tuple(out)
 
 
@@ -395,7 +399,7 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
             ):
                 raise CertificateFormatError("redex must have rule, side (left/right), offset")
             redex = EmittingRedex(rd["rule"], rd["side"], rd["offset"])
-        index = {name: i for i, name in enumerate(system.letters)}
+        index = dict(zip(system.letters, range(len(system.letters))))
         return LoopCertificate(
             kind="mixed" if kind == "loop-mixed" else "emitting",
             start=_tokens_word(data.get("start"), index),

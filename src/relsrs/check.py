@@ -6,16 +6,23 @@ interpretations are checked rule by rule, and a strictification composite
 checks each part against the system its role names.  This module imports
 only `.core` and `.certificates`, so the searches stay outside it.
 
-Weights and matrices use exact arithmetic throughout.  Arctic minus
-infinity is float("-inf") (certificates.NEG_INF), never a sentinel
-integer, and every finite entry must be an int, so the max-plus products
-stay exact: -inf is absorbing under + and neutral under max, a sum or
-max of ints is an int and never becomes a float, no +inf arises (so no
-nan either), and comparing an int with -inf is exact.  A word maps to
-the product of its letter matrices in word order, the empty word to the
-identity.  Natural letter matrices need corner entries (1,1) and (d,d)
-at least 1; a strict rule needs entry-wise >= plus strict decrease at
-the (1,d) corner.  Both corner requirements make the strict decrease
+Weights and matrices use exact arithmetic throughout.  The weight check
+sums integers: with D the least common multiple of the weights'
+denominators, every weight w = p/q becomes the integer D*w = p*(D/q), so
+the scaled sum over a word is exactly D times its rational sum.  As D > 0,
+scaling both sides of a comparison by D keeps > and >= as they were: the
+integer sums decide exactly what the Fraction sums would.  A failure
+prints the sums back as Fraction(sum, D), in lowest terms.
+
+Arctic minus infinity is float("-inf") (certificates.NEG_INF), never a
+sentinel integer, and every finite entry must be an int, so the max-plus
+products stay exact: -inf is absorbing under + and neutral under max, a
+sum or max of ints is an int and never becomes a float, no +inf arises
+(so no nan either), and comparing an int with -inf is exact.  A word
+maps to the product of its letter matrices in word order, the empty word
+to the identity.  Natural letter matrices need corner entries (1,1) and
+(d,d) at least 1; a strict rule needs entry-wise >= plus strict decrease
+at the (1,d) corner.  Both corner requirements make the strict decrease
 survive left and right contexts (C[1,1] >= 1 feeds the left product,
 D[d,d] >= 1 the right).  Arctic letter matrices need a finite (1,1)
 entry >= 0; strict decrease is entry-wise x >> y, i.e. x > y or
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 from .certificates import (
     ArcticMatrixCertificate,
@@ -43,6 +51,10 @@ from .certificates import (
     matrix_semiring,
 )
 from .core import Derivation, RelSRS, ReplayError, Rule, Word, replay, strictify
+
+
+# every success is this one result; CheckResult is frozen, so sharing it is safe
+_OK = CheckResult(True)
 
 
 def certificate_verdict(cert: Certificate) -> str:
@@ -66,7 +78,7 @@ def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
     if isinstance(cert, EmptyRCertificate):
         if system.strict_rules:
             return CheckResult(False, "system has strict rules, R is not empty")
-        return CheckResult(True)
+        return _OK
     if isinstance(cert, ComposeCertificate):
         return _verify_compose(cert, system)
     return CheckResult(False, f"unknown certificate object {type(cert).__name__}")
@@ -78,39 +90,40 @@ def _s_as_strict(system: RelSRS) -> RelSRS:
 
 
 def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
-    s_system = _s_as_strict(system)
-    stric = strictify(system)
+    """Check each part against the system its role names, built for that
+    part alone: S made strict for s-termination, the strictified system
+    for the other two roles."""
     roles_ok = set()
     for role, part in cert.parts:
         if role == "strictified-loop":
             if not isinstance(part, LoopCertificate) or part.kind != "mixed":
                 sub = CheckResult(False, "strictified-loop part must be a mixed loop")
             else:
-                sub = check_loop_certificate(part, stric)
+                sub = check_loop_certificate(part, strictify(system))
         elif role not in ("s-termination", "strictified-termination"):
             return CheckResult(False, f"unknown composite role {role!r}")
         elif certificate_verdict(part) != "YES":
             # a loop replays fine on the subsystem, but proves the opposite
             sub = CheckResult(False, "a termination part must be a YES certificate")
-        elif role == "s-termination" and isinstance(part, EmptyRCertificate):
-            sub = CheckResult(True) if not s_system.rules else CheckResult(
-                False, "S is not empty"
-            )
+        elif role == "strictified-termination":
+            sub = verify_certificate(part, strictify(system))
+        elif isinstance(part, EmptyRCertificate):
+            sub = CheckResult(False, "S is not empty") if system.relative_rules else _OK
         else:
-            sub = verify_certificate(part, s_system if role == "s-termination" else stric)
+            sub = verify_certificate(part, _s_as_strict(system))
         if not sub:
             return CheckResult(False, f"part {role!r}: {sub.reason}")
         roles_ok.add(role)
     if cert.verdict == "YES":
         if "strictified-termination" not in roles_ok:
             return CheckResult(False, "YES composite needs a strictified-termination part")
-        return CheckResult(True)
+        return _OK
     if cert.verdict == "NO":
         if not {"s-termination", "strictified-loop"} <= roles_ok:
             return CheckResult(
                 False, "NO composite needs s-termination and strictified-loop parts"
             )
-        return CheckResult(True)
+        return _OK
     return CheckResult(False, f"composite verdict must be YES or NO, got {cert.verdict!r}")
 
 
@@ -136,13 +149,13 @@ def check_loop_certificate(cert: LoopCertificate, system: RelSRS) -> CheckResult
             f"split u.v.w = {system.word_str(cert.left)} . "
             f"{system.word_str(cert.start)} . {system.word_str(cert.right)}",
         )
-    strict_count = sum(1 for s in cert.steps if system.rules[s.rule_index].strict)
+    strict_step = any(system.rules[s.rule_index].strict for s in cert.steps)
     if cert.kind == "mixed":
-        if strict_count < 1:
+        if not strict_step:
             return CheckResult(False, "mixed loop has no strict step")
-        return CheckResult(True)
+        return _OK
     # emitting
-    if strict_count != 0:
+    if strict_step:
         return CheckResult(False, "emitting loop must use relative steps only")
     if cert.redex is None:
         return CheckResult(False, "emitting loop needs a redex witness")
@@ -163,7 +176,7 @@ def check_loop_certificate(cert: LoopCertificate, system: RelSRS) -> CheckResult
         return CheckResult(False, "redex offset out of range")
     if side[r.offset : r.offset + k] != rule.lhs:
         return CheckResult(False, "strict lhs does not occur at the claimed offset")
-    return CheckResult(True)
+    return _OK
 
 
 # ---------------------------------------------------------------- weights
@@ -179,25 +192,32 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
             if isinstance(v, bool):
                 return CheckResult(False, f"weight for letter {name!r} must be a number")
             w = Fraction(v)
-            if w < 0:
+            if w.numerator < 0:
                 return CheckResult(False, f"negative weight for letter {name!r}")
             weights[i] = w
+    # D * weight for the common denominator D: see the module docstring
+    den = lcm(*(w.denominator for w in weights.values()))
+    scaled = {i: w.numerator * (den // w.denominator) for i, w in weights.items()}.__getitem__
     for rule in system.rules:
-        for c in rule.lhs + rule.rhs:
-            if c not in weights:
-                return CheckResult(False, f"unknown letter {system.letters[c]!r}")
-        wl = sum((weights[c] for c in rule.lhs), Fraction(0))
-        wr = sum((weights[c] for c in rule.rhs), Fraction(0))
+        try:
+            wl = sum(map(scaled, rule.lhs))
+            wr = sum(map(scaled, rule.rhs))
+        except KeyError as e:
+            return CheckResult(False, f"unknown letter {system.letters[e.args[0]]!r}")
         if rule.strict:
             if not wl > wr:
                 return CheckResult(
-                    False, f"strict rule {system.rule_str(rule)} does not decrease ({wl} <= {wr})"
+                    False,
+                    f"strict rule {system.rule_str(rule)} does not decrease "
+                    f"({Fraction(wl, den)} <= {Fraction(wr, den)})",
                 )
         elif not wl >= wr:
             return CheckResult(
-                False, f"relative rule {system.rule_str(rule)} increases ({wl} < {wr})"
+                False,
+                f"relative rule {system.rule_str(rule)} increases "
+                f"({Fraction(wl, den)} < {Fraction(wr, den)})",
             )
-    return CheckResult(True)
+    return _OK
 
 
 # ------------------------------------------------------ matrix interpretations
@@ -262,7 +282,7 @@ def check_matrix(
         fault = _rule_fault(rule, mats, semiring, d)
         if fault is not None:
             return CheckResult(False, semiring.rule_fault(system.rule_str(rule), *fault))
-    return CheckResult(True)
+    return _OK
 
 
 check_matrix_natural = check_matrix_arctic = check_matrix

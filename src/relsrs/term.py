@@ -319,8 +319,9 @@ class _Level:
         self.shared: dict = {}
         # flat(entry) is the candidate, power(k)(entry) its k-th power
         if self.reach == 1:
-            self.flat = lambda entry: entry
-            self.power = lambda k: self.flat
+            # no closure over self, so the level is freed without the cyclic collector
+            self.flat = flat = lambda entry: entry
+            self.power = lambda k: flat
         else:
             self.flat = itemgetter(0)
             self.power = lambda k: itemgetter(k - 1)

@@ -6,9 +6,13 @@ both sides whitespace-separated identifier tokens, either side possibly
 empty.  Any other section such as `(COMMENT ...)` is kept verbatim so a
 round-trip does not lose metadata.
 
-The reader finds the sections by counting parentheses, splits the RULES
-body on commas and each rule on whitespace, and finds the arrow among
-the tokens.  A line and column are worked out only for an error.
+One scanner serves both readers.  It finds the sections by counting
+parentheses, splits the RULES body on commas and each rule on whitespace,
+and finds the arrow among the tokens.  A line and column are worked out
+only for an error.  `parse_srs` wraps the scanned rules in an
+`SrsDocument`; `parse_system` builds the `RelSRS` straight from the token
+lists, numbering the letters in order of first appearance, with no
+document in between.
 """
 
 from __future__ import annotations
@@ -57,15 +61,14 @@ def _error(text: str, pos: int, message: str) -> SrsParseError:
     return SrsParseError(line, pos - text.rfind("\n", 0, pos), message)
 
 
-_PAREN = re.compile(r"[()]")
 _NAME = re.compile(r"\s*([^\s()]*)")
 _NON_SPACE = re.compile(r"\S")
 _TOKEN = re.compile(r"\S+")
 
 
 def _expect_blank(text: str, start: int, end: int) -> None:
-    found = _NON_SPACE.search(text, start, end)
-    if found:
+    if start < end and not text[start:end].isspace():
+        found = _NON_SPACE.search(text, start, end)
         raise _error(text, found.start(), f"expected '(' at top level, found {found[0]!r}")
 
 
@@ -77,16 +80,18 @@ def _section_name(text: str, open_pos: int) -> tuple[str, int]:
     return m[1], m.end()
 
 
-def _parse_rules(text: str, body: str, offset: int) -> tuple[SrsRule, ...]:
-    rules: list[SrsRule] = []
+# a scanned rule: its tokens, and the index of its arrow among them
+_Scanned = tuple[list[str], int]
+
+
+def _scan_rules(text: str, body: str, offset: int) -> list[_Scanned]:
+    rules: list[_Scanned] = []
     chunks = body.split(",")
     for k, chunk in enumerate(chunks):
         tokens = chunk.split()
-        arrows = tokens.count(ARROW_STRICT) + tokens.count(ARROW_RELATIVE)
-        if arrows == 1:
-            strict = ARROW_STRICT in tokens
-            j = tokens.index(ARROW_STRICT if strict else ARROW_RELATIVE)
-            rules.append(SrsRule(tuple(tokens[:j]), tuple(tokens[j + 1 :]), strict))
+        strict = tokens.count(ARROW_STRICT)
+        if strict + tokens.count(ARROW_RELATIVE) == 1:
+            rules.append((tokens, tokens.index(ARROW_STRICT if strict else ARROW_RELATIVE)))
             continue
         if not tokens and k + 1 == len(chunks):
             continue  # a trailing comma, or an empty body
@@ -94,42 +99,57 @@ def _parse_rules(text: str, body: str, offset: int) -> tuple[SrsRule, ...]:
         if not tokens:
             raise _error(text, pos + len(chunk), "stray comma: empty rule")
         starts = [m.start() for m in _TOKEN.finditer(chunk)]
+        arrows = [j for j, t in enumerate(tokens) if t in (ARROW_STRICT, ARROW_RELATIVE)]
         if not arrows:
             raise _error(text, pos + starts[0], "rule has no -> or ->= arrow")
-        second = [j for j, t in enumerate(tokens) if t in (ARROW_STRICT, ARROW_RELATIVE)][1]
-        raise _error(text, pos + starts[second], "rule has more than one arrow")
-    return tuple(rules)
+        raise _error(text, pos + starts[arrows[1]], "rule has more than one arrow")
+    return rules
+
+
+def _scan(text: str) -> tuple[list[_Scanned], list[tuple[str, str]]]:
+    """The RULES section's rules and every other section as (name, body),
+    raising the first error in document order."""
+    rules: list[_Scanned] | None = None
+    others: list[tuple[str, str]] = []
+    after = 0  # where the last section ended
+    while True:
+        open_pos = text.find("(", after)
+        gap_end = len(text) if open_pos < 0 else open_pos
+        stray = text.find(")", after, gap_end)
+        # only whitespace between sections, and a ')' there closes nothing
+        _expect_blank(text, after, gap_end if stray < 0 else stray + 1)
+        if open_pos < 0:
+            break
+        # the ')' that brings the depth back to 0: between two ')' every paren is a '('
+        depth, close = 1, open_pos
+        while depth:
+            start, close = close + 1, text.find(")", close + 1)
+            if close < 0:
+                _section_name(text, open_pos)
+                raise _error(text, open_pos, "unbalanced parenthesis: section never closes")
+            depth += text.count("(", start, close) - 1
+        name, body_start = _section_name(text, open_pos)
+        if name != "RULES":
+            others.append((name, text[body_start:close]))
+        elif rules is None:
+            rules = _scan_rules(text, text[body_start:close], body_start)
+        else:
+            raise _error(text, open_pos, "multiple RULES sections")
+        after = close + 1
+    if rules is None:
+        raise _error(text, max(0, len(text) - 1), "no RULES section")
+    return rules, others
 
 
 def parse_srs(text: str) -> SrsDocument:
-    rules: tuple[SrsRule, ...] | None = None
-    others: list[tuple[str, str]] = []
-    depth = 0
-    after = 0  # where the last section ended
-    for paren in _PAREN.finditer(text):
-        pos = paren.start()
-        if depth == 0:
-            # only whitespace between sections, and a ')' here closes nothing
-            _expect_blank(text, after, pos + (paren[0] == ")"))
-            open_pos = pos
-        depth += 1 if paren[0] == "(" else -1
-        if depth:
-            continue
-        name, body_start = _section_name(text, open_pos)
-        if name != "RULES":
-            others.append((name, text[body_start:pos]))
-        elif rules is None:
-            rules = _parse_rules(text, text[body_start:pos], body_start)
-        else:
-            raise _error(text, open_pos, "multiple RULES sections")
-        after = pos + 1
-    if depth:
-        _section_name(text, open_pos)
-        raise _error(text, open_pos, "unbalanced parenthesis: section never closes")
-    _expect_blank(text, after, len(text))
-    if rules is None:
-        raise _error(text, max(0, len(text) - 1), "no RULES section")
-    return SrsDocument(rules=rules, other_sections=tuple(others))
+    rules, others = _scan(text)
+    return SrsDocument(
+        rules=tuple(
+            SrsRule(tuple(tokens[:j]), tuple(tokens[j + 1 :]), tokens[j] == ARROW_STRICT)
+            for tokens, j in rules
+        ),
+        other_sections=tuple(others),
+    )
 
 
 def print_srs(doc: SrsDocument) -> str:
@@ -173,7 +193,19 @@ def system_to_document(system: RelSRS) -> SrsDocument:
 
 
 def parse_system(text: str) -> RelSRS:
-    return document_to_system(parse_srs(text))
+    """The system of a TPDB text, its letters in order of first appearance:
+    the same system as `document_to_system(parse_srs(text))`."""
+    # the arrows are numbered -2 and -1, the letters 0, 1, ... as they appear;
+    # each rule has one arrow, so no letter is an arrow
+    index = {ARROW_STRICT: -2, ARROW_RELATIVE: -1}
+    rules = []
+    for tokens, j in _scan(text)[0]:
+        for token in tokens:
+            if token not in index:
+                index[token] = len(index) - 2
+        word = tuple(map(index.__getitem__, tokens))
+        rules.append(Rule(word[:j], word[j + 1 :], tokens[j] == ARROW_STRICT))
+    return RelSRS(tuple(index)[2:], tuple(rules))
 
 
 def print_system(system: RelSRS) -> str:

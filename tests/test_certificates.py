@@ -1,7 +1,10 @@
 """Certificate values, trivial verdicts, and the JSON schema round-trip."""
 
 import ast
+import gzip
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from relsrs import (
     trivial_verdict,
 )
 from relsrs.certificates import ARCTIC, NEG_INF
+from relsrs.check import certificate_verdict
 from relsrs.core import Derivation
 
 SYS = parse_system("(RULES a b -> a, c ->= b c)")
@@ -123,6 +127,86 @@ class TestLoopSchema:
         with pytest.raises(CertificateFormatError):
             parse_certificate(data, SYS)
 
+
+LOOP = {
+    "type": "loop-mixed",
+    "start": ["a", "c"],
+    "steps": [{"rule": 1, "position": 1}, {"rule": 0, "position": 0}],
+    "left": [],
+    "right": [],
+}
+WORD_FORMAT = (CertificateFormatError, "word must be a list of letter tokens")
+STEP_FORMAT = (CertificateFormatError, 'each step must be {"rule": int, "position": int}')
+STEPS_FORMAT = (CertificateFormatError, "steps must be a list")
+REDEX_FORMAT = (CertificateFormatError, "redex must have rule, side (left/right), offset")
+
+
+def unknown(letter):
+    return CertificateMismatchError, f"letter {letter!r} not in system alphabet"
+
+
+class TestLoopReadErrors:
+    """Which error a malformed loop certificate raises, and its wording.
+    Within a word a format error wins over an unknown letter; across
+    fields the redex is read first, then start, steps, left and right."""
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"start": "a c"}, WORD_FORMAT),
+            ({"start": ("a", "c")}, WORD_FORMAT),
+            ({"start": None}, WORD_FORMAT),
+            ({"start": {"a": 0}}, WORD_FORMAT),
+            ({"start": [1, "z"]}, WORD_FORMAT),
+            ({"start": ["z", 1]}, WORD_FORMAT),
+            ({"start": ["a", 0]}, WORD_FORMAT),
+            ({"start": [["a"]]}, WORD_FORMAT),
+            ({"start": ["z", {"a": 0}]}, WORD_FORMAT),
+            ({"start": ["a", None]}, WORD_FORMAT),
+            ({"left": [True]}, WORD_FORMAT),
+            ({"start": ["z"]}, unknown("z")),
+            ({"start": ["a", "z", "y"]}, unknown("z")),
+            ({"right": ["a", "A"]}, unknown("A")),
+            ({"steps": [{"rule": True, "position": 0}]}, STEP_FORMAT),
+            ({"steps": [{"rule": 0, "position": True}]}, STEP_FORMAT),
+            ({"steps": [{"rule": 0, "position": False}, [0, 0]]}, STEP_FORMAT),
+            ({"steps": [[0, 0]]}, STEP_FORMAT),
+            ({"steps": ["rule"]}, STEP_FORMAT),
+            ({"steps": [None]}, STEP_FORMAT),
+            ({"steps": [{"rule": 0}]}, STEP_FORMAT),
+            ({"steps": [{"rule": 0.0, "position": 0}]}, STEP_FORMAT),
+            ({"steps": [{"rule": "0", "position": 0}]}, STEP_FORMAT),
+            ({"steps": "rule"}, STEPS_FORMAT),
+            ({"steps": {"rule": 0, "position": 0}}, STEPS_FORMAT),
+            ({"steps": None}, STEPS_FORMAT),
+            # the fields are read in order: redex, start, steps, left, right
+            ({"start": ["z"], "steps": [[0, 0]]}, unknown("z")),
+            ({"steps": [[0, 0]], "left": ["z"]}, STEP_FORMAT),
+            ({"left": ["z"], "right": [1]}, unknown("z")),
+            ({"left": [1], "right": ["z"]}, WORD_FORMAT),
+            ({"start": [1], "redex": {"rule": True, "side": "left", "offset": 0}}, REDEX_FORMAT),
+        ],
+    )
+    def test_error_and_message(self, fields, error):
+        data = {**LOOP, **fields}
+        with pytest.raises(Exception) as e:
+            parse_certificate(data, SYS)
+        assert (type(e.value), str(e.value)) == error
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"steps": [{"rule": 1, "position": 1, "note": "x"}, {"position": 0, "rule": 0}]},
+            {"steps": []},
+            {"start": [], "left": ["b", "b"]},
+        ],
+    )
+    def test_well_formed_variants_parse(self, fields):
+        data = {**LOOP, **fields}
+        cert = parse_certificate(data, SYS)
+        assert cert.steps == tuple(Step(s["rule"], s["position"]) for s in data["steps"])
+        assert cert.start == SYS.word(data["start"])
+        assert cert.left == SYS.word(data["left"])
 
 class TestWeightSchema:
     def test_integer_and_fraction_weights(self):
@@ -254,6 +338,39 @@ class TestEnvelope:
     def test_non_object_rejected(self):
         with pytest.raises(CertificateFormatError):
             parse_certificate([1, 2], SYS)
+
+
+RECHECK_DATA = Path(__file__).parent.parent / "perfbench" / "data"
+
+
+def test_recheck_corpus_rechecks():
+    """Every stored certificate of the frozen size <= 6 corpus re-checks
+    with its stored verdict through the public read path, and every
+    mutant appended to it is rejected."""
+    manifest = json.loads((RECHECK_DATA / "recheck_manifest.json").read_text())
+    blob = (RECHECK_DATA / "recheck.jsonl.gz").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == manifest["sha256"]
+    lines = gzip.decompress(blob).decode().splitlines()
+    assert len(lines) == manifest["records"] + manifest["mutants"]
+    types, rejected = Counter(), []
+    for n, line in enumerate(lines):
+        record = json.loads(line)
+        system = parse_system(record["system"])
+        try:
+            cert = parse_certificate(record["certificate"], system)
+            certified = bool(relsrs.verify_certificate(cert, system)) and (
+                certificate_verdict(cert) == record["verdict"]
+            )
+        except (CertificateFormatError, CertificateMismatchError):
+            certified = False
+        if n < manifest["records"]:
+            assert certified, f"corpus line {n}"
+            kind = record["certificate"]["type"]
+            types[kind + ("/" + cert.verdict if kind == "strictify-compose" else "")] += 1
+        else:
+            rejected.append(not certified)
+    assert types == manifest["certificate_types"]
+    assert rejected == [True] * manifest["mutants"]
 
 
 def _package_imports(module: str) -> set[str]:

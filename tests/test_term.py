@@ -106,6 +106,90 @@ class TestWeightChecker:
         assert check_weights(WeightCertificate({"a": 0, "b": 1, "z": 7}), AB_A)
 
 
+class TestCheckerWording:
+    """The exact reason a failing certificate gets, for weights (integer
+    and fractional) and for composites."""
+
+    @pytest.mark.parametrize(
+        "text, weights, reason",
+        [
+            ("(RULES a b -> a, b ->= )", {"a": 0, "b": 0},
+             "strict rule a b -> a does not decrease (0 <= 0)"),
+            ("(RULES a b -> a, a ->= b)", {"a": 0, "b": 1},
+             "relative rule a ->= b increases (0 < 1)"),
+            ("(RULES a -> b b)", {"a": "1/2", "b": "1/3"},
+             "strict rule a -> b b does not decrease (1/2 <= 2/3)"),
+            ("(RULES a -> , b ->= a a a)", {"a": "2/3", "b": "1/2"},
+             "relative rule b ->= a a a increases (1/2 < 2)"),
+            ("(RULES a a -> b)", {"a": "1/2", "b": 1},
+             "strict rule a a -> b does not decrease (1 <= 1)"),
+            ("(RULES b -> a a a, a ->= )", {"a": "1/6", "b": "1/4"},
+             "strict rule b -> a a a does not decrease (1/4 <= 1/2)"),
+            ("(RULES b -> a, a b ->= b b)", {"a": "2/3", "b": "3/4"},
+             "relative rule a b ->= b b increases (17/12 < 3/2)"),
+            ("(RULES -> a)", {"a": 0}, "strict rule -> a does not decrease (0 <= 0)"),
+            ("(RULES a -> b, c ->= )", {"a": 2, "b": 1},
+             "unknown letter 'c'"),
+            ("(RULES a -> b, b ->= c)", {"a": 2, "b": 3},
+             "strict rule a -> b does not decrease (2 <= 3)"),
+            ("(RULES a -> b, b c ->= c)", {"a": 2, "b": 1},
+             "unknown letter 'c'"),
+            ("(RULES a -> b)", {"a": 1, "b": -1}, "negative weight for letter 'b'"),
+            ("(RULES a -> b)", {"a": "1/2", "b": "-1/3"}, "negative weight for letter 'b'"),
+        ],
+    )
+    def test_weights(self, text, weights, reason):
+        system = parse_system(text)
+        for cert in (
+            WeightCertificate(weights),
+            WeightCertificate({k: Fraction(v) for k, v in weights.items()}),
+        ):
+            res = check_weights(cert, system)
+            assert (res.ok, res.reason) == (False, reason)
+            assert verify_certificate(cert, system) == res
+
+    def test_parsed_fractional_weights(self):
+        system = parse_system("(RULES a -> b b, b ->= c c c)")
+        data = {"type": "weights", "weights": {"a": "2/3", "b": "1/3", "c": "1/9"}}
+        res = verify_certificate(parse_certificate(data, system), system)
+        assert (res.ok, res.reason) == (False, "strict rule a -> b b does not decrease (2/3 <= 2/3)")
+        data["weights"]["a"] = 1
+        assert verify_certificate(parse_certificate(data, system), system)
+
+    @pytest.mark.parametrize(
+        "verdict, parts, reason",
+        [
+            ("YES", [("frobnicate", EmptyRCertificate())], "unknown composite role 'frobnicate'"),
+            ("YES", [("s-termination", EmptyRCertificate()), ("frobnicate", EmptyRCertificate())],
+             "part 's-termination': S is not empty"),
+            ("NO", [("frobnicate", EmptyRCertificate()),
+                    ("s-termination", WeightCertificate({}))],
+             "unknown composite role 'frobnicate'"),
+            ("YES", [("strictified-loop", WeightCertificate({"a": 1, "b": 0}))],
+             "part 'strictified-loop': strictified-loop part must be a mixed loop"),
+            ("YES", [("s-termination", WeightCertificate({"b": 1}))],
+             "YES composite needs a strictified-termination part"),
+            ("YES", [("s-termination", WeightCertificate({"b": 0}))],
+             "part 's-termination': strict rule b -> does not decrease (0 <= 0)"),
+            ("YES", [("strictified-termination", WeightCertificate({"a": 1, "b": 0}))],
+             "part 'strictified-termination': strict rule a b -> a does not decrease (1 <= 1)"),
+            ("NO", [("s-termination", WeightCertificate({"b": 1}))],
+             "NO composite needs s-termination and strictified-loop parts"),
+            ("NO", [("strictified-loop", LoopCertificate("mixed", (0, 1), (Step(0, 0),), (), ()))],
+             "part 'strictified-loop': final word a does not match the claimed split "
+             "u.v.w = (empty) . a b . (empty)"),
+            ("NO", [("strictified-loop", LoopCertificate("mixed", (0,), (Step(0, 0),), (), ()))],
+             "part 'strictified-loop': replay failed: step 0: "
+             "position 0 out of range for |word|=1, |lhs|=2"),
+            ("MAYBE", [("s-termination", WeightCertificate({"b": 1}))],
+             "composite verdict must be YES or NO, got 'MAYBE'"),
+        ],
+    )
+    def test_compose(self, verdict, parts, reason):
+        res = verify_certificate(ComposeCertificate(verdict, tuple(parts)), AB_A)
+        assert (res.ok, res.reason) == (False, reason)
+
+
 class TestWeightSearch:
     def test_finds_and_verifies(self):
         cert = search_weights(AB_A)
@@ -900,6 +984,18 @@ class TestSearchLeavesNoCycle:
         try:
             gc.collect()
             search_weights(parse_system("(RULES a b -> b b a , b ->= )"), assignment_cap=cap)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_matrix_search(self):
+        # a level whose letter runs are all of length 1 maps every power to
+        # the candidate itself; that map must not hold the level
+        gc.disable()
+        try:
+            gc.collect()
+            system = parse_system("(RULES a b -> b b a , b ->= )")
+            search_matrix(system, "arctic", 2, 1, assignment_cap=2000)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -141,10 +141,11 @@ class TestParseErrors:
         ],
     )
     def test_exact_error_positions(self, text, line, col, message):
-        with pytest.raises(SrsParseError) as e:
-            parse_srs(text)
-        assert (e.value.line, e.value.col) == (line, col)
-        assert str(e.value) == f"line {line}, column {col}: {message}"
+        for parse in (parse_srs, parse_system):
+            with pytest.raises(SrsParseError) as e:
+                parse(text)
+            assert (e.value.line, e.value.col) == (line, col)
+            assert str(e.value) == f"line {line}, column {col}: {message}"
 
 
 A_TO_B = (SrsRule(("a",), ("b",), True),)
@@ -222,6 +223,14 @@ class TestLayout:
         doc = parse_srs(text)
         assert doc.rules == system_to_document(system).rules
         assert doc.other_sections == others
+
+    @settings(max_examples=300, deadline=None)
+    @given(laid_out_systems())
+    def test_system_reader_matches_the_document_reader(self, case):
+        _, text, _ = case
+        system = parse_system(text)
+        assert system == document_to_system(parse_srs(text))
+        assert system.letters == parse_srs(text).alphabet()
 
 
 class TestPrint:
