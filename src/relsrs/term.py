@@ -31,6 +31,12 @@ completes canonical assignments.  No earlier letter can be pruned this way:
 every prefix has a canonical completion, such as a last letter with (1,2)
 = (2,1) = -1.
 
+The weight search is the same depth-first search over the letters, with
+a closed form per letter: each rule bounds the next weight linearly, so
+the weights that pass the reach bound are one interval.  The search
+descends into that interval only and counts the cut weights on either
+side without visiting them, so its nodes are those of trying every weight.
+
 prove() runs a fixed method order, so outcomes are deterministic for a
 given budget: trivial verdicts, then the strictification strategy, which
 rests on SN(R union S) => SN(R/S) and on a loop of R union S refuting
@@ -150,51 +156,77 @@ def search_weights(
     or None when there is none.
 
     A depth-first search gives the letters their weights in turn, each
-    smallest first.  A rule only sees its per-letter count differences
-    delta = |lhs| - |rhs|, and the letters still to come can add at most
-    max_weight * max(0, delta) each to its total; a branch whose total
-    cannot reach 0 (1 for a strict rule) even so is cut.  A letter whose
-    delta is 0 in every rule moves no total and only tries weight 0,
-    which keeps the first vector the same.  Each partial vector is a node;
-    the search gives up after assignment_cap nodes or at the
-    monotonic-clock deadline, as search_matrix does.
+    smallest first.  A rule j only sees its per-letter count differences
+    delta = |lhs| - |rhs|.  The letters from k on can add at most
+    reach_k = max_weight * (the sum of their max(0, delta)) to its total t,
+    and a partial vector with t + reach_k < need (1 strict, 0 relative) is
+    cut.  So a node at letter k that is not cut keeps the weights w with
+    w * delta_jk >= need_j - t_j - reach_(k+1) for every j: one interval
+    [lo, hi], bounded below by a ceiling where delta > 0 and above by a
+    floor where delta < 0 (delta = 0 holds for every w, as the node itself
+    was not cut).  The search descends only into that interval, and at the
+    last letter lo is the answer.  A letter whose delta is 0 in every rule
+    only takes weight 0, which keeps the first vector the same.  Each
+    partial vector is a node, the cut ones below lo and above hi included,
+    counted in the order of trying every weight, so the nodes, the vector
+    and where assignment_cap falls are those of that search.  It gives up
+    after assignment_cap nodes (counting assignment_cap + 1) or at the
+    monotonic-clock deadline, checked at each node it descends into, as
+    search_matrix does.
     """
     used = used_letters(system)
     n = len(used)
-    deltas = [[rule.lhs.count(c) - rule.rhs.count(c) for c in used] for rule in system.rules]
-    need = [1 if rule.strict else 0 for rule in system.rules]
-    moves = [any(delta[k] for delta in deltas) for k in range(n)]
-    # reach[k][j]: the most the letters used[k:] can add to rule j's total
-    reach = [
-        [max_weight * sum(max(0, x) for x in delta[k:]) for delta in deltas]
-        for k in range(n + 1)
-    ]
-
-    nodes = 0
+    cols = [[rule.lhs.count(c) - rule.rhs.count(c) for rule in system.rules] for c in used]
+    tops = [max_weight if any(col) else 0 for col in cols]
+    # floors[k][j] = need_j - reach_k: what rule j's total must reach before used[k:]
+    floors = [[1 if rule.strict else 0 for rule in system.rules]]
+    for col in reversed(cols):
+        floors.insert(0, [m - max_weight * d if d > 0 else m for m, d in zip(floors[0], col)])
+    nodes = 1  # the empty vector
 
     def first(k: int, totals: list[int]) -> Optional[list[int]]:
         nonlocal nodes
-        nodes += 1
-        if nodes > assignment_cap or (deadline is not None and time.monotonic() >= deadline):
+        if deadline is not None and time.monotonic() >= deadline:
             raise _SearchStop()
-        if any(t + r < m for t, r, m in zip(totals, reach[k], need)):
-            return None
-        if k == n:
-            return []
-        for w in range(max_weight + 1 if moves[k] else 1):
-            rest = first(k + 1, [t + w * delta[k] for t, delta in zip(totals, deltas)])
+        lo, hi = 0, tops[k]
+        for t, d, m in zip(totals, cols[k], floors[k + 1]):
+            if d > 0:
+                w = (m - t + d - 1) // d
+                if w > lo:
+                    lo = w
+            elif d < 0:
+                w = (m - t) // d
+                if w < hi:
+                    hi = w
+        lo = min(lo, hi + 1)
+        nodes += lo
+        for w in range(lo, hi + 1):
+            nodes += 1
+            if nodes > assignment_cap:
+                raise _SearchStop()
+            if k + 1 == n:
+                return [w]
+            rest = first(k + 1, [t + w * d for t, d in zip(totals, cols[k])])
             if rest is not None:
                 return [w] + rest
+        nodes += tops[k] - hi
+        if nodes > assignment_cap:
+            raise _SearchStop()
         return None
 
     try:
-        vec = first(0, [0] * len(deltas))
+        if nodes > assignment_cap or (deadline is not None and time.monotonic() >= deadline):
+            raise _SearchStop()
+        if any(m > 0 for m in floors[0]):
+            vec = None
+        else:
+            vec = first(0, [0] * len(floors[0])) if n else []
     except _SearchStop:
         vec = give_up(report, "cap" if nodes > assignment_cap else "deadline")
     finally:
         del first  # it refers to itself: free it now, not at the next collection
     if report is not None:
-        report.nodes += nodes
+        report.nodes += min(nodes, max(assignment_cap, 0) + 1)
     if vec is None:
         return None
     return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
@@ -592,10 +624,10 @@ def prove(
     methods = _methods(budget or ProveBudget(), deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
-    phases = (("s-", _s_as_strict(system)), ("strictified-", strictify(system)), ("", system))
-    for tag, phase_system in phases:
+    for tag, form in (("s-", _s_as_strict), ("strictified-", strictify), ("", None)):
         if tag == "strictified-" and s_cert is None:
             continue
+        phase_system = form(system) if form else system
         for name, detail, reason, search in methods:
             report = SearchReport()
             cert = search(phase_system, report)

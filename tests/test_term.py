@@ -45,9 +45,12 @@ from relsrs import (
     trivial_verdict,
     verify_certificate,
 )
-from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
+from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS, give_up
 from relsrs.check import _rule_fault, check_matrix
-from relsrs.term import _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _Level, _last_candidates
+from relsrs.core import used_letters
+from relsrs.term import (
+    _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _Level, _last_candidates, _SearchStop,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FRONTIER = Path(__file__).parent.parent / "perfbench" / "data" / "frontier"
@@ -243,6 +246,58 @@ def first_fit_weights(system, max_weight):
     return None
 
 
+def dfs_weights(
+    system: RelSRS,
+    max_weight: int = ProveBudget.max_weight,
+    *,
+    assignment_cap: int = ProveBudget.matrix_assignment_cap,
+    deadline=None,
+    report=None,
+):
+    """Reference: the weight search that tries every weight of a letter
+    and lets each child test its own reach bound.  Every partial vector is
+    a node that checks the cap and the deadline, then its reach bound."""
+    used = used_letters(system)
+    n = len(used)
+    deltas = [[rule.lhs.count(c) - rule.rhs.count(c) for c in used] for rule in system.rules]
+    need = [1 if rule.strict else 0 for rule in system.rules]
+    moves = [any(delta[k] for delta in deltas) for k in range(n)]
+    # reach[k][j]: the most the letters used[k:] can add to rule j's total
+    reach = [
+        [max_weight * sum(max(0, x) for x in delta[k:]) for delta in deltas]
+        for k in range(n + 1)
+    ]
+
+    nodes = 0
+
+    def first(k: int, totals: list[int]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > assignment_cap or (deadline is not None and time.monotonic() >= deadline):
+            raise _SearchStop()
+        if any(t + r < m for t, r, m in zip(totals, reach[k], need)):
+            return None
+        if k == n:
+            return []
+        for w in range(max_weight + 1 if moves[k] else 1):
+            rest = first(k + 1, [t + w * delta[k] for t, delta in zip(totals, deltas)])
+            if rest is not None:
+                return [w] + rest
+        return None
+
+    try:
+        vec = first(0, [0] * len(deltas))
+    except _SearchStop:
+        vec = give_up(report, "cap" if nodes > assignment_cap else "deadline")
+    finally:
+        del first  # it refers to itself: free it now, not at the next collection
+    if report is not None:
+        report.nodes += nodes
+    if vec is None:
+        return None
+    return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
+
+
 def variants(system):
     """The system as is, with every rule strict, and its relative rules
     alone made strict: the three systems prove hands to search_weights."""
@@ -275,8 +330,19 @@ class TestWeightSearchOracle:
             max_size=5,
         ),
         st.integers(0, 6),
+        st.none() | st.integers(0, 400),
     )
-    def test_random_rule_sets_equal_first_fit(self, rules, max_weight):
+    # b -> a caps a's weight below max_weight, and a ->= b then fails below it
+    @example([([1], [0], True), ([0], [1], False)], 3, None)
+    # a -> b b needs a >= 1; a cap of 1 is crossed by the skipped weight 0
+    @example([([0], [1, 1], True)], 2, 1)
+    # ... and b ->= a a a then caps it at 1: both ends of the interval bite
+    @example([([0], [1, 1], True), ([1], [0, 0, 0], False)], 4, None)
+    # a b -> b a keeps every count: hopeless for every weight
+    @example([([0, 1], [1, 0], True), ([0], [], False)], 2, None)
+    # c has delta 0 in every rule, so it only takes weight 0
+    @example([([2, 0], [2], True), ([2, 0, 0], [2, 1], False)], 4, None)
+    def test_random_rule_sets_equal_first_fit(self, rules, max_weight, cap):
         system = RelSRS(
             ("a", "b", "c", "d"),
             tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
@@ -285,6 +351,55 @@ class TestWeightSearchOracle:
         assert cert == first_fit_weights(system, max_weight)
         if cert is not None:
             assert check_weights(cert, system)
+        caps = {} if cap is None else {"assignment_cap": cap}
+        got, want = SearchReport(), SearchReport()
+        found = search_weights(system, max_weight, **caps, report=got)
+        expected = dfs_weights(system, max_weight, **caps, report=want)
+        assert (found, got.stop, got.nodes) == (expected, want.stop, want.nodes)
+
+
+class TestFrozenWeightResults:
+    # 11,952 searches, 5,444 certificates, 57 capped (all at the cap of 40)
+    DIGEST = "f06c1bb28771d3e540d22ddd31aa0401c0b5fcb60083ecb367bf07153dce6649"
+
+    def test_small_system_results_are_unchanged(self):
+        """The weight search at (max_weight, assignment_cap) = (16, 500,000),
+        (8, 20,000) and (16, 40) on every non-trivial system of
+        `EnumerationConfig(2, 5)` and `(3, 4)` as is, strictified, and with
+        S alone made strict; the last cap falls inside many searches.
+        DIGEST was made by this snippet:
+
+            h = hashlib.sha256()
+            for config in (EnumerationConfig(2, 5), EnumerationConfig(3, 4)):
+                for system in enumerate_systems(config):
+                    if trivial_verdict(system) is not None:
+                        continue
+                    s_only = RelSRS(system.letters, tuple(
+                        Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
+                    for form in (system, strictify(system), s_only):
+                        for max_weight, cap in ((16, 500_000), (8, 20_000), (16, 40)):
+                            report = SearchReport()
+                            cert = search_weights(form, max_weight,
+                                                  assignment_cap=cap, report=report)
+                            data = None if cert is None else serialize_certificate(cert, form)
+                            h.update(json.dumps([data, report.stop, report.nodes],
+                                                sort_keys=True).encode() + b"\n")
+            h.hexdigest()
+        """
+        h = hashlib.sha256()
+        searches = found = capped = 0
+        for config in (EnumerationConfig(2, 5), EnumerationConfig(3, 4)):
+            for form in TestFrozenMatrixResults.forms(config):
+                for max_weight, cap in ((16, 500_000), (8, 20_000), (16, 40)):
+                    report = SearchReport()
+                    cert = search_weights(form, max_weight, assignment_cap=cap, report=report)
+                    data = None if cert is None else serialize_certificate(cert, form)
+                    h.update(TestFrozenMatrixResults.report_line(data, report))
+                    searches += 1
+                    found += cert is not None
+                    capped += report.stop == "cap"
+        assert (searches, found, capped) == (11_952, 5_444, 57)
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestNaturalChecker:
