@@ -83,13 +83,10 @@ from .term import (
 from .tpdb import (
     SrsDocument,
     SrsParseError,
-    SrsRule,
-    document_to_system,
     parse_srs,
     parse_system,
     print_srs,
     print_system,
-    system_to_document,
 )
 
 __version__ = "0.1.0"

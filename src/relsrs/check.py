@@ -50,7 +50,7 @@ from .certificates import (
     is_int,
     matrix_semiring,
 )
-from .core import Derivation, RelSRS, ReplayError, Rule, Word, replay, strictify
+from .core import Derivation, RelSRS, ReplayError, Rule, Word, replay, s_as_strict, strictify
 
 
 # every success is this one result; CheckResult is frozen, so sharing it is safe
@@ -84,11 +84,6 @@ def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
     return CheckResult(False, f"unknown certificate object {type(cert).__name__}")
 
 
-def _s_as_strict(system: RelSRS) -> RelSRS:
-    """The relative rules S alone, made strict: SN(S) is its termination."""
-    return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
-
-
 def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
     """Check each part against the system its role names, built for that
     part alone: S made strict for s-termination, the strictified system
@@ -110,7 +105,7 @@ def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
         elif isinstance(part, EmptyRCertificate):
             sub = CheckResult(False, "S is not empty") if system.relative_rules else _OK
         else:
-            sub = verify_certificate(part, _s_as_strict(system))
+            sub = verify_certificate(part, s_as_strict(system))
         if not sub:
             return CheckResult(False, f"part {role!r}: {sub.reason}")
         roles_ok.add(role)

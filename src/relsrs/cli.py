@@ -60,11 +60,11 @@ from .nonterm import (
     search_mixed_loop,
 )
 from .term import ProveBudget, prove
-from .tpdb import SrsParseError, document_to_system, parse_srs, print_srs, print_system
+from .tpdb import SrsParseError, parse_srs, parse_system, print_srs, print_system
 
 
 def _read_system(path: str) -> RelSRS:
-    return document_to_system(parse_srs(Path(path).read_text()))
+    return parse_system(Path(path).read_text())
 
 
 def _budget_from_args(args: argparse.Namespace) -> ProveBudget:

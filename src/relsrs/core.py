@@ -146,6 +146,11 @@ def strictify(system: RelSRS) -> RelSRS:
     return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.rules))
 
 
+def s_as_strict(system: RelSRS) -> RelSRS:
+    """The relative rules S alone, made strict: SN(S) is its termination."""
+    return RelSRS(system.letters, tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
+
+
 def reverse_system(system: RelSRS) -> RelSRS:
     """Reverse every lhs and rhs; an involution that preserves SN(R/S)."""
     return RelSRS(

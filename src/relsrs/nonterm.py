@@ -48,7 +48,6 @@ cap + 1 nodes.  The deadline is checked before each expansion, as before.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -144,7 +143,7 @@ def _search_loop(
     max_word_len: int,
     max_steps: int,
     max_start_len: Optional[int],
-    node_budget: Optional[int],
+    cap: int,
     deadline: Optional[float],
     report: Optional[SearchReport],
 ) -> Optional[LoopCertificate]:
@@ -152,13 +151,12 @@ def _search_loop(
 
     A successor containing the start word goes to witness(start, successor,
     a strict step was used), which gives None or (split position, redex)
-    for a `kind` certificate.  The bounds, node_budget, deadline and report
-    work as in search_mixed_loop.
+    for a `kind` certificate.  The bounds, the node budget cap, deadline and
+    report work as in search_mixed_loop.
     """
     rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
-    cap = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     # one redex tuple per word for the whole call, shared by all start words
     memo: dict[str, tuple] = {}
@@ -228,7 +226,7 @@ def search_mixed_loop(
     max_steps: int = DEFAULT_MAX_STEPS,
     *,
     max_start_len: Optional[int] = None,
-    node_budget: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Optional[float] = None,
     report: Optional[SearchReport] = None,
 ) -> Optional[LoopCertificate]:
@@ -236,8 +234,9 @@ def search_mixed_loop(
 
     max_start_len tightens the start-word length separately from the word
     bound (it defaults to max_word_len, the complete choice up to the bound).
-    node_budget caps total generated search nodes across all start words;
-    successors longer than max_word_len count too.  deadline (monotonic
+    node_budget (DEFAULT_NODE_BUDGET unless given) caps total generated
+    search nodes across all start words; successors longer than
+    max_word_len count too.  deadline (monotonic
     clock) is checked before each word is expanded.  A search cut short
     sets report.stop to "cap" or "deadline".
     """
@@ -255,7 +254,7 @@ def search_emitting_loop(
     max_steps: int = DEFAULT_MAX_STEPS,
     *,
     max_start_len: Optional[int] = None,
-    node_budget: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     deadline: Optional[float] = None,
     report: Optional[SearchReport] = None,
 ) -> Optional[LoopCertificate]:

@@ -93,8 +93,8 @@ from .certificates import (
     give_up,
     trivial_verdict,
 )
-from .check import _s_as_strict, check_matrix
-from .core import RelSRS, Rule, strictify, used_letters
+from .check import check_matrix
+from .core import RelSRS, Rule, s_as_strict, strictify, used_letters
 from .nonterm import (
     DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, search_mixed_loop,
 )
@@ -624,7 +624,7 @@ def prove(
     methods = _methods(budget or ProveBudget(), deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
-    for tag, form in (("s-", _s_as_strict), ("strictified-", strictify), ("", None)):
+    for tag, form in (("s-", s_as_strict), ("strictified-", strictify), ("", None)):
         if tag == "strictified-" and s_cert is None:
             continue
         phase_system = form(system) if form else system

@@ -6,19 +6,22 @@ both sides whitespace-separated identifier tokens, either side possibly
 empty.  Any other section such as `(COMMENT ...)` is kept verbatim so a
 round-trip does not lose metadata.
 
-One scanner serves both readers.  It finds the sections by counting
+A parsed file is an `SrsDocument`: the `RelSRS` of its RULES section and
+its other sections.  One scanner finds the sections by counting
 parentheses, splits the RULES body on commas and each rule on whitespace,
 and finds the arrow among the tokens.  A line and column are worked out
-only for an error.  `parse_srs` wraps the scanned rules in an
-`SrsDocument`; `parse_system` builds the `RelSRS` straight from the token
-lists, numbering the letters in order of first appearance, with no
-document in between.
+only for an error.  One builder turns the scanned rules into the `RelSRS`,
+numbering the letters in order of first appearance; `parse_srs` keeps the
+other sections beside it, and `parse_system` returns the system alone.
+One printer writes a document back, each rule as `RelSRS.rule_str`
+spells it, other sections first; `print_system` prints a system with no
+other sections.  A letter that occurs in no rule is not printed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import RelSRS, Rule
 
@@ -36,24 +39,10 @@ class SrsParseError(Exception):
 
 
 @dataclass(frozen=True)
-class SrsRule:
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
-    strict: bool
-
-
-@dataclass(frozen=True)
 class SrsDocument:
-    rules: tuple[SrsRule, ...]
+    system: RelSRS
     # (name, raw text between the parens) for every non-RULES section, in order
-    other_sections: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    def alphabet(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for rule in self.rules:
-            for tok in rule.lhs + rule.rhs:
-                seen.setdefault(tok)
-        return tuple(seen)
+    other_sections: tuple[tuple[str, str], ...] = ()
 
 
 def _error(text: str, pos: int, message: str) -> SrsParseError:
@@ -141,72 +130,40 @@ def _scan(text: str) -> tuple[list[_Scanned], list[tuple[str, str]]]:
     return rules, others
 
 
-def parse_srs(text: str) -> SrsDocument:
-    rules, others = _scan(text)
-    return SrsDocument(
-        rules=tuple(
-            SrsRule(tuple(tokens[:j]), tuple(tokens[j + 1 :]), tokens[j] == ARROW_STRICT)
-            for tokens, j in rules
-        ),
-        other_sections=tuple(others),
-    )
-
-
-def print_srs(doc: SrsDocument) -> str:
-    lines: list[str] = []
-    for name, body in doc.other_sections:
-        lines.append(f"({name}{body})")
-    lines.append("(RULES")
-    for k, rule in enumerate(doc.rules):
-        arrow = ARROW_STRICT if rule.strict else ARROW_RELATIVE
-        tokens = list(rule.lhs) + [arrow] + list(rule.rhs)
-        sep = " ," if k + 1 < len(doc.rules) else ""
-        lines.append("  " + " ".join(tokens) + sep)
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def document_to_system(doc: SrsDocument) -> RelSRS:
-    letters = doc.alphabet()
-    index = {name: i for i, name in enumerate(letters)}
-    rules = tuple(
-        Rule(
-            lhs=tuple(index[t] for t in r.lhs),
-            rhs=tuple(index[t] for t in r.rhs),
-            strict=r.strict,
-        )
-        for r in doc.rules
-    )
-    return RelSRS(letters, rules)
-
-
-def system_to_document(system: RelSRS) -> SrsDocument:
-    rules = tuple(
-        SrsRule(
-            lhs=tuple(system.letters[c] for c in r.lhs),
-            rhs=tuple(system.letters[c] for c in r.rhs),
-            strict=r.strict,
-        )
-        for r in system.rules
-    )
-    return SrsDocument(rules=rules)
-
-
-def parse_system(text: str) -> RelSRS:
-    """The system of a TPDB text, its letters in order of first appearance:
-    the same system as `document_to_system(parse_srs(text))`."""
+def _build_system(rules: list[_Scanned]) -> RelSRS:
+    """The system of the scanned rules, its letters in order of first appearance."""
     # the arrows are numbered -2 and -1, the letters 0, 1, ... as they appear;
     # each rule has one arrow, so no letter is an arrow
     index = {ARROW_STRICT: -2, ARROW_RELATIVE: -1}
-    rules = []
-    for tokens, j in _scan(text)[0]:
+    built = []
+    for tokens, j in rules:
         for token in tokens:
             if token not in index:
                 index[token] = len(index) - 2
         word = tuple(map(index.__getitem__, tokens))
-        rules.append(Rule(word[:j], word[j + 1 :], tokens[j] == ARROW_STRICT))
-    return RelSRS(tuple(index)[2:], tuple(rules))
+        built.append(Rule(word[:j], word[j + 1 :], tokens[j] == ARROW_STRICT))
+    return RelSRS(tuple(index)[2:], tuple(built))
+
+
+def parse_srs(text: str) -> SrsDocument:
+    rules, others = _scan(text)
+    return SrsDocument(_build_system(rules), tuple(others))
+
+
+def parse_system(text: str) -> RelSRS:
+    """The system of a TPDB text: `parse_srs(text).system`."""
+    return _build_system(_scan(text)[0])
+
+
+def print_srs(doc: SrsDocument) -> str:
+    system = doc.system
+    lines = [f"({name}{body})" for name, body in doc.other_sections]
+    lines.append("(RULES")
+    if system.rules:
+        lines.append(" ,\n".join("  " + system.rule_str(r) for r in system.rules))
+    lines.append(")")
+    return "\n".join(lines) + "\n"
 
 
 def print_system(system: RelSRS) -> str:
-    return print_srs(system_to_document(system))
+    return print_srs(SrsDocument(system))

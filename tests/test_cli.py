@@ -112,19 +112,22 @@ class TestLoop:
         assert '"type": "loop-mixed"' in out
 
     def test_none_found(self, run, tmp_path):
+        code, out = run("loop", srs(tmp_path, TERMINATING), "--max-word-len", "9")
+        assert code == 1
+        assert out == "MAYBE\nnone found (bound 9)\n"
+        # at the default bound the search outgrows its node budget
         code, out = run("loop", srs(tmp_path, TERMINATING))
         assert code == 1
-        assert out == "MAYBE\nnone found (bound 12)\n"
+        assert out == "MAYBE\nnode budget reached before the search finished (bound 12)\n"
 
     def test_bound_flag_is_reported(self, run, tmp_path):
         code, out = run("loop", srs(tmp_path, TERMINATING), "--max-word-len", "5")
         assert code == 1 and "none found (bound 5)" in out
 
     def test_timeout_cuts_the_search(self, run, tmp_path):
-        # with the default bounds and no timeout this runs for minutes
-        start = time.monotonic()
-        code, out = run("loop", srs(tmp_path, "(RULES a -> b, c ->= b c)\n"), "--timeout", "0.5")
-        assert time.monotonic() - start < 5
+        # the node budget ends this search within a second, so only an
+        # expired clock is sure to cut it first
+        code, out = run("loop", srs(tmp_path, "(RULES a -> b, c ->= b c)\n"), "--timeout", "0")
         assert code == 1
         assert out == "MAYBE\ntimeout before the search finished (bound 12)\n"
 

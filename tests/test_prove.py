@@ -312,6 +312,39 @@ class TestInvariance:
             assert prove(reverse_system(system)).verdict == verdict, str(system)
 
 
+def _weakenings(system: RelSRS):
+    """Each one-rule weakening with R non-empty: one rule dropped, or one
+    strict rule made relative."""
+    rules = system.rules
+    for i, rule in enumerate(rules):
+        weaker = [rules[:i] + rules[i + 1 :]]
+        if rule.strict:
+            weaker.append(rules[:i] + (Rule(rule.lhs, rule.rhs, False),) + rules[i + 1 :])
+        for changed in weaker:
+            if any(r.strict for r in changed):
+                yield RelSRS(system.letters, changed)
+
+
+class TestWeakeningAudit:
+    """SN(R/S) survives dropping a rule or making a strict rule relative, so
+    a NO weakening of a YES system is a soundness bug, and one of a MAYBE
+    system a search gap."""
+
+    # the number of distinct weakenings of the YES and MAYBE systems
+    @pytest.mark.parametrize("letters,max_size,proofs", [(2, 5, 451), (3, 4, 136)])
+    def test_no_yes_or_maybe_system_has_a_no_weakening(self, letters, max_size, proofs):
+        verdicts: dict[RelSRS, str] = {}
+        for system in enumerate_systems(EnumerationConfig(letters, max_size)):
+            verdict = prove(system).verdict
+            if verdict == "NO":
+                continue
+            for weaker in _weakenings(system):
+                if weaker not in verdicts:
+                    verdicts[weaker] = prove(weaker).verdict
+                assert verdicts[weaker] != "NO", f"{verdict} {system} has NO {weaker}"
+        assert len(verdicts) == proofs
+
+
 @functools.lru_cache(maxsize=None)
 def _sweep_digests(budget: ProveBudget) -> tuple[int, str, str]:
     """One prove sweep of every two-letter system up to size 5: the number

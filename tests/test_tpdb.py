@@ -9,13 +9,10 @@ from relsrs import (
     Rule,
     SrsDocument,
     SrsParseError,
-    SrsRule,
-    document_to_system,
     parse_srs,
     parse_system,
     print_srs,
     print_system,
-    system_to_document,
 )
 
 REL = """(RULES
@@ -25,21 +22,31 @@ REL = """(RULES
 """
 
 
+def first_appearance(system: RelSRS) -> tuple[str, ...]:
+    """The letters that occur in the rules, in order of first appearance."""
+    seen: dict[str, None] = {}
+    for rule in system.rules:
+        for c in rule.lhs + rule.rhs:
+            seen.setdefault(system.letters[c])
+    return tuple(seen)
+
+
 class TestParse:
     def test_strict_and_relative_rules(self):
         doc = parse_srs(REL)
-        assert doc.rules == (
-            SrsRule(("a", "b"), ("a",), True),
-            SrsRule(("c",), ("b", "c"), False),
+        assert doc.system == RelSRS(
+            ("a", "b", "c"),
+            (Rule((0, 1), (0,), True), Rule((2,), (1, 2), False)),
         )
 
     def test_alphabet_first_occurrence_order(self):
-        assert parse_srs(REL).alphabet() == ("a", "b", "c")
+        system = parse_srs(REL).system
+        assert system.letters == first_appearance(system) == ("a", "b", "c")
 
     def test_empty_sides(self):
         doc = parse_srs("(RULES -> a, b ->= )")
-        assert doc.rules[0].lhs == ()
-        assert doc.rules[1].rhs == ()
+        assert doc.system.rules[0].lhs == ()
+        assert doc.system.rules[1].rhs == ()
 
     def test_single_line_whitespace_insensitive(self):
         assert parse_srs("(RULES  a   b  ->  a ,  c ->=  b c )") == parse_srs(REL)
@@ -59,7 +66,8 @@ class TestParse:
 
     def test_multiword_tokens(self):
         doc = parse_srs("(RULES f10 f2 -> f2)")
-        assert doc.rules[0].lhs == ("f10", "f2")
+        assert doc.system.letters == ("f10", "f2")
+        assert doc.system.rules[0].lhs == (0, 1)
 
 
 class TestParseErrors:
@@ -148,7 +156,7 @@ class TestParseErrors:
             assert str(e.value) == f"line {line}, column {col}: {message}"
 
 
-A_TO_B = (SrsRule(("a",), ("b",), True),)
+A_TO_B = RelSRS(("a", "b"), (Rule((0,), (1,), True),))
 
 
 class TestEdgeInputs:
@@ -157,22 +165,27 @@ class TestEdgeInputs:
         [
             ("( RULES a -> b)", SrsDocument(A_TO_B)),
             # parens inside a rule are token characters
-            ("(RULES a(b) -> c)", SrsDocument((SrsRule(("a(b)",), ("c",), True),))),
-            ("(RULES(x) a -> b)", SrsDocument((SrsRule(("(x)", "a"), ("b",), True),))),
+            ("(RULES a(b) -> c)", SrsDocument(RelSRS(("a(b)", "c"), (Rule((0,), (1,), True),)))),
+            (
+                "(RULES(x) a -> b)",
+                SrsDocument(RelSRS(("(x)", "a", "b"), (Rule((0, 1), (2,), True),))),
+            ),
             (
                 "(COMMENT see (nested (deep)) note)(RULES a -> b)",
                 SrsDocument(A_TO_B, (("COMMENT", " see (nested (deep)) note"),)),
             ),
             ("(RULES a -> b, )", SrsDocument(A_TO_B)),
-            ("(RULES )", SrsDocument(())),
-            ("(RULES ->)", SrsDocument((SrsRule((), (), True),))),
+            ("(RULES )", SrsDocument(RelSRS((), ()))),
+            ("(RULES ->)", SrsDocument(RelSRS((), (Rule((), (), True),)))),
             (
                 "(COMMENT\nfoo)\n(RULES a -> b)\n(COMMENT)\n",
                 SrsDocument(A_TO_B, (("COMMENT", "\nfoo"), ("COMMENT", ""))),
             ),
             (
                 "(RULES\x0ba\x1c->\xa0b\u3000,\u3000c ->= )",
-                SrsDocument((SrsRule(("a",), ("b",), True), SrsRule(("c",), (), False))),
+                SrsDocument(
+                    RelSRS(("a", "b", "c"), (Rule((0,), (1,), True), Rule((2,), (), False)))
+                ),
             ),
         ],
     )
@@ -221,7 +234,10 @@ class TestLayout:
     def test_any_layout_parses_to_the_system(self, case):
         system, text, others = case
         doc = parse_srs(text)
-        assert doc.rules == system_to_document(system).rules
+        # the same rules, token for token; the letters are numbered afresh
+        assert list(map(doc.system.rule_str, doc.system.rules)) == list(
+            map(system.rule_str, system.rules)
+        )
         assert doc.other_sections == others
 
     @settings(max_examples=300, deadline=None)
@@ -229,8 +245,8 @@ class TestLayout:
     def test_system_reader_matches_the_document_reader(self, case):
         _, text, _ = case
         system = parse_system(text)
-        assert system == document_to_system(parse_srs(text))
-        assert system.letters == parse_srs(text).alphabet()
+        assert system == parse_srs(text).system
+        assert system.letters == first_appearance(system)
 
 
 class TestPrint:
@@ -251,8 +267,8 @@ class TestPrint:
 
 
 class TestSystemBridge:
-    def test_document_to_system_letter_indices(self):
-        sys_ = document_to_system(parse_srs(REL))
+    def test_letter_indices(self):
+        sys_ = parse_srs(REL).system
         assert sys_.letters == ("a", "b", "c")
         assert sys_.rules[0].lhs == (0, 1)
         assert sys_.rules[1].rhs == (1, 2)
@@ -271,6 +287,7 @@ class TestSystemBridge:
         assert parse_system(text) == sys_
 
     def test_unused_letters_dropped_by_bridge(self):
-        # the alphabet is rebuilt from rule tokens on the way back out
-        doc = system_to_document(parse_system(REL))
-        assert doc.alphabet() == ("a", "b", "c")
+        # the printer writes rules only, so a letter in no rule is gone
+        # once the text is read back
+        sys_ = RelSRS(("z", "a", "b"), (Rule((1, 2), (1,), True),))
+        assert parse_system(print_system(sys_)).letters == ("a", "b")
