@@ -30,8 +30,7 @@ from .certificates import (
 )
 from .check import (
     check_loop_certificate,
-    check_matrix_arctic,
-    check_matrix_natural,
+    check_matrix,
     check_weights,
     verify_certificate,
 )

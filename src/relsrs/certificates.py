@@ -14,9 +14,10 @@ The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
 arithmetic, order, letter conditions and entry codec.  Arctic minus
 infinity is the arctic zero, NEG_INF = float("-inf"), in every matrix
 held in memory; "-inf" is only its JSON spelling.  The checker and this
-schema use all of it.  The matrix search takes only the identity, the
-arctic zero, `corner_only` and the certificate class: it has its own
-arithmetic and entry pool, and restates the letter conditions on rows.
+schema use all of it.  The matrix search takes only the certificate
+class and, in `term._FlatKernel` alone, the name, identity and
+`corner_only`: it has its own arithmetic and entry pool, and restates the
+letter conditions on rows.
 """
 
 from __future__ import annotations

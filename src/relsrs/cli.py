@@ -87,6 +87,8 @@ def _read_certificate_json(path: str):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"certificate file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ValueError("certificate file is nested too deeply to read") from None
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

@@ -4,11 +4,12 @@ Matrix search is exhaustive for every dimension up to the bound, under an
 assignment cap and the prove deadline.  The matrix conventions, and the
 checkers that re-verify every certificate, are in `relsrs.check`.
 
-The search has its own arithmetic: each candidate letter matrix is a flat
-row-major tuple, entry (i, j) at index i*d + j, with closed-form products
-for d = 2 and a generic product otherwise.  Its entries are the checker's,
-ints and NEG_INF, exact for the reasons given in `relsrs.check`.  A found
-assignment is cut back into rows and re-checked by check_matrix.
+The search reads its semiring in one place, a `_FlatKernel` per dimension
+that holds its own arithmetic, entry pool and candidates.  Each candidate
+is a flat row-major tuple, entry (i, j) at index i*d + j, with closed-form
+products for d = 2 and a generic product otherwise, over the checker's
+entries, ints and NEG_INF, exact for the reasons given in `relsrs.check`.
+A found assignment is cut back into rows and re-checked by check_matrix.
 
 The search gives the letters their matrices in turn, and checks each rule
 at the level of its last letter, in stages.  Each side is split into runs
@@ -267,22 +268,59 @@ def _arc_mul_any(d, a, b):
     )
 
 
-# the closed-form products by semiring name and dimension; any other
-# dimension takes the generic product of the last entry
-_FLAT_MUL = {
-    "natural": {2: _nat_mul_2, None: _nat_mul_any},
-    "arctic": {2: _arc_mul_2, None: _arc_mul_any},
-}
+_END = object()
+
+
+class _Made:
+    """A sequence made as iteration first reaches it and kept for the next
+    pass."""
+
+    def __init__(self, source):
+        self._source = iter(source)
+        self._made: list = []
+
+    def __iter__(self):
+        made = self._made
+        i = 0
+        while True:
+            if i == len(made):
+                item = next(self._source, _END)  # an item may be None
+                if item is _END:
+                    return
+                made.append(item)
+            yield made[i]
+            i += 1
 
 
 class _FlatKernel:
-    """The search's arithmetic for one semiring at one dimension."""
+    """What the matrix search knows about a semiring at one dimension: the
+    product of flat matrices, the identity, the rule test, and the letter
+    matrices allowed, in row-major lexicographic order over the entry pool.
+    These candidates are made as the search first reaches them and kept: at
+    d = 3 the arctic pool gives over a million, more than a capped or timed
+    search visits.  The letter condition (`Semiring.letter_fault`) is put on
+    the rows it reads: filtering a product's factors keeps its order.
+    `conjugation_top` is the top entry of the d = 2 arctic filter, or None."""
 
-    def __init__(self, semiring: Semiring, d: int):
-        muls = _FLAT_MUL[semiring.name]
-        self.mul = muls[d] if d in muls else partial(muls[None], d)
+    def __init__(self, semiring: Semiring, d: int, max_entry: int):
+        if semiring.name == "natural":
+            mul_2, mul_any = _nat_mul_2, _nat_mul_any
+            pool = list(range(max_entry + 1))
+            self.conjugation_top = None
+            first, last = 1, 1  # the least (1,1) and (d,d) entries
+        else:
+            mul_2, mul_any = _arc_mul_2, _arc_mul_any
+            pool = [NEG_INF, *range(-1, max_entry + 1)]
+            self.conjugation_top = max_entry if d == 2 else None
+            first, last = 0, NEG_INF  # a finite (1,1) entry >= 0, any (d,d) entry
+        self.mul = mul_2 if d == 2 else partial(mul_any, d)
         self.corner = d - 1 if semiring.corner_only else None
         self.identity = tuple(x for row in semiring.identity(d) for x in row)
+        rows = list(product(pool, repeat=d))
+        slots = [rows] * d
+        slots[0] = [r for r in rows if r[0] >= first]
+        slots[-1] = [r for r in slots[-1] if r[-1] >= last]
+        self.candidates = _Made(sum(m, ()) for m in product(*slots))
 
     def decreases(self, left: tuple, right: tuple, strict: bool) -> bool:
         """The test of a rule whose sides map to `left` and `right`: >=
@@ -395,63 +433,12 @@ class _Level:
         return holds
 
 
-_END = object()
-
-
-class _Made:
-    """A sequence made as iteration first reaches it and kept for the next
-    pass."""
-
-    def __init__(self, source):
-        self._source = iter(source)
-        self._made: list = []
-
-    def __iter__(self):
-        made = self._made
-        i = 0
-        while True:
-            if i == len(made):
-                item = next(self._source, _END)  # an item may be None
-                if item is _END:
-                    return
-                made.append(item)
-            yield made[i]
-            i += 1
-
-
-# the search's entries up to a bound, in search order
-_POOL = {
-    "natural": lambda max_entry: list(range(max_entry + 1)),
-    "arctic": lambda max_entry: [NEG_INF, *range(-1, max_entry + 1)],
-}
-
-
-class _Candidates(_Made):
-    """The matrices allowed for a letter as flat tuples, in row-major
-    lexicographic order over the semiring's entry pool.  They are made as
-    the search first reaches them and kept for the next pass: at d = 3 the
-    arctic pool gives over a million, more than a capped or timed search
-    visits.
-
-    The letter condition (`Semiring.letter_fault`) is put on the rows it
-    reads, and filtering the factors of a product keeps its order."""
-
-    def __init__(self, semiring: Semiring, d: int, max_entry: int):
-        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
-        slots = [rows] * d
-        if semiring.name == "natural":  # entries (1,1) and (d,d) at least 1
-            slots[0] = [r for r in rows if r[0] >= 1]
-            slots[-1] = [r for r in slots[-1] if r[-1] >= 1]
-        else:  # a finite entry (1,1) >= 0
-            slots[0] = [r for r in rows if r[0] >= 0]
-        super().__init__(sum(m, ()) for m in product(*slots))
-
-
-def _last_candidates(semiring: Semiring, d: int, cands, top: int, items):
-    """last(prefix): the `items` made for the last letter's candidates
-    `cands`, in the same order; in arctic at d = 2 only those of the
+def _last_candidates(kernel: _FlatKernel, items):
+    """last(prefix): the `items` made for the kernel's candidates, in the
+    same order; under the arctic d = 2 conjugation filter only those of the
     canonical completions."""
-    if semiring.name != "arctic" or d != 2:
+    top = kernel.conjugation_top
+    if top is None:
         return lambda prefix: items
 
     def blocks(m: tuple, p: int) -> bool:  # the shift p takes m out of the pool
@@ -464,7 +451,7 @@ def _last_candidates(semiring: Semiring, d: int, cands, top: int, items):
         p = shift(prefix)
         return items if any(blocks(m, p) for m in prefix) else lists[p]
 
-    pairs = list(zip(cands, items))
+    pairs = list(zip(kernel.candidates, items))
     items = [x for _, x in pairs]
     lists = {p: [x for m, x in pairs if blocks(m, p)] for p in (1, -1)}
     # canonical alone: no finite off-diagonal entry, or m blocks its own shift
@@ -486,9 +473,8 @@ def _exhaustive_matrix_search(
     if any(rule.strict and not rule.lhs for rule in system.rules):
         return None
     used = used_letters(system)
-    kernel = _FlatKernel(semiring, d)
+    kernel = _FlatKernel(semiring, d, max_entry)
     flats: list = [None] * len(system.letters)
-    candidates = _Candidates(semiring, d, max_entry)
     # a rule becomes checkable once all its letters are assigned; checking
     # at the earliest such depth prunes the assignment tree hard.  A weak
     # rule with no letters always holds.
@@ -500,8 +486,8 @@ def _exhaustive_matrix_search(
             ready[max(position[c] for c in letters)].append(rule)
     levels = [_Level(kernel, c, rules) for c, rules in zip(used, ready)]
     # each level's entry for each candidate, made once per search
-    entries = [_Made(map(level.entry, candidates)) for level in levels]
-    last = _last_candidates(semiring, d, candidates, max_entry, entries[-1]) if used else None
+    entries = [_Made(map(level.entry, kernel.candidates)) for level in levels]
+    last = _last_candidates(kernel, entries[-1]) if used else None
     visited = 0
 
     def rec(level: int) -> bool:

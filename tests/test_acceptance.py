@@ -33,8 +33,7 @@ from relsrs import (
     apply_rule_at,
     check_grid_algebra,
     check_loop_certificate,
-    check_matrix_arctic,
-    check_matrix_natural,
+    check_matrix,
     closure_to_loop_certificate,
     enumerate_systems,
     find_looping_forward_closure,
@@ -195,9 +194,9 @@ def _arc_oracle(data, system):
 def test_01_matrix_certificate_anchors_and_mutations():
     t0 = time.perf_counter()
     cases = [
-        ("rel12", check_matrix_natural, _nat_oracle, _nat_rule_ok, False,
+        ("rel12", check_matrix, _nat_oracle, _nat_rule_ok, False,
          NAT_MUTATIONS, NAT_PRESCRIBED),
-        ("rel11", check_matrix_arctic, _arc_oracle, _arc_rule_ok, True,
+        ("rel11", check_matrix, _arc_oracle, _arc_rule_ok, True,
          ARC_MUTATIONS, ARC_PRESCRIBED),
     ]
     total_rejected = 0

@@ -244,6 +244,24 @@ class TestCheckCert:
         code, out = run("check-cert", str(FIXTURES / "rel11.srs"), str(cert))
         assert code == 2 and "not valid JSON" in out
 
+    @pytest.mark.parametrize("command", ["check-cert", "prove"])
+    def test_too_deeply_nested_certificate_is_an_error(self, run, tmp_path, command):
+        # 400 composites, each the strictified-termination part of the next,
+        # nest deeper than json.loads can read
+        head = (
+            '{"type": "strictify-compose", "verdict": "YES", "parts": '
+            '[{"role": "strictified-termination", "certificate": '
+        )
+        weights = '{"type": "weights", "weights": {"a": 1}}'
+        cert = tmp_path / "nested.cert"
+        cert.write_text(head * 400 + weights + "}]}" * 400)
+        system = srs(tmp_path, "(RULES a -> )\n")
+        argv = ["check-cert", system, str(cert)] if command == "check-cert" else [
+            "prove", system, "--check-cert", str(cert)
+        ]
+        code, out = run(*argv)
+        assert (code, out) == (2, "ERROR: certificate file is nested too deeply to read\n")
+
 
 class TestParse:
     def test_ok_and_normalized(self, run, tmp_path):

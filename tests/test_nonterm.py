@@ -37,6 +37,7 @@ from relsrs import (
     successors,
     trivial_verdict,
 )
+from relsrs.core import s_as_strict
 
 ABA = parse_system("(RULES a b -> a, c ->= b c)")
 BAB = parse_system("(RULES b a b -> a, c ->= c b, d ->= b d)")
@@ -591,11 +592,7 @@ class TestFrozenSearchResults:
         for system in enumerate_systems(EnumerationConfig(2, 4)):
             if trivial_verdict(system) is not None:
                 continue
-            s_only = RelSRS(
-                system.letters,
-                tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
-            )
-            for form in (system, strictify(system), s_only):
+            for form in (system, strictify(system), s_as_strict(system)):
                 mixed_report, emitting_report = SearchReport(), SearchReport()
                 mixed = search_mixed_loop(
                     form,

@@ -28,8 +28,7 @@ from relsrs import (
     Step,
     WeightCertificate,
     check_loop_certificate,
-    check_matrix_arctic,
-    check_matrix_natural,
+    check_matrix,
     check_weights,
     enumerate_systems,
     find_looping_forward_closure,
@@ -46,11 +45,9 @@ from relsrs import (
     verify_certificate,
 )
 from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS, give_up
-from relsrs.check import _rule_fault, check_matrix
-from relsrs.core import used_letters
-from relsrs.term import (
-    _FLAT_MUL, _POOL, _Candidates, _FlatKernel, _Level, _last_candidates, _SearchStop,
-)
+from relsrs.check import _rule_fault
+from relsrs.core import s_as_strict, used_letters
+from relsrs.term import _FlatKernel, _Level, _last_candidates, _SearchStop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FRONTIER = Path(__file__).parent.parent / "perfbench" / "data" / "frontier"
@@ -301,8 +298,7 @@ def dfs_weights(
 def variants(system):
     """The system as is, with every rule strict, and its relative rules
     alone made strict: the three systems prove hands to search_weights."""
-    s_alone = tuple(Rule(r.lhs, r.rhs, True) for r in system.rules if not r.strict)
-    return system, strictify(system), RelSRS(system.letters, s_alone)
+    return system, strictify(system), s_as_strict(system)
 
 
 class TestWeightSearchOracle:
@@ -406,25 +402,25 @@ class TestNaturalChecker:
     def test_fixture_certificate_verifies(self):
         system, cert = load_pair("rel12")
         assert cert.dimension == 5
-        assert check_matrix_natural(cert, system)
+        assert check_matrix(cert, system)
 
     def test_fixture_mutation_rejected(self):
         system, cert = load_pair("rel12")
-        res = check_matrix_natural(bump(cert, "b", 1, 2, 0), system)
+        res = check_matrix(bump(cert, "b", 1, 2, 0), system)
         assert not res
         assert res.reason == "rule b p b -> a b a p b a: entry (1,3) 0 < 3"
 
     def test_certificate_against_wrong_system(self):
         other, _ = load_pair("rel11")
         _, cert = load_pair("rel12")
-        res = check_matrix_natural(cert, other)
+        res = check_matrix(cert, other)
         assert not res
         assert res.reason == "rule b p b -> b a p b: entry (1,2) 2 < 3"
 
     def test_first_corner_condition(self):
         sys = parse_system("(RULES a a -> a)")
         cert = NaturalMatrixCertificate(2, {"a": ((0, 1), (0, 1))})
-        res = check_matrix_natural(cert, sys)
+        res = check_matrix(cert, sys)
         assert not res and res.reason == "matrix for 'a' has entry (1,1) = 0 < 1"
 
     def test_second_corner_condition_blocks_unsound_certificate(self):
@@ -439,7 +435,7 @@ class TestNaturalChecker:
                 "c": ((1, 0), (0, 0)),
             },
         )
-        res = check_matrix_natural(cert, sys)
+        res = check_matrix(cert, sys)
         assert not res and res.reason == "matrix for 'c' has entry (2,2) = 0 < 1"
         loop = LoopCertificate("mixed", sys.word("b c"), (Step(1, 0), Step(0, 0)), (), ())
         assert check_loop_certificate(loop, sys)
@@ -447,37 +443,37 @@ class TestNaturalChecker:
     def test_strict_corner_must_be_strict(self):
         sys = parse_system("(RULES a -> b)")
         cert = NaturalMatrixCertificate(1, {"a": ((1,),), "b": ((1,),)})
-        res = check_matrix_natural(cert, sys)
+        res = check_matrix(cert, sys)
         assert not res and res.reason == "strict rule a -> b: corner (1,1) 1 <= 1"
 
     def test_dimension_one(self):
         sys = parse_system("(RULES a a -> a)")
-        assert check_matrix_natural(NaturalMatrixCertificate(1, {"a": ((2,),)}), sys)
+        assert check_matrix(NaturalMatrixCertificate(1, {"a": ((2,),)}), sys)
 
     def test_empty_word_maps_to_identity(self):
         # a ->= empty asks for [a] >= I, which [[1]] satisfies
         sys = parse_system("(RULES b -> , a ->= )")
         cert = NaturalMatrixCertificate(1, {"a": ((1,),), "b": ((2,),)})
-        assert check_matrix_natural(cert, sys)
+        assert check_matrix(cert, sys)
 
     def test_empty_lhs_strict_rule_never_passes(self):
         sys = parse_system("(RULES  -> a)")
-        res = check_matrix_natural(NaturalMatrixCertificate(1, {"a": ((1,),)}), sys)
+        res = check_matrix(NaturalMatrixCertificate(1, {"a": ((1,),)}), sys)
         assert not res and "corner" in res.reason
 
     def test_shape_and_entry_validation(self):
         sys = parse_system("(RULES a a -> a)")
         bad_shape = NaturalMatrixCertificate(2, {"a": ((1, 0),)})
-        assert "not 2x2" in check_matrix_natural(bad_shape, sys).reason
+        assert "not 2x2" in check_matrix(bad_shape, sys).reason
         bad_bool = NaturalMatrixCertificate(1, {"a": ((True,),)})
-        assert "bad entry True" in check_matrix_natural(bad_bool, sys).reason
+        assert "bad entry True" in check_matrix(bad_bool, sys).reason
         negative = NaturalMatrixCertificate(1, {"a": ((-1,),)})
-        assert "bad entry -1" in check_matrix_natural(negative, sys).reason
+        assert "bad entry -1" in check_matrix(negative, sys).reason
         zero_dim = NaturalMatrixCertificate(0, {})
-        assert "dimension" in check_matrix_natural(zero_dim, sys).reason
+        assert "dimension" in check_matrix(zero_dim, sys).reason
 
     def test_missing_matrix_reported(self):
-        res = check_matrix_natural(NaturalMatrixCertificate(1, {"a": ((1,),)}), AB_A)
+        res = check_matrix(NaturalMatrixCertificate(1, {"a": ((1,),)}), AB_A)
         assert not res and res.reason == "no matrix for letter 'b'"
 
     def test_renaming_letters_preserves_validity(self):
@@ -487,7 +483,7 @@ class TestNaturalChecker:
         moved = NaturalMatrixCertificate(
             cert.dimension, {names[k]: m for k, m in cert.interp.items()}
         )
-        assert check_matrix_natural(moved, renamed)
+        assert check_matrix(moved, renamed)
 
 
 N = NEG_INF
@@ -497,11 +493,11 @@ class TestArcticChecker:
     def test_fixture_certificate_verifies(self):
         system, cert = load_pair("rel11")
         assert cert.dimension == 4
-        assert check_matrix_arctic(cert, system)
+        assert check_matrix(cert, system)
 
     def test_fixture_mutation_rejected(self):
         system, cert = load_pair("rel11")
-        res = check_matrix_arctic(bump(cert, "p", 1, 2, 0), system)
+        res = check_matrix(bump(cert, "p", 1, 2, 0), system)
         assert not res
         assert res.reason == "rule b p b -> b a p b: entry (1,1) violates >> (0 vs 0)"
 
@@ -509,20 +505,20 @@ class TestArcticChecker:
         sys = parse_system("(RULES a a -> a)")
         for corner in (N, -1):
             cert = ArcticMatrixCertificate(1, {"a": ((corner,),)})
-            res = check_matrix_arctic(cert, sys)
+            res = check_matrix(cert, sys)
             assert not res and "finite entry (1,1) >= 0" in res.reason
 
     def test_weak_violation(self):
         sys = parse_system("(RULES b -> a, a ->= b)")
         cert = ArcticMatrixCertificate(1, {"a": ((0,),), "b": ((1,),)})
-        res = check_matrix_arctic(cert, sys)
+        res = check_matrix(cert, sys)
         assert not res
         assert res.reason == "rule a ->= b: entry (1,1) violates >= (0 vs 1)"
 
     def test_strict_needs_real_increase(self):
         sys = parse_system("(RULES a -> b)")
         cert = ArcticMatrixCertificate(1, {"a": ((0,),), "b": ((0,),)})
-        res = check_matrix_arctic(cert, sys)
+        res = check_matrix(cert, sys)
         assert not res
         assert res.reason == "rule a -> b: entry (1,1) violates >> (0 vs 0)"
 
@@ -532,16 +528,44 @@ class TestArcticChecker:
         cert = ArcticMatrixCertificate(
             2, {"a": ((1, N), (N, N)), "b": ((0, N), (N, N))}
         )
-        assert check_matrix_arctic(cert, sys)
+        assert check_matrix(cert, sys)
 
     def test_shape_and_entry_validation(self):
         sys = parse_system("(RULES a a -> a)")
         bad_bool = ArcticMatrixCertificate(1, {"a": ((True,),)})
-        assert "bad entry True" in check_matrix_arctic(bad_bool, sys).reason
+        assert "bad entry True" in check_matrix(bad_bool, sys).reason
         bad_shape = ArcticMatrixCertificate(2, {"a": ((0, N),)})
-        assert "not 2x2" in check_matrix_arctic(bad_shape, sys).reason
-        res = check_matrix_arctic(ArcticMatrixCertificate(1, {"a": ((0,),)}), AB_A)
+        assert "not 2x2" in check_matrix(bad_shape, sys).reason
+        res = check_matrix(ArcticMatrixCertificate(1, {"a": ((0,),)}), AB_A)
         assert res.reason == "no matrix for letter 'b'"
+
+
+class TestClaimedDimension:
+    """A certificate with no letter matrix claims a dimension it never
+    shows; the checker must not build an identity of that size."""
+
+    @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("(RULES ->= )", ""),
+            ("(RULES -> )", "rule ->: "),
+            ("(RULES ->= , a -> b)", "no matrix for letter 'a'"),
+        ],
+    )
+    def test_huge_dimension_returns_at_once(self, semiring, text, reason):
+        system = parse_system(text)
+
+        def check(d):
+            data = {"type": semiring.tag, "dimension": d, "matrices": {}}
+            return verify_certificate(parse_certificate(data, system), system)
+
+        t0 = time.perf_counter()
+        res = check(10**9)
+        assert time.perf_counter() - t0 < 1.0
+        assert bool(res) == (not reason) and reason in res.reason
+        # the verdict of a small dimension, where the identity can be built
+        assert bool(res) == bool(check(3))
 
 
 class TestDimensionOneOracle:
@@ -559,7 +583,7 @@ class TestDimensionOneOracle:
                     and va * va > va
                     and vb >= va
                 )
-                assert bool(check_matrix_natural(cert, sys)) == expected, (va, vb)
+                assert bool(check_matrix(cert, sys)) == expected, (va, vb)
 
     def test_arctic_d1_agrees_with_sums(self):
         # at dimension 1 max-plus is integer addition: letters need a finite
@@ -577,7 +601,7 @@ class TestDimensionOneOracle:
                     and va + va > va
                     and vb >= va
                 )
-                assert bool(check_matrix_arctic(cert, sys)) == expected, (va, vb)
+                assert bool(check_matrix(cert, sys)) == expected, (va, vb)
 
 
 class TestMatrixSearch:
@@ -585,7 +609,7 @@ class TestMatrixSearch:
         sys = parse_system("(RULES a b -> b a)")
         cert = search_matrix(sys, "natural")
         assert cert is not None and cert.dimension == 2
-        assert check_matrix_natural(cert, sys)
+        assert check_matrix(cert, sys)
 
     def test_search_is_deterministic(self):
         sys = parse_system("(RULES a b -> b a)")
@@ -595,7 +619,7 @@ class TestMatrixSearch:
         sys = parse_system("(RULES a b -> b)")
         cert = search_matrix(sys, "arctic")
         assert isinstance(cert, ArcticMatrixCertificate) and cert.dimension == 1
-        assert check_matrix_arctic(cert, sys)
+        assert check_matrix(cert, sys)
 
     def test_dimension_cap(self):
         # scalar products commute, so the swap rule has no d=1 certificate
@@ -729,21 +753,24 @@ class TestFrozenMatrixResults:
         for system in enumerate_systems(config):
             if trivial_verdict(system) is not None:
                 continue
-            s_only = RelSRS(
-                system.letters,
-                tuple(Rule(r.lhs, r.rhs, True) for r in system.relative_rules),
-            )
-            yield from (system, strictify(system), s_only)
+            yield from (system, strictify(system), s_as_strict(system))
 
     @staticmethod
     def report_line(data, report):
         return json.dumps([data, report.stop, report.nodes], sort_keys=True).encode() + b"\n"
 
 
+def entry_pool(semiring, max_entry):
+    """The search's entries up to max_entry, in search order."""
+    if semiring is NATURAL:
+        return list(range(max_entry + 1))
+    return [NEG_INF, *range(-1, max_entry + 1)]
+
+
 def pool_matrices(semiring, d, count):
     """`count` d x d matrices over the semiring's search pool for entries
     up to 3, minus infinity included for arctic."""
-    entry = st.sampled_from(_POOL[semiring.name](3))
+    entry = st.sampled_from(entry_pool(semiring, 3))
     row = st.tuples(*[entry] * d)
     return st.lists(st.tuples(*[row] * d), min_size=count, max_size=count)
 
@@ -761,11 +788,11 @@ class TestCandidates:
     @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
     def test_rows_filtered_equal_matrices_filtered(self, semiring, d, max_entry):
         # the checker's letter condition on whole matrices is the reference
-        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
+        rows = list(product(entry_pool(semiring, max_entry), repeat=d))
         expected = [
             m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None
         ]
-        made = list(_Candidates(semiring, d, max_entry))
+        made = list(_FlatKernel(semiring, d, max_entry).candidates)
         assert [rows_of(flat, d) for flat in made] == expected
         assert made == [flatten(m) for m in expected]
 
@@ -773,7 +800,7 @@ class TestCandidates:
 def staged_test(semiring, d, flats, letter):
     """holds(rule): the matrix search's test of a rule at the level of
     `letter`, every other letter in `flats` being assigned earlier."""
-    kernel = _FlatKernel(semiring, d)
+    kernel = _FlatKernel(semiring, d, 3)
     # the prefix does not hold the current letter
     prefix = [None if c == letter else flat for c, flat in enumerate(flats)]
 
@@ -832,7 +859,7 @@ class TestFlatKernel:
         semiring = data.draw(st.sampled_from(SEMIRINGS))
         d = data.draw(st.integers(1, 4))
         a, b = data.draw(pool_matrices(semiring, d, 2))
-        kernel = _FlatKernel(semiring, d)
+        kernel = _FlatKernel(semiring, d, 3)
         flat = kernel.mul(flatten(a), flatten(b))
         # finite entries stay exact ints
         assert all(type(x) is int or x == NEG_INF for x in flat)
@@ -848,7 +875,7 @@ class TestFlatKernel:
     def test_wrong_product_raises_instead_of_returning(self, monkeypatch):
         # with a * b read as a, a b -> b a only needs a > b at d = 1, which
         # takes the generic product
-        monkeypatch.setitem(_FLAT_MUL["natural"], None, lambda d, a, b: a)
+        monkeypatch.setattr("relsrs.term._nat_mul_any", lambda d, a, b: a)
         with pytest.raises(RuntimeError, match="unsound certificate"):
             search_matrix(parse_system("(RULES a b -> b a)"), "natural", max_dim=1)
 
@@ -866,7 +893,7 @@ def first_fit(system, semiring, max_dim, max_entry):
     over the full candidate lists, that check_matrix accepts."""
     used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
     for d in range(1, max_dim + 1):
-        rows = list(product(_POOL[semiring.name](max_entry), repeat=d))
+        rows = list(product(entry_pool(semiring, max_entry), repeat=d))
         letters = [m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None]
         for mats in product(letters, repeat=len(used)):
             cert = semiring.certificate(d, {system.letters[c]: m for c, m in zip(used, mats)})
@@ -938,8 +965,9 @@ class TestArcticConjugates:
 
     @pytest.mark.parametrize("top", [0, 1, 2])
     def test_last_letter_gets_exactly_the_canonical_completions(self, top):
-        cands = list(_Candidates(ARCTIC, 2, top))
-        last = _last_candidates(ARCTIC, 2, cands, top, cands)
+        kernel = _FlatKernel(ARCTIC, 2, top)
+        cands = list(kernel.candidates)
+        last = _last_candidates(kernel, cands)
         prefixes = [[]] + [[m] for m in cands] + [[a, b] for a in cands[::29] for b in cands[::31]]
         for prefix in prefixes:
             expected = [
@@ -949,8 +977,9 @@ class TestArcticConjugates:
 
     def test_other_searches_keep_every_candidate(self):
         for semiring, d in ((NATURAL, 2), (ARCTIC, 1), (ARCTIC, 3)):
-            cands = _Candidates(semiring, d, 1)
-            assert _last_candidates(semiring, d, cands, 1, cands)([]) is cands
+            kernel = _FlatKernel(semiring, d, 1)
+            cands = kernel.candidates
+            assert _last_candidates(kernel, cands)([]) is cands
 
     # random systems seldom need d = 2; these do
     @example(parse_system("(RULES a b b -> a , ->= a b a)"))
