@@ -219,7 +219,7 @@ Certificate = Union[
 
 @dataclass(frozen=True)
 class ComposeCertificate:
-    """Strictification strategy trace: named parts that each re-check on their own."""
+    """Strictification strategy trace: named leaf parts that each re-check on their own."""
 
     verdict: str  # "YES" or "NO"
     parts: tuple[tuple[str, Certificate], ...]  # (role, certificate)
@@ -453,6 +453,9 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
         for p in raw:
             if not isinstance(p, dict) or not isinstance(p.get("role"), str):
                 raise CertificateFormatError('each part must be {"role": ..., "certificate": ...}')
-            parts.append((p["role"], parse_certificate(p.get("certificate"), system)))
+            part = p.get("certificate")
+            if isinstance(part, dict) and part.get("type") == "strictify-compose":
+                raise CertificateFormatError("a compose part must be a leaf, not a composite")
+            parts.append((p["role"], parse_certificate(part, system)))
         return ComposeCertificate(verdict, tuple(parts))
     raise CertificateFormatError(f"unknown certificate type {kind!r}")

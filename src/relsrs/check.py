@@ -87,10 +87,13 @@ def verify_certificate(cert: Certificate, system: RelSRS) -> CheckResult:
 def _verify_compose(cert: ComposeCertificate, system: RelSRS) -> CheckResult:
     """Check each part against the system its role names, built for that
     part alone: S made strict for s-termination, the strictified system
-    for the other two roles."""
+    for the other two roles.  Parts are leaves: a composite part is
+    rejected, so no check goes past one level."""
     roles_ok = set()
     for role, part in cert.parts:
-        if role == "strictified-loop":
+        if isinstance(part, ComposeCertificate):
+            sub = CheckResult(False, "a composite part must be a leaf, not a composite")
+        elif role == "strictified-loop":
             if not isinstance(part, LoopCertificate) or part.kind != "mixed":
                 sub = CheckResult(False, "strictified-loop part must be a mixed loop")
             else:

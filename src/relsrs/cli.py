@@ -191,15 +191,7 @@ def _prove_verdict(payload) -> tuple[int, str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    config = EnumerationConfig(
-        alphabet_size=args.alphabet,
-        max_size=args.max_size,
-        require_all_letters_used=not args.allow_unused_letters,
-        require_nonempty_r=not args.allow_empty_r,
-        require_nonempty_s=not args.allow_empty_s,
-        identify_reversal=args.identify_reversal,
-        prune_trivial=args.prune_trivial,
-    )
+    config = EnumerationConfig(**{f.name: getattr(args, f.name) for f in fields(EnumerationConfig)})
     out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,7 +226,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 per[verdict] += 1
     for _ in systems:
         pass  # without --prove, the files are written here
-    manifest = enumeration_manifest(config, stream)
+    manifest = enumeration_manifest(stream)
     if out_dir is not None:
         (out_dir / "manifest.txt").write_text(manifest)
 
@@ -299,11 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("enumerate", help="enumerate canonical relative SRSs")
-    p.add_argument("--alphabet", type=int, required=True, metavar="N")
+    # --alphabet to --prune-trivial are stored under the EnumerationConfig fields they set
+    p.add_argument("--alphabet", type=int, required=True, dest="alphabet_size", metavar="N")
     p.add_argument("--max-size", type=int, required=True, metavar="N")
-    p.add_argument("--allow-unused-letters", action="store_true")
-    p.add_argument("--allow-empty-r", action="store_true")
-    p.add_argument("--allow-empty-s", action="store_true")
+    p.add_argument("--allow-unused-letters", action="store_false", dest="require_all_letters_used")
+    p.add_argument("--allow-empty-r", action="store_false", dest="require_nonempty_r")
+    p.add_argument("--allow-empty-s", action="store_false", dest="require_nonempty_s")
     p.add_argument("--identify-reversal", action="store_true")
     p.add_argument("--prune-trivial", action="store_true")
     p.add_argument("--out", default=None, metavar="DIR")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 Word = tuple[int, ...]
 
 EPSILON: Word = ()
+ARROW_STRICT = "->"  # how TPDB text and rule_str spell a strict rule's arrow
+ARROW_RELATIVE = "->="  # and a relative rule's
 
 
 class RewriteError(Exception):
@@ -74,7 +76,7 @@ class RelSRS:
         return " ".join(self.letters[c] for c in word) if word else "(empty)"
 
     def rule_str(self, rule: Rule) -> str:
-        arrow = "->" if rule.strict else "->="
+        arrow = ARROW_STRICT if rule.strict else ARROW_RELATIVE
         parts = [self.letters[c] for c in rule.lhs] + [arrow] + [self.letters[c] for c in rule.rhs]
         return " ".join(parts)
 

@@ -28,7 +28,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .certificates import trivial_verdict
-from .core import RelSRS, Rule, Word
+from .core import RelSRS, Rule, Word, used_letters
 
 LETTER_NAMES = ("a", "b", "c", "d")
 MAX_ALPHABET = 4
@@ -79,7 +79,7 @@ def canonical_form(system: RelSRS, identify_reversal: bool = False) -> RelSRS:
     is left untouched.
     """
     rules = _dedupe(system.rules)
-    used = sorted({c for r in rules for c in r.lhs + r.rhs})
+    used = used_letters(system)
     k = len(system.letters)
     m = len(used)
     if math.perm(k, m) > 500_000:
@@ -344,15 +344,15 @@ def _flag(value: bool) -> str:
     return "on" if value else "off"
 
 
-def enumeration_manifest(config: EnumerationConfig, stream: EnumerationStream) -> str:
+def enumeration_manifest(stream: EnumerationStream) -> str:
     """Drain what is left of the stream and render a stable text report.
 
-    Every count is read from the stream's stats, so a stream already
-    consumed, in part or whole, reports the same as a fresh one.
+    The config and every count are read from the stream, so a stream
+    already consumed, in part or whole, reports the same as a fresh one.
     """
     for _ in stream:
         pass
-    stats = stream.stats
+    config, stats = stream.config, stream.stats
     lines = [
         "relative SRS enumeration manifest",
         (

@@ -54,7 +54,7 @@ from itertools import product
 from typing import Optional
 
 from .certificates import EmittingRedex, LoopCertificate, SearchReport, give_up
-from .core import Derivation, RelSRS, Step, Word, replay, used_letters
+from .core import Derivation, RelSRS, Step, Word, apply_rule_at, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
 DEFAULT_MAX_STEPS = 40
@@ -292,13 +292,14 @@ def reverse_loop_certificate(cert: LoopCertificate, system: RelSRS) -> LoopCerti
 
     Reversing every word sends a step at position p in a word of length n
     using a rule with |lhs| = k to position n - p - k; the flanks swap.
+    A step whose lhs does not occur at its position raises RewriteError.
     """
     steps = []
     word = cert.start
     for step in cert.steps:
         rule = system.rules[step.rule_index]
         steps.append(Step(step.rule_index, len(word) - step.position - len(rule.lhs)))
-        word = word[: step.position] + rule.rhs + word[step.position + len(rule.lhs) :]
+        word = apply_rule_at(word, rule, step.position)
     redex = None
     if cert.redex is not None:
         r = cert.redex
@@ -420,6 +421,16 @@ def _saturate_closures(
             report.nodes += len(rows)
 
 
+def _closure(rows: list, j: int) -> ForwardClosure:
+    """The closure of row j, its trace read back through the parent rows."""
+    u, v, s, _, _ = rows[j]
+    trace = []
+    while j >= 0:  # from row j back to its seed
+        _, _, _, j, step = rows[j]
+        trace.append(Step(*step))
+    return ForwardClosure(_decode(u), _decode(v), s, tuple(reversed(trace)))
+
+
 def forward_closures(
     system: RelSRS, max_closure_size: int = DEFAULT_MAX_CLOSURE_SIZE
 ) -> list[ForwardClosure]:
@@ -430,11 +441,7 @@ def forward_closures(
     Closures whose source or target exceeds the bound are discarded.
     """
     rows, _ = _saturate_closures(system, max_closure_size, stop_at_looping=False)
-    out: list[ForwardClosure] = []
-    for u, v, s, parent, step in rows:
-        trace = (out[parent].trace if parent >= 0 else ()) + (Step(*step),)
-        out.append(ForwardClosure(_decode(u), _decode(v), s, trace))
-    return out
+    return [_closure(rows, j) for j in range(len(rows))]
 
 
 def find_looping_forward_closure(
@@ -450,13 +457,7 @@ def find_looping_forward_closure(
     result = _saturate_closures(system, max_closure_size, True, deadline, report)
     if result is None or result[1] is None:
         return None
-    rows, j = result
-    u, v, s, _, _ = rows[j]
-    trace = []
-    while j >= 0:  # from the looping row back to its seed
-        _, _, _, j, step = rows[j]
-        trace.append(Step(*step))
-    return ForwardClosure(_decode(u), _decode(v), s, tuple(reversed(trace)))
+    return _closure(*result)
 
 
 def replay_closure(closure: ForwardClosure, system: RelSRS) -> Word:
@@ -476,10 +477,8 @@ def closure_to_loop_certificate(
     if final != closure.target:
         raise ValueError("closure trace does not replay to its target")
     n = len(closure.source)
-    pos = next(
-        (q for q in range(len(final) - n + 1) if final[q : q + n] == closure.source), None
-    )
-    if pos is None:
+    pos = _encode(final).find(_encode(closure.source))
+    if pos < 0:
         raise ValueError("closure source is not a factor of its target")
     return LoopCertificate(
         kind="mixed",

@@ -23,10 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import RelSRS, Rule
-
-ARROW_STRICT = "->"
-ARROW_RELATIVE = "->="
+from .core import ARROW_RELATIVE, ARROW_STRICT, RelSRS, Rule
 
 
 class SrsParseError(Exception):

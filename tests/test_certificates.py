@@ -227,6 +227,16 @@ class TestWeightSchema:
         with pytest.raises(CertificateFormatError):
             parse_certificate({"type": "weights", "weights": {"a": "x/y"}}, SYS)
 
+    def test_weights_not_an_object_rejected(self):
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate({"type": "weights", "weights": [1, 2, 3]}, SYS)
+        assert str(e.value) == "weights must be an object mapping letters to values"
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate({"type": "weights", "weights": {"a": 0.5}}, SYS)
+        assert str(e.value) == "weight for 'a' must be int or p/q string"
+
 
 class TestMatrixSchema:
     def test_natural_round_trip(self):
@@ -260,6 +270,18 @@ class TestMatrixSchema:
         data = {"type": "matrix-natural", "dimension": 2, "matrices": {"a": [[1, 0]]}}
         with pytest.raises(CertificateFormatError):
             parse_certificate(data, SYS)
+
+    def test_short_row_rejected(self):
+        data = {"type": "matrix-natural", "dimension": 2, "matrices": {"a": [[1, 0], [1]]}}
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate(data, SYS)
+        assert str(e.value) == "matrix row must have 2 entries"
+
+    def test_matrices_not_an_object_rejected(self):
+        data = {"type": "matrix-arctic", "dimension": 1, "matrices": [[[0]]]}
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate(data, SYS)
+        assert str(e.value) == "matrices must be an object keyed by letter"
 
     def test_negative_natural_entry_rejected(self):
         data = {
@@ -329,6 +351,22 @@ class TestComposeSchema:
         with pytest.raises(CertificateFormatError):
             parse_certificate(data, SYS)
 
+    def test_part_without_a_role_rejected(self):
+        data = {"type": "strictify-compose", "verdict": "YES",
+                "parts": [{"certificate": {"type": "empty-R"}}]}
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate(data, SYS)
+        assert str(e.value) == 'each part must be {"role": ..., "certificate": ...}'
+
+    def test_composite_part_rejected(self):
+        data = {"type": "weights", "weights": {"a": 1}}
+        for _ in range(2):
+            data = {"type": "strictify-compose", "verdict": "YES",
+                    "parts": [{"role": "strictified-termination", "certificate": data}]}
+        with pytest.raises(CertificateFormatError) as e:
+            parse_certificate(data, SYS)
+        assert str(e.value) == "a compose part must be a leaf, not a composite"
+
 
 class TestEnvelope:
     def test_unknown_type_rejected(self):
@@ -338,6 +376,10 @@ class TestEnvelope:
     def test_non_object_rejected(self):
         with pytest.raises(CertificateFormatError):
             parse_certificate([1, 2], SYS)
+
+    def test_unknown_object_not_serialized(self):
+        with pytest.raises(TypeError):
+            serialize_certificate(object(), SYS)
 
 
 RECHECK_DATA = Path(__file__).parent.parent / "perfbench" / "data"

@@ -232,6 +232,15 @@ class TestCheckCert:
         code, out = run("check-cert", str(FIXTURES / "rel11.srs"), str(cert))
         assert code == 1 and out.startswith("REJECTED: ")
 
+    def test_letter_outside_the_alphabet_rejected(self, run, tmp_path):
+        cert = tmp_path / "loop.cert"
+        cert.write_text(json.dumps({
+            "type": "loop-mixed", "start": ["z"], "steps": [{"rule": 0, "position": 0}],
+            "left": [], "right": [],
+        }))
+        code, out = run("check-cert", srs(tmp_path, "(RULES a -> a)\n"), str(cert))
+        assert (code, out) == (1, "REJECTED: letter 'z' not in system alphabet\n")
+
     def test_unknown_type_is_an_error(self, run, tmp_path):
         cert = tmp_path / "odd.cert"
         cert.write_text(json.dumps({"type": "polynomial"}))

@@ -19,6 +19,7 @@ from relsrs import (
     Rule,
     SearchReport,
     Step,
+    WeightCertificate,
     check_loop_certificate,
     closure_to_loop_certificate,
     enumerate_systems,
@@ -37,7 +38,7 @@ from relsrs import (
     successors,
     trivial_verdict,
 )
-from relsrs.core import s_as_strict
+from relsrs.core import RewriteError, s_as_strict
 
 ABA = parse_system("(RULES a b -> a, c ->= b c)")
 BAB = parse_system("(RULES b a b -> a, c ->= c b, d ->= b d)")
@@ -227,6 +228,10 @@ class TestLoopChecker:
         res = check_loop_certificate(bad, ABA)
         assert not res and "step" in res.reason
 
+    def test_rejects_another_certificate(self):
+        res = check_loop_certificate(WeightCertificate({"a": 1}), ABA)
+        assert res.reason == "not a loop certificate"
+
     def test_rejects_empty_steps(self):
         bad = LoopCertificate("mixed", ABA.word("a"), (), (), ())
         assert not check_loop_certificate(bad, ABA)
@@ -257,6 +262,12 @@ class TestReversalTransport:
             reverse_loop_certificate(cert, BAB), reverse_system(BAB)
         )
         assert back == cert
+
+    def test_transport_rejects_a_step_that_does_not_match(self):
+        cert = search_mixed_loop(ABA)
+        bad = LoopCertificate("mixed", cert.start, (Step(0, 0),), cert.left, cert.right)
+        with pytest.raises(RewriteError):
+            reverse_loop_certificate(bad, ABA)
 
     def test_transport_swaps_contexts(self):
         # an emitting loop with a left context lands in the right context reversed
@@ -363,6 +374,29 @@ class TestEmittingChecker:
     def test_rejects_strict_step_in_trace(self):
         bad = self.cert(steps=(Step(0, 0),))
         assert not check_loop_certificate(bad, self.SYS)
+
+    def test_rejects_a_strict_step_that_replays(self):
+        system = parse_system("(RULES a -> a a)")
+        a = system.word("a")
+        bad = LoopCertificate("emitting", a, (Step(0, 0),), (), a, EmittingRedex(0, "right", 0))
+        res = check_loop_certificate(bad, system)
+        assert res.reason == "emitting loop must use relative steps only"
+
+    @pytest.mark.parametrize("redex, reason", [
+        (EmittingRedex(5, "left", 0), "redex rule index 5 out of range"),
+        (EmittingRedex(0, "middle", 0), "redex side must be left or right, got 'middle'"),
+    ])
+    def test_rejects_a_bad_redex(self, redex, reason):
+        assert check_loop_certificate(self.cert(redex=redex), self.SYS).reason == reason
+
+    def test_rejects_a_flank_without_the_strict_lhs(self):
+        system = parse_system("(RULES a -> b, c ->= b c)")
+        cert = LoopCertificate(
+            "emitting", system.word("c"), (Step(1, 0),), system.word("b"), (),
+            EmittingRedex(0, "left", 0),
+        )
+        res = check_loop_certificate(cert, system)
+        assert res.reason == "strict lhs does not occur at the claimed offset"
 
 
 class TestForwardClosures:

@@ -19,7 +19,9 @@ from relsrs import (
     RelSRS,
     Rule,
     SearchReport,
+    Step,
     WeightCertificate,
+    check_loop_certificate,
     enumerate_systems,
     find_looping_forward_closure,
     parse_certificate,
@@ -295,6 +297,22 @@ class TestBudgets:
         params = inspect.signature(search).parameters
         for name in ("deadline", "report"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+
+
+class TestSharedBudgetGap:
+    """ROADMAP item 1: all start words share one node budget, and the
+    empty word, tried first, spends it on the insertions of S."""
+
+    SYSTEM = parse_system("(RULES a -> a b , ->= b , ->= c)")
+
+    def test_one_step_loop_rechecks(self):
+        system = self.SYSTEM
+        loop = LoopCertificate("mixed", system.word("a"), (Step(0, 0),), (), system.word("b"))
+        assert check_loop_certificate(loop, system)
+
+    @pytest.mark.xfail(strict=True, reason="mixed-loop search caps out from the empty word")
+    def test_prove_finds_the_loop(self):
+        assert prove(self.SYSTEM).verdict == "NO"
 
 
 class TestInvariance:

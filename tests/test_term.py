@@ -44,7 +44,7 @@ from relsrs import (
     trivial_verdict,
     verify_certificate,
 )
-from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS, give_up
+from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS, CheckResult, give_up
 from relsrs.check import _rule_fault
 from relsrs.core import s_as_strict, used_letters
 from relsrs.term import _FlatKernel, _Level, _last_candidates, _SearchStop
@@ -1172,6 +1172,13 @@ class TestVerifyDispatch:
         res = verify_certificate("bogus", AB_A)
         assert not res and "unknown certificate" in res.reason
 
+    @pytest.mark.parametrize("check, reason", [
+        (check_weights, "not a weight certificate"),
+        (check_matrix, "not a matrix certificate"),
+    ])
+    def test_checker_rejects_another_certificate(self, check, reason):
+        assert check(EmptyRCertificate(), AB_A).reason == reason
+
 
 class TestComposeVerification:
     def yes_compose(self):
@@ -1280,6 +1287,22 @@ class TestComposeVerification:
         res = verify_certificate(forged, sys)
         assert not res and res.reason.startswith("part 's-termination': a termination part")
         assert prove(sys).verdict == "YES"
+
+    def test_composite_part_rejected(self):
+        role = "strictified-termination"
+        leaf = ComposeCertificate("YES", ((role, WeightCertificate({"a": 1})),))
+        nested = ComposeCertificate("YES", ((role, leaf),))
+        res = verify_certificate(nested, parse_system("(RULES a -> )"))
+        assert res.reason == (
+            "part 'strictified-termination': a composite part must be a leaf, not a composite"
+        )
+
+    def test_deep_nesting_is_checked_without_recursion(self):
+        cert = WeightCertificate({"a": 1})
+        for _ in range(600):
+            cert = ComposeCertificate("YES", (("strictified-termination", cert),))
+        res = verify_certificate(cert, parse_system("(RULES a -> )"))
+        assert isinstance(res, CheckResult) and not res
 
     def test_unknown_role(self):
         cert = ComposeCertificate("YES", (("frobnicate", EmptyRCertificate()),))
