@@ -11,24 +11,20 @@ every verdict from a replayable certificate.
 
 from .certificates import (
     ArcticMatrixCertificate,
-    Attempt,
     Certificate,
     CertificateFormatError,
     CertificateMismatchError,
-    CheckResult,
     ComposeCertificate,
     EmittingRedex,
     EmptyRCertificate,
     LoopCertificate,
     NaturalMatrixCertificate,
-    ProofOutcome,
-    SearchReport,
     WeightCertificate,
     parse_certificate,
     serialize_certificate,
-    trivial_verdict,
 )
 from .check import (
+    CheckResult,
     check_loop_certificate,
     check_matrix,
     check_weights,
@@ -64,6 +60,7 @@ from .enumeration import (
 from .grid import FIXTURES, GridAlgebra, GridReport, check_grid_algebra
 from .nonterm import (
     ForwardClosure,
+    SearchReport,
     closure_to_loop_certificate,
     find_looping_forward_closure,
     forward_closures,
@@ -73,11 +70,14 @@ from .nonterm import (
     search_mixed_loop,
 )
 from .term import (
+    Attempt,
+    ProofOutcome,
     ProveBudget,
     SWEEP_BUDGET,
     prove,
     search_matrix,
     search_weights,
+    trivial_verdict,
 )
 from .tpdb import (
     SrsDocument,

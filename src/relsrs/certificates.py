@@ -1,4 +1,4 @@
-"""Certificate values, proof outcomes, and their textual schema.
+"""Certificate values and their textual schema.
 
 Every YES/NO verdict is backed by one of these certificate records, and
 each record re-checks against the system without redoing any search.  The
@@ -8,7 +8,8 @@ strictify-compose, empty-R}.  Words are token lists, steps are
 {"rule": i, "position": p} objects, matrices are row-major lists with
 "-inf" standing for minus infinity, weights are integers or "p/q" strings.
 Matrix and weight maps are keyed by letter name, so a certificate can be
-checked against any system that uses the same names.
+checked against any system that uses the same names.  With `relsrs.core`
+and `relsrs.check` this is the trust base, which holds no search record.
 
 The two matrix semirings are `Semiring` records, NATURAL and ARCTIC: their
 arithmetic, order, letter conditions and entry codec.  Arctic minus
@@ -23,7 +24,7 @@ letter conditions on rows.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -36,15 +37,6 @@ class CertificateFormatError(Exception):
 
 class CertificateMismatchError(Exception):
     """Well-formed certificate that does not bind to the given system."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -223,61 +215,6 @@ class ComposeCertificate:
 
     verdict: str  # "YES" or "NO"
     parts: tuple[tuple[str, Certificate], ...]  # (role, certificate)
-
-
-@dataclass(frozen=True)
-class Attempt:
-    method: str
-    outcome: str
-    detail: str = ""
-
-
-@dataclass
-class SearchReport:
-    """Handed to a search to learn why it came back empty.  The search sets
-    `stop` where it gives up: "cap" when its node budget or assignment cap
-    cut it short (the weight search counts its nodes against the matrix
-    assignment cap), "deadline" when the monotonic-clock deadline did.  It
-    stays "none" when the search ran to the end of its space.  Every search
-    adds what it counted against its cap to `nodes`, so a report handed to
-    several searches, or to the matrix search's several dimensions, holds
-    their sum."""
-
-    stop: str = "none"
-    nodes: int = 0
-
-
-def give_up(report: Optional[SearchReport], stop: str) -> None:
-    """Record in the report, if any, why a search stops; None, its result."""
-    if report is not None:
-        report.stop = stop
-
-
-@dataclass(frozen=True)
-class ProofOutcome:
-    verdict: str  # "YES", "NO", or "MAYBE"
-    certificate: Optional[Certificate] = None
-    reason: str = ""
-    attempts: tuple[Attempt, ...] = field(default_factory=tuple)
-
-
-def trivial_verdict(system: RelSRS) -> Optional[ProofOutcome]:
-    """Immediate verdicts that need no search.
-
-    A strict rule with lhs = rhs loops in place; a strict rule with empty
-    lhs re-applies inside its own output forever.  Either way the lhs is a
-    prefix of the rhs, so one step from the lhs is the loop, with the rest
-    of the rhs as its right flank.  Empty R terminates relative to anything.
-    """
-    for i, rule in enumerate(system.rules):
-        same = rule.lhs == rule.rhs
-        if rule.strict and (same or not rule.lhs):
-            cert = LoopCertificate("mixed", rule.lhs, (Step(i, 0),), (), rule.rhs[len(rule.lhs) :])
-            reason = "strict rule with lhs = rhs" if same else "strict rule with empty lhs"
-            return ProofOutcome("NO", cert, reason=reason)
-    if not system.strict_rules:
-        return ProofOutcome("YES", EmptyRCertificate(), reason="R is empty")
-    return None
 
 
 def _word_tokens(word: Word, system: RelSRS) -> list[str]:

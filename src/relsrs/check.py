@@ -1,10 +1,11 @@
 """Re-checking certificates: the trust base.
 
-Every YES and NO that relsrs prints rests on the functions here alone.
-They run no search: a loop certificate is replayed, weights and matrix
-interpretations are checked rule by rule, and a strictification composite
-checks each part against the system its role names.  This module imports
-only `.core` and `.certificates`, so the searches stay outside it.
+Every YES and NO that relsrs prints rests on the functions here alone,
+each returning a `CheckResult`.  They run no search: a loop certificate is
+replayed, weights and matrix interpretations are checked rule by rule, and
+a strictification composite checks each part against the system its role
+names.  This module imports only `.core` and `.certificates`, so the
+searches stay outside it.
 
 Weights and matrices use exact arithmetic throughout.  The weight check
 sums integers: with D the least common multiple of the weights'
@@ -34,13 +35,13 @@ certificates.ARCTIC).
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .certificates import (
     ArcticMatrixCertificate,
     Certificate,
-    CheckResult,
     ComposeCertificate,
     EmptyRCertificate,
     LoopCertificate,
@@ -51,6 +52,15 @@ from .certificates import (
     matrix_semiring,
 )
 from .core import Derivation, RelSRS, ReplayError, Rule, Word, replay, s_as_strict, strictify
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    reason: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 # every success is this one result; CheckResult is frozen, so sharing it is safe

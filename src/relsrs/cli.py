@@ -43,7 +43,6 @@ from .certificates import (
     Certificate,
     CertificateFormatError,
     CertificateMismatchError,
-    SearchReport,
     parse_certificate,
     serialize_certificate,
 )
@@ -54,6 +53,7 @@ from .nonterm import (
     DEFAULT_MAX_CLOSURE_SIZE,
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_WORD_LEN,
+    SearchReport,
     closure_to_loop_certificate,
     find_looping_forward_closure,
     search_emitting_loop,

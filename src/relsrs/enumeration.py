@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .certificates import trivial_verdict
 from .core import RelSRS, Rule, Word, used_letters
+from .term import trivial_verdict
 
 LETTER_NAMES = ("a", "b", "c", "d")
 MAX_ALPHABET = 4

@@ -11,7 +11,7 @@ never a full proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import RelSRS, Word
 

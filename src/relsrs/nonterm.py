@@ -12,6 +12,8 @@ loop` and `relsrs closures`.
 All searches are bounded and deterministic: start words shorter-first then
 lexicographic, breadth-first on step count, successors ordered by rule
 index then position.  Absence within the bounds is a value, not a proof.
+Every search in the package, these and `relsrs.term`'s, records why it
+came back empty in a `SearchReport`, defined here, through `give_up`.
 
 Both loop searches run one breadth-first kernel, `_search_loop`, and
 differ only in their rules and in the witness test on a successor that
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .certificates import EmittingRedex, LoopCertificate, SearchReport, give_up
+from .certificates import EmittingRedex, LoopCertificate
 from .core import Derivation, RelSRS, Step, Word, apply_rule_at, replay, used_letters
 
 DEFAULT_MAX_WORD_LEN = 12
@@ -62,6 +64,27 @@ DEFAULT_MAX_CLOSURE_SIZE = 20
 DEFAULT_NODE_BUDGET = 100_000  # nodes of a prove loop search; closures kept by a closure search
 # a search call stops memoising successors once its memo holds this many rows
 _MEMO_ROWS = DEFAULT_NODE_BUDGET
+
+
+@dataclass
+class SearchReport:
+    """Handed to a search to learn why it came back empty.  The search sets
+    `stop` where it gives up: "cap" when its node budget or assignment cap
+    cut it short (the weight search counts its nodes against the matrix
+    assignment cap), "deadline" when the monotonic-clock deadline did.  It
+    stays "none" when the search ran to the end of its space.  Every search
+    adds what it counted against its cap to `nodes`, so a report handed to
+    several searches, or to the matrix search's several dimensions, holds
+    their sum."""
+
+    stop: str = "none"
+    nodes: int = 0
+
+
+def give_up(report: Optional[SearchReport], stop: str) -> None:
+    """Record in the report, if any, why a search stops; None, its result."""
+    if report is not None:
+        report.stop = stop
 
 
 def _encode(word: Word) -> str:

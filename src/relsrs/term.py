@@ -38,17 +38,18 @@ the weights that pass the reach bound are one interval.  The search
 descends into that interval only and counts the cut weights on either
 side without visiting them, so its nodes are those of trying every weight.
 
-prove() runs a fixed method order, so outcomes are deterministic for a
-given budget: trivial verdicts, then the strictification strategy, which
-rests on SN(R union S) => SN(R/S) and on a loop of R union S refuting
-SN(R/S) once SN(S) holds.  Its methods are one table, built per call from
-the budget and the deadline, with a row per method in order (weights, the
-mixed-loop search, natural and arctic matrices): the attempt name, its
-detail, the reason a direct-phase certificate gives, and the search.  The
-rows look their searches up in this module when they are called, so a
-wrapper put on `search_weights`, `search_mixed_loop` or `search_matrix`
-here (perfbench's tracer, the tests) sees every attempt.  prove runs the
-table in three phases:
+prove() returns a `ProofOutcome`, its verdict with the `Attempt` log.  It
+runs a fixed method order, so outcomes are deterministic for a given
+budget: `trivial_verdict`, which settles some systems with no search, then
+the strictification strategy, which rests on SN(R union S) => SN(R/S) and
+on a loop of R union S refuting SN(R/S) once SN(S) holds.  Its methods are
+one table, built per call from the budget and the deadline, with a row per
+method in order (weights, the mixed-loop search, natural and arctic
+matrices): the attempt name, its detail, the reason a direct-phase
+certificate gives, and the search.  The rows look their searches up in
+this module when they are called, so a wrapper put on `search_weights`,
+`search_mixed_loop` or `search_matrix` here (perfbench's tracer, the
+tests) sees every attempt.  prove runs the table in three phases:
 
 - `s-`: S alone made strict, also when S is empty (the empty weight
   vector proves that at once).  A proof gives SN(S); a loop ends the
@@ -71,7 +72,7 @@ first attempt logged `deadline`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import groupby, product
@@ -82,22 +83,19 @@ from .certificates import (
     NEG_INF,
     SEMIRINGS,
     ArcticMatrixCertificate,
-    Attempt,
     Certificate,
     ComposeCertificate,
+    EmptyRCertificate,
     LoopCertificate,
     NaturalMatrixCertificate,
-    ProofOutcome,
-    SearchReport,
     Semiring,
     WeightCertificate,
-    give_up,
-    trivial_verdict,
 )
 from .check import check_matrix
-from .core import RelSRS, Rule, s_as_strict, strictify, used_letters
+from .core import RelSRS, Rule, Step, s_as_strict, strictify, used_letters
 from .nonterm import (
-    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, search_mixed_loop,
+    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, SearchReport, give_up,
+    search_mixed_loop,
 )
 
 # unused here, but perfbench/spans.py wraps these names in this module
@@ -555,6 +553,41 @@ def search_matrix(
 # ------------------------------------------------------------------ prove
 
 
+@dataclass(frozen=True)
+class Attempt:
+    method: str
+    outcome: str
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class ProofOutcome:
+    verdict: str  # "YES", "NO", or "MAYBE"
+    certificate: Optional[Certificate] = None
+    reason: str = ""
+    attempts: tuple[Attempt, ...] = field(default_factory=tuple)
+
+
+def trivial_verdict(system: RelSRS) -> Optional[ProofOutcome]:
+    """prove's whole outcome, `trivial` attempt included, when it needs no search.
+
+    A strict rule with lhs = rhs loops in place; a strict rule with empty
+    lhs re-applies inside its own output forever.  Either way the lhs is a
+    prefix of the rhs, so one step from the lhs is the loop, with the rest
+    of the rhs as its right flank.  Empty R terminates relative to anything.
+    """
+    for i, rule in enumerate(system.rules):
+        same = rule.lhs == rule.rhs
+        if rule.strict and (same or not rule.lhs):
+            cert = LoopCertificate("mixed", rule.lhs, (Step(i, 0),), (), rule.rhs[len(rule.lhs) :])
+            reason = "strict rule with lhs = rhs" if same else "strict rule with empty lhs"
+            return ProofOutcome("NO", cert, reason, (Attempt("trivial", "NO", reason),))
+    if not system.strict_rules:
+        reason = "R is empty"
+        return ProofOutcome("YES", EmptyRCertificate(), reason, (Attempt("trivial", "YES", reason),))
+    return None
+
+
 def _methods(b: ProveBudget, deadline: Optional[float]) -> tuple:
     """prove's methods in order, one row each: the attempt name in the
     direct phase (the other phases put their tag in front of it, and the
@@ -601,12 +634,9 @@ def prove(
     *,
     deadline: Optional[float] = None,
 ) -> ProofOutcome:
+    if (trivial := trivial_verdict(system)) is not None:
+        return trivial
     attempts: list[Attempt] = []
-    tv = trivial_verdict(system)
-    if tv is not None:
-        attempts.append(Attempt("trivial", tv.verdict, tv.reason))
-        return ProofOutcome(tv.verdict, tv.certificate, tv.reason, tuple(attempts))
-
     methods = _methods(budget or ProveBudget(), deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None

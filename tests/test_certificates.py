@@ -1,6 +1,6 @@
-"""Certificate values, trivial verdicts, and the JSON schema round-trip."""
+"""Certificate values and the JSON schema round-trip, plus the certificates
+of prove's trivial verdicts (`relsrs.term.trivial_verdict`)."""
 
-import ast
 import gzip
 import hashlib
 import json
@@ -413,36 +413,3 @@ def test_recheck_corpus_rechecks():
             rejected.append(not certified)
     assert types == manifest["certificate_types"]
     assert rejected == [True] * manifest["mutants"]
-
-
-def _package_imports(module: str) -> set[str]:
-    """The relsrs modules that src/relsrs/<module>.py imports from."""
-    tree = ast.parse((Path(relsrs.__file__).parent / f"{module}.py").read_text())
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:  # relative to the package
-                base = f"relsrs.{base}".rstrip(".")
-            # `from . import x` and `from relsrs import x` name the module x
-            names = [f"{base}.{a.name}" for a in node.names] if base == "relsrs" else [base]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "relsrs":
-                found.add(parts[1] if len(parts) > 1 else name)
-    return found
-
-
-@pytest.mark.parametrize(
-    "module, allowed", [("check", {"certificates", "core"}), ("certificates", {"core"})]
-)
-def test_trust_base_imports_no_search_code(module, allowed):
-    """The checker and the certificate records are the trust base: they
-    import nothing from the package but each other and `core`."""
-    found = _package_imports(module)
-    assert "core" in found  # the parse sees the imports at all
-    assert found <= allowed

@@ -1,8 +1,10 @@
 """Weight and matrix certificate checkers, bounded search, composite verify."""
 
+import ast
 import gc
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relsrs
 from relsrs import (
     ArcticMatrixCertificate,
     ComposeCertificate,
@@ -44,9 +47,10 @@ from relsrs import (
     trivial_verdict,
     verify_certificate,
 )
-from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS, CheckResult, give_up
-from relsrs.check import _rule_fault
+from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
+from relsrs.check import CheckResult, _rule_fault
 from relsrs.core import s_as_strict, used_letters
+from relsrs.nonterm import give_up
 from relsrs.term import _FlatKernel, _Level, _last_candidates, _SearchStop
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -230,13 +234,19 @@ class TestWeightSearch:
 
 def first_fit_weights(system, max_weight):
     """Brute-force oracle: the first vector in itertools.product order over
-    the letters used in rules that every rule accepts."""
+    the letters used in rules that every rule accepts.
+
+    One early exit: non-negative weights never orient a strict rule whose
+    letter-count differences are all <= 0, since its lhs weight minus its
+    rhs weight is then a sum of terms <= 0 and cannot reach 1."""
     used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
     # a rule holds when lhs weight - rhs weight reaches 1 (strict) or 0
     rules = [
         ([r.lhs.count(c) - r.rhs.count(c) for c in used], 1 if r.strict else 0)
         for r in system.rules
     ]
+    if any(need and all(d <= 0 for d in delta) for delta, need in rules):
+        return None
     for vec in product(range(max_weight + 1), repeat=len(used)):
         if all(sum(map(mul, vec, delta)) >= need for delta, need in rules):
             return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
@@ -1316,14 +1326,23 @@ class TestComposeVerification:
         assert not res and "must be YES or NO" in res.reason
 
 
-def _imports(path: Path) -> tuple[set, set]:
-    """The modules a source file imports: the package modules it imports
-    relatively (`from .core import ...`, `from . import core`) by name,
-    and the top-level names of the others."""
-    import ast
+SOURCES = Path(relsrs.__file__).parent
+MODULES = sorted(path.stem for path in SOURCES.glob("*.py"))
+STDLIB = set(sys.stdlib_module_names) | {"__future__"}
 
+
+def _tree(module: str):
+    source = (SOURCES / f"{module}.py").read_text()
+    return ast.parse(source), source.splitlines()
+
+
+def _imports(module: str) -> tuple[set, set]:
+    """The modules src/relsrs/<module>.py imports: the package modules it
+    imports relatively (`from .core import ...`, `from . import core`) by
+    name, and the top-level names of the others (`relsrs` for an absolute
+    import of the package)."""
     package, other = set(), set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_tree(module)[0]):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             if node.module is None:
                 package.update(a.name for a in node.names)
@@ -1336,30 +1355,59 @@ def _imports(path: Path) -> tuple[set, set]:
     return package, other
 
 
-def test_checker_imports_no_search_module():
-    """The trust base stays apart from the searches: relsrs.check imports
-    .core, .certificates and the standard library, nothing else."""
-    import sys
+# Each module's package imports, exactly.  `core`, `certificates` and
+# `check` are the trust base: every YES/NO rests on them, so they import
+# nothing from the searches, and the searches' own records (SearchReport,
+# Attempt, ProofOutcome) live beside the searches.
+LAYERS = {
+    "core": set(),
+    "tpdb": {"core"},
+    "grid": {"core"},
+    "certificates": {"core"},
+    "check": {"core", "certificates"},
+    "nonterm": {"core", "certificates"},
+    "term": {"core", "certificates", "check", "nonterm"},
+    "enumeration": {"core", "term"},
+    "cli": {"core", "tpdb", "certificates", "check", "nonterm", "term", "enumeration"},
+}
 
-    import relsrs.check
 
-    package, other = _imports(Path(relsrs.check.__file__))
-    assert package == {"core", "certificates"}
-    assert other <= set(sys.stdlib_module_names) | {"__future__"}
+def test_each_module_imports_its_layers():
+    """Every module other than `__init__` imports exactly its row of LAYERS
+    from the package, by relative import, and the standard library."""
+    assert set(MODULES) == set(LAYERS) | {"__init__"}
+    found = {module: _imports(module) for module in LAYERS}
+    assert {module: package for module, (package, _) in found.items()} == LAYERS
+    for module, (_, other) in found.items():
+        assert other <= STDLIB, module
 
 
 def test_package_is_stdlib_only():
     """Every relsrs module imports only the standard library and relsrs's
     own modules, by relative import."""
-    import sys
+    own = set(MODULES) - {"__init__"}
+    assert len(MODULES) >= 10
+    for module in MODULES:
+        package, other = _imports(module)
+        assert package <= own, module
+        assert other <= STDLIB, module
 
-    import relsrs
 
-    root = Path(relsrs.__file__).parent
-    sources = sorted(root.glob("*.py"))
-    own = {path.stem for path in sources if path.stem != "__init__"}
-    assert len(sources) >= 10
-    for path in sources:
-        package, other = _imports(path)
-        assert package <= own, path.name
-        assert other <= set(sys.stdlib_module_names) | {"__future__"}, path.name
+def test_every_import_is_read():
+    """Every name a module other than `__init__` imports is read in it,
+    except on lines marked `# noqa: F401` (names bound for perfbench's
+    tracer to wrap)."""
+    unused = []
+    for module in LAYERS:
+        tree, lines = _tree(module)
+        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{module}.py:{alias.lineno} {name}")
+    assert unused == []
