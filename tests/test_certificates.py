@@ -1,6 +1,7 @@
 """Certificate values and the JSON schema round-trip, plus the certificates
 of prove's trivial verdicts (`relsrs.term.trivial_verdict`)."""
 
+import ast
 import gzip
 import hashlib
 import json
@@ -413,3 +414,24 @@ def test_recheck_corpus_rechecks():
             rejected.append(not certified)
     assert types == manifest["certificate_types"]
     assert rejected == [True] * manifest["mutants"]
+
+
+def _package_imports(module: str) -> set[str]:
+    """The relsrs modules that src/relsrs/<module>.py imports relatively."""
+    tree = ast.parse((Path(relsrs.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([a.name for a in node.names] if node.module is None else [node.module])
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed", [("check", {"certificates", "core"}), ("certificates", {"core"})]
+)
+def test_trust_base_imports_no_search_code(module, allowed):
+    """The checker and the certificate records are the trust base: they
+    import nothing from the package but each other and `core`."""
+    found = _package_imports(module)
+    assert "core" in found  # the parse sees the imports at all
+    assert found <= allowed

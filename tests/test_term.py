@@ -1382,6 +1382,14 @@ def test_each_module_imports_its_layers():
         assert other <= STDLIB, module
 
 
+def test_checker_imports_no_search_module():
+    """The trust base stays apart from the searches: relsrs.check imports
+    .core, .certificates and the standard library, nothing else."""
+    package, other = _imports("check")
+    assert package == {"core", "certificates"}
+    assert other <= STDLIB
+
+
 def test_package_is_stdlib_only():
     """Every relsrs module imports only the standard library and relsrs's
     own modules, by relative import."""
