@@ -231,21 +231,22 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
 # ------------------------------------------------------ matrix interpretations
 
 
-def _word_matrix(word: Word, mats: dict, semiring: Semiring, d: int):
+def _word_matrix(word: Word, mats: dict, semiring: Semiring, one):
+    """The word's matrix; `one` is the d x d identity, the empty word's."""
     if not word:
-        return semiring.identity(d)
+        return one
     m = mats[word[0]]
     for c in word[1:]:
-        m = semiring.mul(m, mats[c], d)
+        m = semiring.mul(m, mats[c], len(one))
     return m
 
 
-def _rule_fault(rule: Rule, mats: dict, semiring: Semiring, d: int):
+def _rule_fault(rule: Rule, mats: dict, semiring: Semiring, d: int, one):
     """The first entry where the rule's sides are out of order, as (i, j,
     lhs entry, rhs entry, whether the comparison was strict); None when the
-    interpretation respects the rule."""
-    lm = _word_matrix(rule.lhs, mats, semiring, d)
-    rm = _word_matrix(rule.rhs, mats, semiring, d)
+    interpretation respects the rule.  `one` is the d x d identity."""
+    lm = _word_matrix(rule.lhs, mats, semiring, one)
+    rm = _word_matrix(rule.rhs, mats, semiring, one)
     strict = rule.strict and not semiring.corner_only
     cmp = semiring.strict if strict else operator.ge
     for i in range(d):
@@ -285,11 +286,12 @@ def check_matrix(
         mats[i] = m
     if not mats:  # only letterless rules can hold: I vs I has one verdict at every d
         d = 1
+    one = semiring.identity(d)
     for rule in system.rules:
         for c in rule.lhs + rule.rhs:
             if c not in mats:
                 return CheckResult(False, f"no matrix for letter {system.letters[c]!r}")
-        fault = _rule_fault(rule, mats, semiring, d)
+        fault = _rule_fault(rule, mats, semiring, d, one)
         if fault is not None:
             return CheckResult(False, semiring.rule_fault(system.rule_str(rule), *fault))
     return _OK

@@ -75,10 +75,13 @@ class SearchReport:
     stays "none" when the search ran to the end of its space.  Every search
     adds what it counted against its cap to `nodes`, so a report handed to
     several searches, or to the matrix search's several dimensions, holds
-    their sum."""
+    their sum.  An arctic matrix search sets `stop` to "refuted" when a
+    growth witness rules out every interpretation it could find, and puts
+    that derivation in `witness`."""
 
     stop: str = "none"
     nodes: int = 0
+    witness: Optional[Derivation] = None
 
 
 def give_up(report: Optional[SearchReport], stop: str) -> None:

@@ -32,6 +32,22 @@ completes canonical assignments.  No earlier letter can be pruned this way:
 every prefix has a canonical completion, such as a last letter with (1,2)
 = (2,1) = -1.
 
+Before an arctic search runs, a greedy search looks for a growth witness,
+a derivation from some word w with more than |w| * E strict steps, E the
+largest entry, and one that replays ends the search `refuted`.  No arctic
+interpretation the search could return, in any dimension, survives it.
+The checker needs every letter's (1,1) entry finite and >= 0, so for every
+word 0 <= [w](1,1): the (1,1) entry of a product is at least the sum of
+the factors' (1,1) entries, and the empty word's is 0.  Every entry of
+[w] is a maximum of sums of |w| letter entries, so [w](1,1) <= |w| * E.
+A strict step u l v -> u r v has [l] >> [r]: take the i, j at which
+[u r v](1,1) = [u](1,i) + [r](i,j) + [v](j,1), all finite as that sum is
+>= 0; then [l](i,j) >= [r](i,j) + 1 over the integers, so [u l v](1,1)
+is at least [u r v](1,1) + 1.  A relative step has [l] >= [r] at every
+entry and never raises it.  So k strict steps from w need |w| * E >= k.
+The bounds read only the (1,1) entries and the largest entry: entries of
+-1 and -inf, and the dimension, do not enter them.
+
 The weight search is the same depth-first search over the letters, with
 a closed form per letter: each rule bounds the next weight linearly, so
 the weights that pass the reach bound are one interval.  The search
@@ -65,8 +81,10 @@ verdict.  Every search checks the deadline itself and records in its
 SearchReport why it stopped; the attempt is logged `found` or with that
 record: `cap` for a search cut by its node budget or assignment cap,
 `deadline` for one cut by the deadline, `none` for one that found nothing
-within its bounds.  prove reads no clock: it returns `timeout` after the
-first attempt logged `deadline`.
+within its bounds, `refuted` for an arctic search ended by a growth
+witness, with the witness's start word and count as the detail.  prove
+reads no clock: it returns `timeout` after the first attempt logged
+`deadline`.
 """
 
 from __future__ import annotations
@@ -92,10 +110,13 @@ from .certificates import (
     WeightCertificate,
 )
 from .check import check_matrix
-from .core import RelSRS, Rule, Step, s_as_strict, strictify, used_letters
+from .core import (
+    Derivation, RelSRS, ReplayError, Rule, Step, replay, s_as_strict, strict_step_count, strictify,
+    used_letters,
+)
 from .nonterm import (
-    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, SearchReport, give_up,
-    search_mixed_loop,
+    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, SearchReport, _decode,
+    _encode, _encoded_rules, give_up, search_mixed_loop,
 )
 
 # unused here, but perfbench/spans.py wraps these names in this module
@@ -518,7 +539,7 @@ def _exhaustive_matrix_search(
     return {c: tuple(flats[c][i : i + d] for i in range(0, d * d, d)) for c in used}
 
 
-def search_matrix(
+def _matrix_search(
     system: RelSRS,
     semiring: str,
     max_dim: int = ProveBudget.matrix_max_dim,
@@ -528,12 +549,8 @@ def search_matrix(
     deadline: Optional[float] = None,
     report: Optional[SearchReport] = None,
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
-    """Exhaustive certificate search (with pruning) for each dimension
-    1..max_dim in turn, each giving up after assignment_cap letter
-    assignments or at the monotonic-clock deadline, which sets report.stop
-    to "cap" or "deadline".  None is not a proof of absence.  A certificate
-    found is re-checked by check_matrix, and a rejected one raises
-    RuntimeError."""
+    """The exhaustive part of search_matrix: every dimension 1..max_dim in
+    turn, with no growth witness first."""
     sr = next((s for s in SEMIRINGS if s.name == semiring), None)
     if sr is None:
         raise ValueError(f"semiring must be natural or arctic, got {semiring!r}")
@@ -548,6 +565,145 @@ def search_matrix(
                 raise RuntimeError(f"matrix search found an unsound certificate: {checked.reason}")
             return cert
     return None
+
+
+def search_matrix(
+    system: RelSRS,
+    semiring: str,
+    max_dim: int = ProveBudget.matrix_max_dim,
+    max_entry: int = ProveBudget.matrix_max_entry,
+    *,
+    assignment_cap: int = ProveBudget.matrix_assignment_cap,
+    deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
+) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
+    """Certificate search for each dimension 1..max_dim in turn.
+
+    An arctic search first looks for a growth witness (`_growth_witness`,
+    under its own node budget `_WITNESS_NODES`).  A witness rules out every
+    arctic interpretation with entries up to max_entry, in every dimension,
+    so the search returns None with report.stop = "refuted" and the witness
+    in report.witness.  Otherwise the search is exhaustive (with pruning),
+    each dimension giving up after assignment_cap letter assignments or at
+    the monotonic-clock deadline, which sets report.stop to "cap" or
+    "deadline"; that None is not a proof of absence.  The deadline also
+    stops the witness search, whose nodes, found or not, go to
+    report.nodes.  A certificate found is re-checked by check_matrix, a
+    witness by replaying it and counting its strict steps, and either one
+    that fails its check raises RuntimeError."""
+    # a strict rule with an empty lhs ends the exhaustive search at once
+    if semiring == "arctic" and all(rule.lhs or not rule.strict for rule in system.rules):
+        try:
+            witness = _growth_witness(system, max_entry, _WITNESS_NODES, deadline, report)
+        except _SearchStop:
+            return give_up(report, "deadline")
+        if witness is not None:
+            _check_growth(witness, system, max_entry)
+            if report is not None:
+                report.witness = witness
+            return give_up(report, "refuted")
+    return _matrix_search(
+        system, semiring, max_dim, max_entry,
+        assignment_cap=assignment_cap, deadline=deadline, report=report,
+    )
+
+
+# ---------------------------------------------------------- growth witness
+
+# the growth-witness search's node budget: each word it looks for a redex in
+# is a node, the start words included
+_WITNESS_NODES = 2_000
+# the longest word it rewrites to
+_WITNESS_WORD_LEN = 50
+
+
+def _growth_witness(
+    system: RelSRS,
+    max_entry: int,
+    budget: int,
+    deadline: Optional[float],
+    report: Optional[SearchReport],
+) -> Optional[Derivation]:
+    """A derivation from some word w with more than |w| * max_entry strict
+    steps, or None when a greedy search finds none within `budget` nodes.
+
+    Start words come shorter first, then lexicographic, over the used
+    letters.  From each, up to three fixed rule orders rewrite greedily: the
+    first rule in the order that matches, at its leftmost redex.  Each
+    order takes the strict rules before the relative ones, and within each
+    kind, rule order, reverse rule order, or the rules that lengthen a word
+    most first (ties in rule order); an order equal to an earlier one is
+    skipped.  A run ends at a witness, at a word with no redex, before a
+    word longer than _WITNESS_WORD_LEN, or when a word comes back since its
+    last strict step: the rewriting depends on the word alone, so it would
+    cycle through relative steps forever.  Each word it looks for a redex
+    in is a node.  The search gives up after `budget` nodes (counting
+    budget + 1), and raises _SearchStop at the monotonic-clock deadline,
+    checked as each run starts.  A run counts its strict steps only; the
+    witness's steps are read off by running it again."""
+    encoded = _encoded_rules(enumerate(system.rules))
+    rules = [(lhs, rhs, grow, strict, i) for i, lhs, rhs, _, grow, strict in encoded]
+    orders: list = []
+    for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[2])):
+        order = [r for r in order if r[3]] + [r for r in order if not r[3]]
+        if order not in orders:
+            orders.append(order)
+    letters = _encode(used_letters(system))
+    nodes = 0
+    try:
+        for n in range(_WITNESS_WORD_LEN + 1):
+            need = n * max_entry
+            for start in map("".join, product(letters, repeat=n)):
+                for order in orders:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise _SearchStop()
+                    word, strict_steps, seen = start, 0, set()
+                    while word not in seen:
+                        seen.add(word)
+                        nodes += 1
+                        if nodes > budget:
+                            return None
+                        for lhs, rhs, grow, strict, _ in order:
+                            if lhs in word:
+                                break
+                        else:
+                            break
+                        if len(word) + grow > _WITNESS_WORD_LEN:
+                            break
+                        word = word.replace(lhs, rhs, 1)
+                        if strict:
+                            strict_steps += 1
+                            if strict_steps > need:
+                                return _greedy_derivation(start, order, strict_steps)
+                            seen.clear()
+        return None
+    finally:
+        if report is not None:
+            report.nodes += nodes
+
+
+def _greedy_derivation(start: str, order: list, strict_steps: int) -> Derivation:
+    """The steps of _growth_witness's run from `start` in `order`, up to
+    its strict_steps-th strict step."""
+    word, steps = start, []
+    while strict_steps:
+        lhs, rhs, _, strict, i = next(r for r in order if r[0] in word)
+        steps.append(Step(i, word.find(lhs)))
+        word = word.replace(lhs, rhs, 1)
+        strict_steps -= strict
+    return Derivation(_decode(start), tuple(steps))
+
+
+def _check_growth(witness: Derivation, system: RelSRS, max_entry: int) -> None:
+    """Replay a growth witness and count its strict steps; RuntimeError
+    unless it applies and has more than |start| * max_entry of them."""
+    try:
+        replay(witness, system)
+    except ReplayError as e:
+        raise RuntimeError(f"growth witness does not replay: {e}") from None
+    k, n = strict_step_count(witness, system), len(witness.start)
+    if k <= n * max_entry:
+        raise RuntimeError(f"growth witness has {k} strict steps, not more than {n}*{max_entry}")
 
 
 # ------------------------------------------------------------------ prove
@@ -637,7 +793,8 @@ def prove(
     if (trivial := trivial_verdict(system)) is not None:
         return trivial
     attempts: list[Attempt] = []
-    methods = _methods(budget or ProveBudget(), deadline)
+    budget = budget or ProveBudget()
+    methods = _methods(budget, deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
     for tag, form in (("s-", s_as_strict), ("strictified-", strictify), ("", None)):
@@ -650,6 +807,10 @@ def prove(
             loop = isinstance(cert, LoopCertificate)
             if tag == "s-" and loop:
                 detail = "S alone does not terminate"
+            if report.witness is not None:
+                w, e = report.witness, budget.matrix_max_entry
+                k = strict_step_count(w, phase_system)
+                detail = f"{phase_system.word_str(w.start)}: {k} strict steps > {len(w.start)}*{e}"
             name = tag + name.removeprefix("mixed-") if tag else name
             attempt = Attempt(name, "found" if cert is not None else report.stop, detail)
             attempts.append(attempt)

@@ -448,9 +448,9 @@ class TestFrozenFrontierOutput:
     """
 
     DIGESTS = {
-        "prove-ab_bba": (1, "20223ff4db59e1faeabb6ae19f44917e5d98947f3e3db1624af2555341cffdf3"),
+        "prove-ab_bba": (1, "e04a65752ba61ac466b247a5a7313fe2b2ada3ee8568412c00c1ce29b3c80a66"),
         "prove-abb_aba": (1, "b4ef9913f50c9b4f16c3cf1f9d2f15cb0974df36456c5d21b8c903fac0f0d79a"),
-        "prove-a_ab_baa": (1, "57f4f0ad675f483c1e416e408331665feb1d55ffb81aab6c7095a407c3beef87"),
+        "prove-a_ab_baa": (1, "12013f2bd329820e723b09aafad58d6e48bcbdf06386b0181efb38b925d35f86"),
         "prove-aa_bab": (0, "58194f4433c63c1c0153d37ec44b7a74ceeab0a4f687951e3b213818806cff83"),
         "prove-a_bb_bab": (0, "b4845a184e0a6fac0960a910cc652d51bc4a908d71ef5976ec830840dd9ba55a"),
         "loop-ab_a": (1, "5faa94bd81f51b5eeaacd15c04a7dccba3d9d203f5851188de84af0bbd97946d"),

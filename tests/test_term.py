@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import relsrs
 from relsrs import (
     ArcticMatrixCertificate,
+    Attempt,
     ComposeCertificate,
     EmptyRCertificate,
     EnumerationConfig,
@@ -49,9 +50,12 @@ from relsrs import (
 )
 from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
 from relsrs.check import CheckResult, _rule_fault
-from relsrs.core import s_as_strict, used_letters
+from relsrs.core import Derivation, replay, s_as_strict, strict_step_count, used_letters
 from relsrs.nonterm import give_up
-from relsrs.term import _FlatKernel, _Level, _last_candidates, _SearchStop
+from relsrs.term import (
+    _WITNESS_NODES, _FlatKernel, _growth_witness, _Level, _last_candidates, _matrix_search,
+    _SearchStop,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FRONTIER = Path(__file__).parent.parent / "perfbench" / "data" / "frontier"
@@ -711,8 +715,8 @@ class TestFrozenMatrixResults:
                     for semiring in ("natural", "arctic"):
                         for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
                             report = SearchReport()
-                            cert = search_matrix(form, semiring, max_dim, max_entry,
-                                                 assignment_cap=cap, report=report)
+                            cert = _matrix_search(form, semiring, max_dim, max_entry,
+                                                  assignment_cap=cap, report=report)
                             data = None if cert is None else serialize_certificate(cert, form)
                             h.update(json.dumps([data, report.stop == "cap"], sort_keys=True)
                                      .encode()
@@ -725,7 +729,7 @@ class TestFrozenMatrixResults:
             for semiring in ("natural", "arctic"):
                 for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
                     report = SearchReport()
-                    cert = search_matrix(
+                    cert = _matrix_search(
                         form, semiring, max_dim, max_entry, assignment_cap=cap, report=report
                     )
                     data = None if cert is None else serialize_certificate(cert, form)
@@ -748,7 +752,7 @@ class TestFrozenMatrixResults:
         for form in self.forms(EnumerationConfig(3, 4)):
             for semiring in ("natural", "arctic"):
                 report = SearchReport()
-                cert = search_matrix(form, semiring, 2, 1, assignment_cap=5000, report=report)
+                cert = _matrix_search(form, semiring, 2, 1, assignment_cap=5000, report=report)
                 data = None if cert is None else serialize_certificate(cert, form)
                 h.update(self.report_line(data, report))
                 searches += 1
@@ -835,8 +839,8 @@ class TestFlatKernel:
         rule = Rule(data.draw(word), data.draw(word), data.draw(st.booleans()))
         letter = data.draw(st.sampled_from(sorted(set(rule.lhs + rule.rhs)) or [0]))
         holds = staged_test(semiring, d, [flatten(m) for m in mats], letter)
-        expected = _rule_fault(rule, dict(enumerate(mats)), semiring, d) is None
-        assert holds(rule) == expected
+        fault = _rule_fault(rule, dict(enumerate(mats)), semiring, d, semiring.identity(d))
+        assert holds(rule) == (fault is None)
 
     # letters 0, 1, 2 with 1 current: runs of earlier letters before, after
     # and between runs of the current letter, one-letter rules, empty sides
@@ -861,7 +865,8 @@ class TestFlatKernel:
         mats = data.draw(pool_matrices(semiring, d, 3))
         rule = Rule(lhs, rhs, strict)
         holds = staged_test(semiring, d, [flatten(m) for m in mats], 1)
-        assert holds(rule) == (_rule_fault(rule, dict(enumerate(mats)), semiring, d) is None)
+        fault = _rule_fault(rule, dict(enumerate(mats)), semiring, d, semiring.identity(d))
+        assert holds(rule) == (fault is None)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -1058,7 +1063,7 @@ class TestSearchNodes:
         canonical ones only visits 11,398, 11,398 and 1,540."""
         system = parse_system((FRONTIER / f"{stem}.srs").read_text())
         report = SearchReport()
-        assert search_matrix(system, "arctic", 2, 1, report=report) is None
+        assert _matrix_search(system, "arctic", 2, 1, report=report) is None
         assert report.stop == "none"
         assert report.nodes < unfiltered
 
@@ -1076,12 +1081,14 @@ class TestSearchNodes:
         # the cap holds per dimension, so its boundary is the d = 2 count
         system = parse_system((FRONTIER / "a_ab_baa.srs").read_text())
         one, both = SearchReport(), SearchReport()
-        search_matrix(system, "arctic", 1, 1, report=one)
-        search_matrix(system, "arctic", 2, 1, report=both)
+        _matrix_search(system, "arctic", 1, 1, report=one)
+        _matrix_search(system, "arctic", 2, 1, report=both)
         at_two = both.nodes - one.nodes
         at, below = SearchReport(), SearchReport()
-        assert search_matrix(system, "arctic", 2, 1, assignment_cap=at_two, report=at) is None
-        assert search_matrix(system, "arctic", 2, 1, assignment_cap=at_two - 1, report=below) is None
+        assert _matrix_search(system, "arctic", 2, 1, assignment_cap=at_two, report=at) is None
+        assert _matrix_search(
+            system, "arctic", 2, 1, assignment_cap=at_two - 1, report=below
+        ) is None
         assert (at.stop, below.stop) == ("none", "cap")
         # the assignment that crosses the cap is counted
         assert at.nodes == below.nodes == both.nodes
@@ -1125,6 +1132,108 @@ class TestSearchNodes:
         search(system, twice)
         assert once.nodes > 0
         assert twice.nodes == 2 * once.nodes
+
+
+class TestGrowthWitness:
+    """An arctic search first looks for a growth witness: a derivation from
+    some word w with more than |w| * max_entry strict steps.  Under any
+    arctic interpretation the checker accepts, with entries up to
+    max_entry, 0 <= [w](1,1) <= |w| * max_entry, a strict step lowers
+    [w](1,1) by at least 1 and a relative step never raises it, so there is
+    none, in any dimension."""
+
+    AB_BBA = parse_system("(RULES a b -> b b a , b ->= )")
+
+    @staticmethod
+    def witness(system, max_entry, budget=_WITNESS_NODES, report=None):
+        return _growth_witness(system, max_entry, budget, None, report)
+
+    # systems with a witness at each entry bound
+    @example(parse_system("(RULES a b -> b b a , b ->= )"), 2)
+    @example(parse_system("(RULES a b -> b a a)"), 1)
+    @example(parse_system("(RULES a b -> b a , a ->= a a)"), 0)
+    @example(parse_system("(RULES a c -> c b a , b ->= c)"), 2)
+    @settings(max_examples=40, deadline=None)
+    @given(two_letter_rules | three_letter_rules, st.integers(0, 2))
+    def test_a_witness_leaves_no_arctic_certificate(self, system, max_entry):
+        witness = self.witness(system, max_entry)
+        if witness is None:
+            return
+        replay(witness, system)
+        assert strict_step_count(witness, system) > len(witness.start) * max_entry
+        # the capped searches keep the test short; a witness makes most of
+        # them run out of assignments long before their cap
+        assert _matrix_search(system, "arctic", 2, max_entry, assignment_cap=100_000) is None
+        assert _matrix_search(system, "arctic", 3, max_entry, assignment_cap=1_000) is None
+
+    def test_witness_ends_the_search_refuted(self):
+        report, alone = SearchReport(), SearchReport()
+        assert search_matrix(self.AB_BBA, "arctic", 2, 2, report=report) is None
+        assert report.stop == "refuted"
+        assert report.witness == self.witness(self.AB_BBA, 2, report=alone)
+        assert report.nodes == alone.nodes > 0
+        assert self.AB_BBA.word_str(report.witness.start) == "a a a a b"
+        assert strict_step_count(report.witness, self.AB_BBA) == 11
+
+    def test_prove_logs_the_witness(self):
+        attempts = prove(self.AB_BBA).attempts
+        assert Attempt("matrix-arctic", "refuted", "a a a a b: 11 strict steps > 5*2") in attempts
+        assert (
+            Attempt("strictified-matrix-arctic", "refuted", "a a b: 7 strict steps > 3*2")
+            in attempts
+        )
+
+    def test_no_witness_runs_the_exhaustive_search(self):
+        # the witness search spends its whole budget before the certificate
+        system = parse_system("(RULES a a -> , ->= b a b)")
+        report, exhaustive = SearchReport(), SearchReport()
+        cert = search_matrix(system, "arctic", 2, 2, report=report)
+        assert cert is not None
+        assert cert == _matrix_search(system, "arctic", 2, 2, report=exhaustive)
+        assert report.witness is None
+        assert report.nodes == _WITNESS_NODES + 1 + exhaustive.nodes
+
+    def test_step_budget_boundary(self, monkeypatch):
+        found = SearchReport()
+        witness = self.witness(self.AB_BBA, 1, 10**6, found)
+        at, below = SearchReport(), SearchReport()
+        assert self.witness(self.AB_BBA, 1, found.nodes, at) == witness is not None
+        assert self.witness(self.AB_BBA, 1, found.nodes - 1, below) is None
+        # the node that crosses the budget is counted
+        assert at.nodes == below.nodes == found.nodes
+        # a crossed budget hands over to the exhaustive search
+        monkeypatch.setattr("relsrs.term._WITNESS_NODES", found.nodes - 1)
+        report, exhaustive = SearchReport(), SearchReport()
+        assert search_matrix(self.AB_BBA, "arctic", 2, 1, report=report) is None
+        assert _matrix_search(self.AB_BBA, "arctic", 2, 1, report=exhaustive) is None
+        assert (report.stop, report.witness) == ("none", None)
+        assert report.nodes == found.nodes + exhaustive.nodes
+
+    def test_expired_deadline_gives_up(self):
+        report = SearchReport()
+        assert search_matrix(
+            self.AB_BBA, "arctic", 2, 2, deadline=time.monotonic() - 1, report=report
+        ) is None
+        assert (report.stop, report.nodes) == ("deadline", 0)
+
+    def test_relative_cycle_ends_its_run(self):
+        # the run from b rewrites b to b forever; the witness starts at a a
+        system = parse_system("(RULES b ->= b , a a -> a a a)")
+        witness = self.witness(system, 2, 20)
+        assert witness is not None and system.word_str(witness.start) == "a a"
+
+    @pytest.mark.parametrize(
+        "witness, match",
+        [
+            (Derivation((0, 1), (Step(0, 1),)), "does not replay"),
+            # a a b -> a b b a -> b b a b a -> b b b b a a: 3 strict steps, not > 3*1
+            (Derivation((0, 0, 1), (Step(0, 1), Step(0, 0), Step(0, 2))), "not more than 3[*]1"),
+        ],
+    )
+    def test_unsound_witness_raises(self, monkeypatch, witness, match):
+        monkeypatch.setattr("relsrs.term._growth_witness", lambda *args: witness)
+        with pytest.raises(RuntimeError, match=match):
+            search_matrix(self.AB_BBA, "arctic", 2, 1)
 
 
 class TestSearchLeavesNoCycle:
