@@ -9,11 +9,14 @@ of v replays into a mixed loop.  prove runs the mixed-loop search in each
 of its phases; the emitting-loop search and the closures serve `relsrs
 loop` and `relsrs closures`.
 
-All searches are bounded and deterministic: start words shorter-first then
-lexicographic, breadth-first on step count, successors ordered by rule
-index then position.  Absence within the bounds is a value, not a proof.
-Every search in the package, these and `relsrs.term`'s, records why it
-came back empty in a `SearchReport`, defined here, through `give_up`.
+The three derivation searches of the package live here: the loop search,
+forward-closure saturation, and the growth-witness search `relsrs.term`
+runs before an arctic matrix search.  All are bounded and deterministic:
+start words come from one generator, `_words`, shorter first then
+lexicographic; successors are ordered by rule index then position.
+Absence within the bounds is a value, not a proof.  Every search in the
+package records why it came back empty in a `SearchReport`, defined here,
+through `give_up`.
 
 Both loop searches run one breadth-first kernel, `_search_loop`, and
 differ only in their rules and in the witness test on a successor that
@@ -21,29 +24,29 @@ contains the start word.  Mixed: all rules, a strict step used, split at
 the leftmost occurrence.  Emitting: S alone, every occurrence scanned for a
 strict lhs inside a flank, left flank first.
 
-Inside the two loop searches and forward-closure saturation a word is a
-str with one character per letter, chr(letter), which serves any alphabet
-size: redex matching, the loop test, the redex-in-context test and the
-closure factor test are then str.find, startswith and `in`, which run in
-C.  Words are decoded back to tuples only for what is returned: the
-certificate, or the ForwardClosure records.  Certificates and their
-checker, `relsrs.check.check_loop_certificate`, stay on tuple words.
-Saturation keeps each closure as one record (source, target, strict steps,
-parent row, step); a closure's trace is its parent's trace and its step.
+Here, and nowhere else, a word is a str with one character per letter,
+chr(letter), which serves any alphabet size: redex matching, the loop
+test, the redex-in-context test and the closure factor test are then
+str.find, startswith and `in`, which run in C.  Words are decoded back to
+tuples only for what is returned: the certificate, the ForwardClosure
+records, the growth witness.  The loop kernel and saturation keep what
+they reach as rows that end (parent row, step), and `_trace` reads a
+derivation back through them: a loop row per word kept, a saturation row
+(source, target, strict steps, parent row, step) per closure.
 
-Each search call expands a word once.  `_redexes` lists a word's one-step
-rewrites by rule, then position; a rule whose successors would pass the
-length bound gives only its number of matches and builds no string.
-Closure saturation counts kept closures, not successors, so it asks for no
-such counts and those rules go unsearched.  The loop BFS keeps one dict
-word -> those rows for all its start words, which meet the same words
-again and again, and closure saturation keeps one keyed by target.  A
-memo takes no new entry once it holds _MEMO_ROWS (DEFAULT_NODE_BUDGET)
-rows, about 17 MiB on 64-bit CPython 3.11; words past that are expanded
-afresh each time they come up.
+Each loop search or saturation call expands a word once.  `_redexes`
+lists a word's one-step rewrites by rule, then position; a rule whose
+successors would pass the length bound gives only its number of matches
+and builds no string.  Closure saturation counts kept closures, not
+successors, so it asks for no such counts and those rules go unsearched.
+The loop BFS keeps one dict word -> those redexes for all its start
+words, which meet the same words again and again, and closure saturation
+keeps one keyed by target.  A memo takes no new entry once it holds
+_MEMO_ROWS (DEFAULT_NODE_BUDGET) redexes, about 17 MiB on 64-bit CPython
+3.11; words past that are expanded afresh each time they come up.
 The memo changes what is computed, not what is counted: the kernels walk
-the rows in the order the rewriting generates them, count a row as one
-node and a too-long rule as its number of matches, and check the cap after
+the redexes in the order the rewriting generates them, count a redex as
+one node and a too-long rule as its number of matches, and check the cap after
 each, so a cap that falls inside a run of too-long matches still stops at
 cap + 1 nodes.  The deadline is checked before each expansion, as before.
 """
@@ -98,15 +101,12 @@ def _decode(text: str) -> Word:
     return tuple(map(ord, text))
 
 
-def _start_words(system: RelSRS, max_len: int, lhss: list[str]):
+def _words(system: RelSRS, max_len: int):
     """Encoded words over the letters occurring in rules, shorter first then
-    lexicographic, filtered to those containing some (encoded) lhs."""
-    letters = [chr(c) for c in used_letters(system)]
-    for length in range(max_len + 1):
-        for tup in product(letters, repeat=length):
-            word = "".join(tup)
-            if any(lhs in word for lhs in lhss):
-                yield word
+    lexicographic: the start words of every search here."""
+    letters = _encode(used_letters(system))
+    for n in range(max_len + 1):
+        yield from map("".join, product(letters, repeat=n))
 
 
 def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
@@ -147,18 +147,15 @@ def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
     return tuple(out)
 
 
-def _steps(seen: tuple[dict, ...], word: str, used: bool, last: Step) -> tuple[Step, ...]:
-    """The step list from the start word to `last`, read back through the
-    parent tables: seen[flag][word] = (rule, position, parent word, parent
-    flag), None for the start word."""
-    steps = [last]
-    entry = seen[used][word]
-    while entry is not None:
-        i, p, word, used = entry
-        steps.append(Step(i, p))
-        entry = seen[used][word]
-    steps.reverse()
-    return tuple(steps)
+def _trace(row: Optional[tuple]) -> tuple[Step, ...]:
+    """The steps from the start to `row`.  A row ends (parent row, step):
+    the parent None at the start, the step beginning (rule, position)."""
+    steps = []
+    while row is not None:
+        step = row[-1]
+        steps.append(Step(step[0], step[1]))
+        row = row[-2]
+    return tuple(reversed(steps))
 
 
 def _search_loop(
@@ -188,13 +185,15 @@ def _search_loop(
     memo: dict[str, tuple] = {}
     memo_rows = 0
     try:
-        for start in _start_words(system, start_bound, lhss):
-            # one parent table per flag "a strict step was used"
-            seen: tuple[dict, dict] = ({start: None}, {})
-            level = [(start, False)]
+        for start in (w for w in _words(system, start_bound) if any(lhs in w for lhs in lhss)):
+            # the words reached, one set per flag "a strict step was used"
+            seen: tuple[set, set] = ({start}, set())
+            # (word, a strict step used, the row that reached it: (parent row,
+            # redex), None for start)
+            level = [(start, False, None)]
             for _ in range(max_steps):
                 following = []
-                for word, used in level:
+                for word, used, reached in level:
                     if deadline is not None and time.monotonic() >= deadline:
                         return give_up(report, "deadline")
                     redexes = memo.get(word)
@@ -214,7 +213,7 @@ def _search_loop(
                         nodes += 1
                         if nodes > cap:
                             return give_up(report, "cap")
-                        i, p, nxt, strict = row
+                        _, _, nxt, strict = row
                         nused = used or strict
                         if start in nxt:
                             found = witness(start, nxt, nused)
@@ -223,15 +222,15 @@ def _search_loop(
                                 return LoopCertificate(
                                     kind=kind,
                                     start=_decode(start),
-                                    steps=_steps(seen, word, used, Step(i, p)),
+                                    steps=_trace((reached, row)),
                                     left=_decode(nxt[:q]),
                                     right=_decode(nxt[q + len(start) :]),
                                     redex=redex,
                                 )
                         table = seen[nused]
                         if nxt not in table:
-                            table[nxt] = (i, p, word, used)
-                            following.append((nxt, nused))
+                            table.add(nxt)
+                            following.append((nxt, nused, (reached, row)))
                 if not following:
                     break
                 level = following
@@ -313,6 +312,83 @@ def search_emitting_loop(
     )
 
 
+_WITNESS_WORD_LEN = 50
+
+
+def search_growth_witness(
+    system: RelSRS,
+    max_entry: int,
+    node_budget: int,
+    *,
+    deadline: Optional[float] = None,
+    report: Optional[SearchReport] = None,
+) -> Optional[Derivation]:
+    """A derivation from some word w with more than |w| * max_entry strict
+    steps, or None when a greedy search finds none within node_budget nodes.
+
+    From each start word, up to three fixed rule orders rewrite greedily:
+    the first rule in the order that matches, at its leftmost redex.  Each
+    order takes the strict rules before the relative ones, and within each
+    kind, rule order, reverse rule order, or the rules that lengthen a word
+    most first (ties in rule order); an order equal to an earlier one is
+    skipped.  A run ends at a witness, at a word with no redex, before a
+    word longer than _WITNESS_WORD_LEN, or when a word comes back since its
+    last strict step: the rewriting depends on the word alone, so it would
+    cycle through relative steps forever.  Each word it looks for a redex
+    in is a node.  The search gives up after node_budget nodes (counting
+    node_budget + 1) with report.stop left as it was, and at the
+    monotonic-clock deadline, checked as each run starts, with report.stop
+    "deadline".  A run counts its strict steps only; the witness's steps
+    are read off by running it again."""
+    rules = _encoded_rules(enumerate(system.rules))
+    orders: list = []
+    for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[4])):
+        order = [r for r in order if r[5]] + [r for r in order if not r[5]]
+        if order not in orders:
+            orders.append(order)
+    nodes = 0
+    try:
+        for start in _words(system, _WITNESS_WORD_LEN):
+            need = len(start) * max_entry
+            for order in orders:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return give_up(report, "deadline")
+                word, strict_steps, seen = start, 0, set()
+                while word not in seen:
+                    seen.add(word)
+                    nodes += 1
+                    if nodes > node_budget:
+                        return None
+                    for _, lhs, rhs, _, grow, strict in order:
+                        if lhs in word:
+                            break
+                    else:
+                        break
+                    if len(word) + grow > _WITNESS_WORD_LEN:
+                        break
+                    word = word.replace(lhs, rhs, 1)
+                    if strict:
+                        strict_steps += 1
+                        if strict_steps > need:
+                            return _greedy_derivation(start, order, strict_steps)
+                        seen.clear()
+        return None
+    finally:
+        if report is not None:
+            report.nodes += nodes
+
+
+def _greedy_derivation(start: str, order: list, strict_steps: int) -> Derivation:
+    """The run from `start` in `order` up to its strict_steps-th strict step."""
+    word, steps = start, []
+    while strict_steps:
+        i, lhs, rhs, _, _, strict = next(r for r in order if r[1] in word)
+        steps.append(Step(i, word.find(lhs)))
+        word = word.replace(lhs, rhs, 1)
+        strict_steps -= strict
+    return Derivation(_decode(start), tuple(steps))
+
+
 def reverse_loop_certificate(cert: LoopCertificate, system: RelSRS) -> LoopCertificate:
     """Transport a loop certificate to the reversed system.
 
@@ -365,31 +441,30 @@ def _saturate_closures(
     """Breadth-first saturation, each kept closure one row of a list.
 
     A row is (source, target, strict steps, parent, step): source ->+
-    target (encoded words), extending row `parent` (-1 for a seed, one per
-    rule) by the step (rule, position).  Rows are expanded in the order
+    target (encoded words), extending row `parent` (None for a seed, one
+    per rule) by the step (rule, position).  Rows are expanded in the order
     they are kept: target rewrites by (rule, position), then
     right-extensions across the target's end by (rule, split position).
     A successor with the endpoints of a kept row and the same answer to
     "any strict step used" is dropped.
 
-    Returns (rows, index of the first looping row, or None when
-    stop_at_looping is false or there is none); None when the deadline cut
-    the search short (report.stop "deadline"), and when stop_at_looping and
-    more than DEFAULT_NODE_BUDGET rows are kept before an expansion
-    (report.stop "cap").
+    Returns (rows, the first looping row, or None when stop_at_looping is
+    false or there is none); None when the deadline cut the search short
+    (report.stop "deadline"), and when stop_at_looping and more than
+    DEFAULT_NODE_BUDGET rows are kept before an expansion ("cap").
     """
     size = max_closure_size
     rules = _encoded_rules(enumerate(system.rules))
     # a rule extends a target only across a nonempty proper prefix of its lhs
     extending = [rule for rule in rules if rule[3] >= 2]
-    rows: list[tuple[str, str, int, int, tuple[int, int]]] = []
+    rows: list[tuple] = []
     # seen[(source, any strict step used)] = targets of the kept rows
     seen: dict[tuple[str, bool], set[str]] = {}
     # memo[target] = its redexes, for the whole call
     memo: dict[str, tuple] = {}
     memo_rows = 0
 
-    def keep(u: str, v: str, s: int, parent: int, step: tuple[int, int]) -> bool:
+    def keep(u: str, v: str, s: int, parent: Optional[tuple], step: tuple[int, int]) -> bool:
         """Add a row; True when the search stops at it as a looping closure."""
         rows.append((u, v, s, parent, step))
         return stop_at_looping and s > 0 and u in v
@@ -400,15 +475,15 @@ def _saturate_closures(
                 known = seen.setdefault((lhs, strict), set())
                 if rhs not in known:
                     known.add(rhs)
-                    if keep(lhs, rhs, int(strict), -1, (i, 0)):
-                        return rows, len(rows) - 1
+                    if keep(lhs, rhs, int(strict), None, (i, 0)):
+                        return rows, rows[-1]
         head = 0
         while head < len(rows):
             if deadline is not None and time.monotonic() >= deadline:
                 return give_up(report, "deadline")
             if stop_at_looping and len(rows) > DEFAULT_NODE_BUDGET:
                 return give_up(report, "cap")
-            u, v, s, _, _ = rows[head]
+            u, v, s, _, _ = row = rows[head]
             n, used = len(v), s > 0
             redexes = memo.get(v)
             if redexes is None:
@@ -422,8 +497,8 @@ def _saturate_closures(
                 known = same_source[strict]
                 if nv not in known:
                     known.add(nv)
-                    if keep(u, nv, s + strict, head, (i, p)):
-                        return rows, len(rows) - 1
+                    if keep(u, nv, s + strict, row, (i, p)):
+                        return rows, rows[-1]
             for i, lhs, rhs, k, grow, strict in extending:
                 # v[split:] is a nonempty proper prefix of lhs.  The old steps
                 # replay unchanged on the extended source; the new step fires the
@@ -438,8 +513,8 @@ def _saturate_closures(
                     known = seen.setdefault((nu, used or strict), set())
                     if nv not in known:
                         known.add(nv)
-                        if keep(nu, nv, s + strict, head, (i, split)):
-                            return rows, len(rows) - 1
+                        if keep(nu, nv, s + strict, row, (i, split)):
+                            return rows, rows[-1]
             head += 1
         return rows, None
     finally:
@@ -447,14 +522,10 @@ def _saturate_closures(
             report.nodes += len(rows)
 
 
-def _closure(rows: list, j: int) -> ForwardClosure:
-    """The closure of row j, its trace read back through the parent rows."""
-    u, v, s, _, _ = rows[j]
-    trace = []
-    while j >= 0:  # from row j back to its seed
-        _, _, _, j, step = rows[j]
-        trace.append(Step(*step))
-    return ForwardClosure(_decode(u), _decode(v), s, tuple(reversed(trace)))
+def _closure(row: tuple) -> ForwardClosure:
+    """The closure of a saturation row."""
+    u, v, s, _, _ = row
+    return ForwardClosure(_decode(u), _decode(v), s, _trace(row))
 
 
 def forward_closures(
@@ -467,7 +538,7 @@ def forward_closures(
     Closures whose source or target exceeds the bound are discarded.
     """
     rows, _ = _saturate_closures(system, max_closure_size, stop_at_looping=False)
-    return [_closure(rows, j) for j in range(len(rows))]
+    return [_closure(row) for row in rows]
 
 
 def find_looping_forward_closure(
@@ -483,7 +554,7 @@ def find_looping_forward_closure(
     result = _saturate_closures(system, max_closure_size, True, deadline, report)
     if result is None or result[1] is None:
         return None
-    return _closure(*result)
+    return _closure(result[1])
 
 
 def replay_closure(closure: ForwardClosure, system: RelSRS) -> Word:

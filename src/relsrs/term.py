@@ -32,8 +32,9 @@ completes canonical assignments.  No earlier letter can be pruned this way:
 every prefix has a canonical completion, such as a last letter with (1,2)
 = (2,1) = -1.
 
-Before an arctic search runs, a greedy search looks for a growth witness,
-a derivation from some word w with more than |w| * E strict steps, E the
+Before an arctic search runs, the greedy search
+`relsrs.nonterm.search_growth_witness` looks for a growth witness, a
+derivation from some word w with more than |w| * E strict steps, E the
 largest entry, and one that replays ends the search `refuted`.  No arctic
 interpretation the search could return, in any dimension, survives it.
 The checker needs every letter's (1,1) entry finite and >= 0, so for every
@@ -115,8 +116,8 @@ from .core import (
     used_letters,
 )
 from .nonterm import (
-    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, SearchReport, _decode,
-    _encode, _encoded_rules, give_up, search_mixed_loop,
+    DEFAULT_MAX_STEPS, DEFAULT_MAX_WORD_LEN, DEFAULT_NODE_BUDGET, SearchReport, give_up,
+    search_growth_witness, search_mixed_loop,
 )
 
 # unused here, but perfbench/spans.py wraps these names in this module
@@ -579,23 +580,29 @@ def search_matrix(
 ) -> Optional[NaturalMatrixCertificate | ArcticMatrixCertificate]:
     """Certificate search for each dimension 1..max_dim in turn.
 
-    An arctic search first looks for a growth witness (`_growth_witness`,
-    under its own node budget `_WITNESS_NODES`).  A witness rules out every
-    arctic interpretation with entries up to max_entry, in every dimension,
-    so the search returns None with report.stop = "refuted" and the witness
-    in report.witness.  Otherwise the search is exhaustive (with pruning),
-    each dimension giving up after assignment_cap letter assignments or at
-    the monotonic-clock deadline, which sets report.stop to "cap" or
-    "deadline"; that None is not a proof of absence.  The deadline also
-    stops the witness search, whose nodes, found or not, go to
-    report.nodes.  A certificate found is re-checked by check_matrix, a
-    witness by replaying it and counting its strict steps, and either one
-    that fails its check raises RuntimeError."""
+    An arctic search first looks for a growth witness
+    (`relsrs.nonterm.search_growth_witness`, under its own node budget
+    `_WITNESS_NODES`).  A witness rules out every arctic interpretation with
+    entries up to max_entry, in every dimension, so the search returns None
+    with report.stop = "refuted" and the witness in report.witness.
+    Otherwise the search is exhaustive (with pruning), each dimension giving
+    up after assignment_cap letter assignments or at the monotonic-clock
+    deadline, which sets report.stop to "cap" or "deadline"; that None is
+    not a proof of absence.  The deadline also stops the witness search,
+    whose nodes, found or not, go to report.nodes.  A certificate found is
+    re-checked by check_matrix, a witness by replaying it and counting its
+    strict steps, and either one that fails its check raises
+    RuntimeError."""
     # a strict rule with an empty lhs ends the exhaustive search at once
     if semiring == "arctic" and all(rule.lhs or not rule.strict for rule in system.rules):
-        try:
-            witness = _growth_witness(system, max_entry, _WITNESS_NODES, deadline, report)
-        except _SearchStop:
+        # its own report, read even when the caller hands in none
+        own = SearchReport()
+        witness = search_growth_witness(
+            system, max_entry, _WITNESS_NODES, deadline=deadline, report=own
+        )
+        if report is not None:
+            report.nodes += own.nodes
+        if own.stop == "deadline":
             return give_up(report, "deadline")
         if witness is not None:
             _check_growth(witness, system, max_entry)
@@ -610,88 +617,8 @@ def search_matrix(
 
 # ---------------------------------------------------------- growth witness
 
-# the growth-witness search's node budget: each word it looks for a redex in
-# is a node, the start words included
+# the growth-witness search's node budget, a node per word it looks at
 _WITNESS_NODES = 2_000
-# the longest word it rewrites to
-_WITNESS_WORD_LEN = 50
-
-
-def _growth_witness(
-    system: RelSRS,
-    max_entry: int,
-    budget: int,
-    deadline: Optional[float],
-    report: Optional[SearchReport],
-) -> Optional[Derivation]:
-    """A derivation from some word w with more than |w| * max_entry strict
-    steps, or None when a greedy search finds none within `budget` nodes.
-
-    Start words come shorter first, then lexicographic, over the used
-    letters.  From each, up to three fixed rule orders rewrite greedily: the
-    first rule in the order that matches, at its leftmost redex.  Each
-    order takes the strict rules before the relative ones, and within each
-    kind, rule order, reverse rule order, or the rules that lengthen a word
-    most first (ties in rule order); an order equal to an earlier one is
-    skipped.  A run ends at a witness, at a word with no redex, before a
-    word longer than _WITNESS_WORD_LEN, or when a word comes back since its
-    last strict step: the rewriting depends on the word alone, so it would
-    cycle through relative steps forever.  Each word it looks for a redex
-    in is a node.  The search gives up after `budget` nodes (counting
-    budget + 1), and raises _SearchStop at the monotonic-clock deadline,
-    checked as each run starts.  A run counts its strict steps only; the
-    witness's steps are read off by running it again."""
-    encoded = _encoded_rules(enumerate(system.rules))
-    rules = [(lhs, rhs, grow, strict, i) for i, lhs, rhs, _, grow, strict in encoded]
-    orders: list = []
-    for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[2])):
-        order = [r for r in order if r[3]] + [r for r in order if not r[3]]
-        if order not in orders:
-            orders.append(order)
-    letters = _encode(used_letters(system))
-    nodes = 0
-    try:
-        for n in range(_WITNESS_WORD_LEN + 1):
-            need = n * max_entry
-            for start in map("".join, product(letters, repeat=n)):
-                for order in orders:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise _SearchStop()
-                    word, strict_steps, seen = start, 0, set()
-                    while word not in seen:
-                        seen.add(word)
-                        nodes += 1
-                        if nodes > budget:
-                            return None
-                        for lhs, rhs, grow, strict, _ in order:
-                            if lhs in word:
-                                break
-                        else:
-                            break
-                        if len(word) + grow > _WITNESS_WORD_LEN:
-                            break
-                        word = word.replace(lhs, rhs, 1)
-                        if strict:
-                            strict_steps += 1
-                            if strict_steps > need:
-                                return _greedy_derivation(start, order, strict_steps)
-                            seen.clear()
-        return None
-    finally:
-        if report is not None:
-            report.nodes += nodes
-
-
-def _greedy_derivation(start: str, order: list, strict_steps: int) -> Derivation:
-    """The steps of _growth_witness's run from `start` in `order`, up to
-    its strict_steps-th strict step."""
-    word, steps = start, []
-    while strict_steps:
-        lhs, rhs, _, strict, i = next(r for r in order if r[0] in word)
-        steps.append(Step(i, word.find(lhs)))
-        word = word.replace(lhs, rhs, 1)
-        strict_steps -= strict
-    return Derivation(_decode(start), tuple(steps))
 
 
 def _check_growth(witness: Derivation, system: RelSRS, max_entry: int) -> None:

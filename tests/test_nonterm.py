@@ -389,6 +389,34 @@ class TestEmittingChecker:
     def test_rejects_a_bad_redex(self, redex, reason):
         assert check_loop_certificate(self.cert(redex=redex), self.SYS).reason == reason
 
+    # Each certificate below is rejected by one guard alone: without it the
+    # checker accepts the certificate.
+
+    def test_rejects_an_unknown_kind_that_replays_as_emitting(self):
+        res = check_loop_certificate(self.cert(kind="sideways"), self.SYS)
+        assert res.reason == "unknown loop kind 'sideways'"
+
+    def test_rejects_no_steps_with_an_empty_strict_lhs(self):
+        system = parse_system("(RULES -> a , b ->= b)")
+        cert = LoopCertificate("emitting", (), (), (), (), EmittingRedex(0, "left", 0))
+        res = check_loop_certificate(cert, system)
+        assert res.reason == "loop must have at least one step"
+
+    def test_rejects_a_relative_lhs_in_a_flank(self):
+        # c ->= c c with the relative lhs c in the left flank: b -> never fires
+        system = parse_system("(RULES b -> , c ->= c c)")
+        c = system.word("c")
+        cert = LoopCertificate("emitting", c, (Step(1, 0),), c, (), EmittingRedex(1, "left", 0))
+        res = check_loop_certificate(cert, system)
+        assert res.reason == "redex witness must name a strict rule"
+
+    def test_rejects_a_negative_offset(self):
+        # c ->= a c ->= a a c; left[-2:-1] is the lhs a, but -2 is no offset
+        steps = (Step(1, 0), Step(1, 1))
+        bad = self.cert(steps=steps, left=self.SYS.word("a a"), redex=EmittingRedex(0, "left", -2))
+        res = check_loop_certificate(bad, self.SYS)
+        assert res.reason == "redex offset out of range"
+
     def test_rejects_a_flank_without_the_strict_lhs(self):
         system = parse_system("(RULES a -> b, c ->= b c)")
         cert = LoopCertificate(

@@ -51,10 +51,9 @@ from relsrs import (
 from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
 from relsrs.check import CheckResult, _rule_fault
 from relsrs.core import Derivation, replay, s_as_strict, strict_step_count, used_letters
-from relsrs.nonterm import give_up
+from relsrs.nonterm import give_up, search_growth_witness
 from relsrs.term import (
-    _WITNESS_NODES, _FlatKernel, _growth_witness, _Level, _last_candidates, _matrix_search,
-    _SearchStop,
+    _WITNESS_NODES, _FlatKernel, _Level, _last_candidates, _matrix_search, _SearchStop,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1146,7 +1145,7 @@ class TestGrowthWitness:
 
     @staticmethod
     def witness(system, max_entry, budget=_WITNESS_NODES, report=None):
-        return _growth_witness(system, max_entry, budget, None, report)
+        return search_growth_witness(system, max_entry, budget, report=report)
 
     # systems with a witness at each entry bound
     @example(parse_system("(RULES a b -> b b a , b ->= )"), 2)
@@ -1231,9 +1230,57 @@ class TestGrowthWitness:
         ],
     )
     def test_unsound_witness_raises(self, monkeypatch, witness, match):
-        monkeypatch.setattr("relsrs.term._growth_witness", lambda *args: witness)
+        monkeypatch.setattr("relsrs.term.search_growth_witness", lambda *a, **k: witness)
         with pytest.raises(RuntimeError, match=match):
             search_matrix(self.AB_BBA, "arctic", 2, 1)
+
+
+class TestFrozenWitnessResults:
+    # recorded with the growth-witness search in relsrs.term, before it moved
+    # to relsrs.nonterm: 3,072 searches, 444 witnesses
+    DIGEST = "882e40b9f36ce75dd32b7d474afa2b0f047dffedbe02bb7a11ac0f5b265acdc8"
+
+    def test_small_system_witnesses_are_unchanged(self):
+        """The growth-witness search at E = 1 and 2 under _WITNESS_NODES on
+        every system of `EnumerationConfig(2, 4)` and `(3, 4)` as is,
+        strictified, and with S alone made strict, unless it has a strict
+        rule with an empty lhs.  DIGEST was made by this snippet:
+
+            from relsrs.term import _WITNESS_NODES, _growth_witness
+            h = hashlib.sha256()
+            for config in (EnumerationConfig(2, 4), EnumerationConfig(3, 4)):
+                for system in enumerate_systems(config):
+                    for form in (system, strictify(system), s_as_strict(system)):
+                        if any(r.strict and not r.lhs for r in form.rules):
+                            continue
+                        for e in (1, 2):
+                            report = SearchReport()
+                            w = _growth_witness(form, e, _WITNESS_NODES, None, report)
+                            data = None if w is None else [
+                                list(w.start),
+                                [[s.rule_index, s.position] for s in w.steps]]
+                            h.update(json.dumps([data, report.stop, report.nodes]
+                                                ).encode() + b"\n")
+            h.hexdigest()
+        """
+        h = hashlib.sha256()
+        searches = found = 0
+        for config in (EnumerationConfig(2, 4), EnumerationConfig(3, 4)):
+            for system in enumerate_systems(config):
+                for form in variants(system):
+                    if any(r.strict and not r.lhs for r in form.rules):
+                        continue
+                    for e in (1, 2):
+                        report = SearchReport()
+                        w = search_growth_witness(form, e, _WITNESS_NODES, report=report)
+                        data = None if w is None else [
+                            list(w.start), [[s.rule_index, s.position] for s in w.steps]
+                        ]
+                        h.update(json.dumps([data, report.stop, report.nodes]).encode() + b"\n")
+                        searches += 1
+                        found += w is not None
+        assert (searches, found) == (3_072, 444)
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestSearchLeavesNoCycle:
@@ -1489,6 +1536,17 @@ def test_each_module_imports_its_layers():
     assert {module: package for module, (package, _) in found.items()} == LAYERS
     for module, (_, other) in found.items():
         assert other <= STDLIB, module
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A `_`-prefixed name stays inside its module: no module of the package
+    imports one from another."""
+    private = []
+    for module in MODULES:
+        for node in ast.walk(_tree(module)[0]):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{module}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_checker_imports_no_search_module():
