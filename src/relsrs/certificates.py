@@ -18,7 +18,7 @@ held in memory; "-inf" is only its JSON spelling.  The checker and this
 schema use all of it.  The matrix search takes only the certificate
 class and, in `term._FlatKernel` alone, the name, identity and
 `corner_only`: it has its own arithmetic and entry pool, and restates the
-letter conditions on rows.
+letter conditions as pools of the (1,1) and (d,d) entries.
 """
 
 from __future__ import annotations

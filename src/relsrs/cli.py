@@ -195,6 +195,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     out_dir: Optional[Path] = Path(args.out) if args.out is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if any(out_dir.iterdir()):  # its old files would sit beside the new manifest
+            raise ValueError(f"--out directory {out_dir} is not empty")
     stream = enumerate_systems(config)
 
     def written():

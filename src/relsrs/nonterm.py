@@ -48,7 +48,7 @@ The memo changes what is computed, not what is counted: the kernels walk
 the redexes in the order the rewriting generates them, count a redex as
 one node and a too-long rule as its number of matches, and check the cap after
 each, so a cap that falls inside a run of too-long matches still stops at
-cap + 1 nodes.  The deadline is checked before each expansion, as before.
+cap + 1 nodes.  The deadline is checked before each expansion.
 """
 
 from __future__ import annotations
@@ -336,10 +336,10 @@ def search_growth_witness(
     last strict step: the rewriting depends on the word alone, so it would
     cycle through relative steps forever.  Each word it looks for a redex
     in is a node.  The search gives up after node_budget nodes (counting
-    node_budget + 1) with report.stop left as it was, and at the
-    monotonic-clock deadline, checked as each run starts, with report.stop
-    "deadline".  A run counts its strict steps only; the witness's steps
-    are read off by running it again."""
+    node_budget + 1) with report.stop "cap", and at the monotonic-clock
+    deadline, checked as each run starts, with report.stop "deadline".  A
+    run counts its strict steps only; the witness's steps are read off by
+    running it again."""
     rules = _encoded_rules(enumerate(system.rules))
     orders: list = []
     for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[4])):
@@ -358,7 +358,7 @@ def search_growth_witness(
                     seen.add(word)
                     nodes += 1
                     if nodes > node_budget:
-                        return None
+                        return give_up(report, "cap")
                     for _, lhs, rhs, _, grow, strict in order:
                         if lhs in word:
                             break

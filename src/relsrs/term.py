@@ -20,7 +20,8 @@ fails (b ->=); once per prefix, each run of earlier letters is multiplied;
 a visit to a candidate only multiplies what mixes it with the prefix.
 Every candidate visited counts as a node, so the order of the search, its
 node counts and its certificates are those of multiplying out every rule
-afresh.
+afresh.  Its tables (candidates, entries, the last letter's below) are
+made as the search first reaches them: none ahead of the cap or deadline.
 
 At d = 2 the arctic search skips conjugates: D M D^-1 with D = diag(0, p)
 keeps every rule's verdict and adds -p to (1,2) entries and p to (2,1)
@@ -94,7 +95,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import groupby, product
+from itertools import compress, groupby, product, repeat
 from operator import ge, itemgetter
 from typing import Optional
 
@@ -315,11 +316,10 @@ class _Made:
 class _FlatKernel:
     """What the matrix search knows about a semiring at one dimension: the
     product of flat matrices, the identity, the rule test, and the letter
-    matrices allowed, in row-major lexicographic order over the entry pool.
-    These candidates are made as the search first reaches them and kept: at
-    d = 3 the arctic pool gives over a million, more than a capped or timed
-    search visits.  The letter condition (`Semiring.letter_fault`) is put on
-    the rows it reads: filtering a product's factors keeps its order.
+    matrices allowed, the product of one pool per entry in row-major order,
+    made as the search first reaches them and kept (at d = 3 the arctic pool
+    gives over a million).  The letter condition (`Semiring.letter_fault`)
+    filters the first and last pools, which keeps the product's order.
     `conjugation_top` is the top entry of the d = 2 arctic filter, or None."""
 
     def __init__(self, semiring: Semiring, d: int, max_entry: int):
@@ -336,11 +336,10 @@ class _FlatKernel:
         self.mul = mul_2 if d == 2 else partial(mul_any, d)
         self.corner = d - 1 if semiring.corner_only else None
         self.identity = tuple(x for row in semiring.identity(d) for x in row)
-        rows = list(product(pool, repeat=d))
-        slots = [rows] * d
-        slots[0] = [r for r in rows if r[0] >= first]
-        slots[-1] = [r for r in slots[-1] if r[-1] >= last]
-        self.candidates = _Made(sum(m, ()) for m in product(*slots))
+        pools = [pool] * (d * d)
+        pools[0] = [x for x in pool if x >= first]
+        pools[-1] = [x for x in pools[-1] if x >= last]
+        self.candidates = _Made(product(*pools))
 
     def decreases(self, left: tuple, right: tuple, strict: bool) -> bool:
         """The test of a rule whose sides map to `left` and `right`: >=
@@ -456,7 +455,7 @@ class _Level:
 def _last_candidates(kernel: _FlatKernel, items):
     """last(prefix): the `items` made for the kernel's candidates, in the
     same order; under the arctic d = 2 conjugation filter only those of the
-    canonical completions."""
+    canonical completions, from a table per shift made as it is read."""
     top = kernel.conjugation_top
     if top is None:
         return lambda prefix: items
@@ -467,15 +466,15 @@ def _last_candidates(kernel: _FlatKernel, items):
     def shift(prefix: list) -> int:  # p lowers the first finite off-diagonal entry; 0, none
         return next((1 if m[1] != NEG_INF else -1 for m in prefix if max(m[1:3]) != NEG_INF), 0)
 
-    def last(prefix: list) -> list:
-        p = shift(prefix)
-        return items if any(blocks(m, p) for m in prefix) else lists[p]
+    def fits(m: tuple, p: int) -> bool:  # m completes a prefix of shift p canonically
+        p = p or shift([m])  # after a prefix of shift 0, m's own shift
+        return p == 0 or blocks(m, p)
 
-    pairs = list(zip(kernel.candidates, items))
-    items = [x for _, x in pairs]
-    lists = {p: [x for m, x in pairs if blocks(m, p)] for p in (1, -1)}
-    # canonical alone: no finite off-diagonal entry, or m blocks its own shift
-    lists[0] = [x for m, x in pairs if max(m[1:3]) == NEG_INF or blocks(m, shift([m]))]
+    def last(prefix: list):
+        p = shift(prefix)
+        return items if any(blocks(m, p) for m in prefix) else tables[p]
+
+    tables = {p: _Made(compress(items, map(fits, kernel.candidates, repeat(p)))) for p in (1, -1, 0)}
     return last
 
 

@@ -306,6 +306,20 @@ class TestEnumerate:
         code, _ = run("parse", str(out_dir / "s02_00000001.srs"))
         assert code == 0
 
+    def test_output_directory_must_be_empty(self, run, tmp_path):
+        out_dir = tmp_path / "systems"
+        code, out = run("enumerate", "--alphabet", "2", "--max-size", "3", "--out", str(out_dir))
+        assert code == 0 and out == "OK 136 systems\n"
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        code, out = run("enumerate", "--alphabet", "1", "--max-size", "2", "--out", str(out_dir))
+        assert code == 2 and out == f"ERROR: --out directory {out_dir} is not empty\n"
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        # an empty directory is used as it is
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out = run("enumerate", "--alphabet", "1", "--max-size", "2", "--out", str(empty))
+        assert code == 0 and out == "OK 9 systems\n"
+
     def test_sorted_names_follow_the_stream(self, run, tmp_path):
         out_dir = tmp_path / "systems"
         code, _ = run("enumerate", "--alphabet", "2", "--max-size", "4", "--out", str(out_dir))

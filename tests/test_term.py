@@ -987,7 +987,7 @@ class TestArcticConjugates:
             expected = [
                 m for m in cands if is_canonical([rows_of(x, 2) for x in prefix + [m]], top)
             ]
-            assert last(prefix) == expected, prefix
+            assert list(last(prefix)) == expected, prefix
 
     def test_other_searches_keep_every_candidate(self):
         for semiring, d in ((NATURAL, 2), (ARCTIC, 1), (ARCTIC, 3)):
@@ -1198,6 +1198,7 @@ class TestGrowthWitness:
         at, below = SearchReport(), SearchReport()
         assert self.witness(self.AB_BBA, 1, found.nodes, at) == witness is not None
         assert self.witness(self.AB_BBA, 1, found.nodes - 1, below) is None
+        assert (at.stop, below.stop) == ("none", "cap")
         # the node that crosses the budget is counted
         assert at.nodes == below.nodes == found.nodes
         # a crossed budget hands over to the exhaustive search
@@ -1236,9 +1237,9 @@ class TestGrowthWitness:
 
 
 class TestFrozenWitnessResults:
-    # recorded with the growth-witness search in relsrs.term, before it moved
-    # to relsrs.nonterm: 3,072 searches, 444 witnesses
-    DIGEST = "882e40b9f36ce75dd32b7d474afa2b0f047dffedbe02bb7a11ac0f5b265acdc8"
+    # 3,072 searches, 444 witnesses; 1,948 of the searches without one stop
+    # at the node budget ("cap", 2,001 nodes), the other 1,124 with "none"
+    DIGEST = "2c92834867442f9f7aa57cbe42f825ab14fcc617dfee641f670f71e71b5f2c4d"
 
     def test_small_system_witnesses_are_unchanged(self):
         """The growth-witness search at E = 1 and 2 under _WITNESS_NODES on
@@ -1246,7 +1247,8 @@ class TestFrozenWitnessResults:
         strictified, and with S alone made strict, unless it has a strict
         rule with an empty lhs.  DIGEST was made by this snippet:
 
-            from relsrs.term import _WITNESS_NODES, _growth_witness
+            from relsrs.nonterm import search_growth_witness
+            from relsrs.term import _WITNESS_NODES
             h = hashlib.sha256()
             for config in (EnumerationConfig(2, 4), EnumerationConfig(3, 4)):
                 for system in enumerate_systems(config):
@@ -1255,7 +1257,8 @@ class TestFrozenWitnessResults:
                             continue
                         for e in (1, 2):
                             report = SearchReport()
-                            w = _growth_witness(form, e, _WITNESS_NODES, None, report)
+                            w = search_growth_witness(form, e, _WITNESS_NODES,
+                                                      report=report)
                             data = None if w is None else [
                                 list(w.start),
                                 [[s.rule_index, s.position] for s in w.steps]]
@@ -1323,6 +1326,48 @@ class TestSearchLeavesNoCycle:
             tracemalloc.stop()
             gc.enable()
         assert held < 2**20
+
+
+def traced_peak(f):
+    """f()'s result and the peak of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestTablesAreMadeAsRead:
+    """The matrix search makes its tables (the candidates, each level's
+    entries and the last letter's tables under the conjugation filter) as it
+    first reads them, so a search that stops early builds little of them."""
+
+    def test_first_candidate(self):
+        # listing the rows of every slot first would take 24.2 MiB (3 x 226,981 rows)
+        first, peak = traced_peak(lambda: next(iter(_FlatKernel(NATURAL, 3, 60).candidates)))
+        assert first == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert peak < 2**20
+
+    def test_first_canonical_completion(self):
+        # making all 255,507 candidates first would take 37.7 MiB
+        def first_completion():
+            kernel = _FlatKernel(ARCTIC, 2, 20)
+            return next(iter(_last_candidates(kernel, kernel.candidates)([])))
+
+        first, peak = traced_peak(first_completion)
+        assert first == (0, NEG_INF, NEG_INF, NEG_INF)
+        assert peak < 2**20
+
+    def test_early_certificate(self):
+        # the certificate comes after 3,065 of the 255,507 candidates; making
+        # every candidate and its entry first would take 39.4 MiB
+        report = SearchReport()
+        system = parse_system("(RULES a a -> , ->= b a b)")
+        cert, peak = traced_peak(lambda: search_matrix(system, "arctic", 2, 20, report=report))
+        assert cert is not None and report.nodes == 3_065
+        assert peak < 2**20
 
 
 class TestVerifyDispatch:
