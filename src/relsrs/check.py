@@ -211,7 +211,7 @@ def check_weights(cert: WeightCertificate, system: RelSRS) -> CheckResult:
             wl = sum(map(scaled, rule.lhs))
             wr = sum(map(scaled, rule.rhs))
         except KeyError as e:
-            return CheckResult(False, f"unknown letter {system.letters[e.args[0]]!r}")
+            return CheckResult(False, f"no weight for letter {system.letters[e.args[0]]!r}")
         if rule.strict:
             if not wl > wr:
                 return CheckResult(

@@ -29,10 +29,11 @@ chr(letter), which serves any alphabet size: redex matching, the loop
 test, the redex-in-context test and the closure factor test are then
 str.find, startswith and `in`, which run in C.  Words are decoded back to
 tuples only for what is returned: the certificate, the ForwardClosure
-records, the growth witness.  The loop kernel and saturation keep what
-they reach as rows that end (parent row, step), and `_trace` reads a
-derivation back through them: a loop row per word kept, a saturation row
-(source, target, strict steps, parent row, step) per closure.
+records, the growth witness.  All three searches keep what they reach as
+rows that end (parent row, step), and `_trace` reads a derivation back
+through them: a loop row per word kept, a saturation row (source, target,
+strict steps, parent row, step) per closure, a witness row (parent row,
+step) per greedy step.
 
 Each loop search or saturation call expands a word once.  `_redexes`
 lists a word's one-step rewrites by rule, then position; a rule whose
@@ -161,7 +162,6 @@ def _trace(row: Optional[tuple]) -> tuple[Step, ...]:
 def _search_loop(
     system: RelSRS,
     rules,
-    kind: str,
     witness,
     max_word_len: int,
     max_steps: int,
@@ -173,9 +173,10 @@ def _search_loop(
     """Breadth-first loop search over the (index, rule) pairs `rules`.
 
     A successor containing the start word goes to witness(start, successor,
-    a strict step was used), which gives None or (split position, redex)
-    for a `kind` certificate.  The bounds, the node budget cap, deadline and
-    report work as in search_mixed_loop.
+    a strict step was used), which gives None or (split position, redex):
+    a mixed certificate when the redex is None, an emitting one otherwise.
+    The bounds, the node budget cap, deadline and report work as in
+    search_mixed_loop.
     """
     rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
@@ -220,7 +221,7 @@ def _search_loop(
                             if found is not None:
                                 q, redex = found
                                 return LoopCertificate(
-                                    kind=kind,
+                                    kind="mixed" if redex is None else "emitting",
                                     start=_decode(start),
                                     steps=_trace((reached, row)),
                                     left=_decode(nxt[:q]),
@@ -268,7 +269,7 @@ def search_mixed_loop(
     if not any(r.strict for r in system.rules):
         return None
     return _search_loop(
-        system, enumerate(system.rules), "mixed", _mixed_witness,
+        system, enumerate(system.rules), _mixed_witness,
         max_word_len, max_steps, max_start_len, node_budget, deadline, report,
     )
 
@@ -307,7 +308,7 @@ def search_emitting_loop(
         return None
 
     return _search_loop(
-        system, rel_rules, "emitting", witness,
+        system, rel_rules, witness,
         max_word_len, max_steps, max_start_len, node_budget, deadline, report,
     )
 
@@ -338,8 +339,8 @@ def search_growth_witness(
     in is a node.  The search gives up after node_budget nodes (counting
     node_budget + 1) with report.stop "cap", and at the monotonic-clock
     deadline, checked as each run starts, with report.stop "deadline".  A
-    run counts its strict steps only; the witness's steps are read off by
-    running it again."""
+    run keeps a row per step, and `_trace` reads the witness back from the
+    row of the strict step that passes |w| * max_entry."""
     rules = _encoded_rules(enumerate(system.rules))
     orders: list = []
     for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[4])):
@@ -353,40 +354,31 @@ def search_growth_witness(
             for order in orders:
                 if deadline is not None and time.monotonic() >= deadline:
                     return give_up(report, "deadline")
-                word, strict_steps, seen = start, 0, set()
+                word, strict_steps, seen, row = start, 0, set(), None
                 while word not in seen:
                     seen.add(word)
                     nodes += 1
                     if nodes > node_budget:
                         return give_up(report, "cap")
-                    for _, lhs, rhs, _, grow, strict in order:
+                    for i, lhs, rhs, _, grow, strict in order:
                         if lhs in word:
                             break
                     else:
                         break
                     if len(word) + grow > _WITNESS_WORD_LEN:
                         break
+                    # the leftmost redex, the one replace rewrites
+                    row = (row, (i, word.find(lhs)))
                     word = word.replace(lhs, rhs, 1)
                     if strict:
                         strict_steps += 1
                         if strict_steps > need:
-                            return _greedy_derivation(start, order, strict_steps)
+                            return Derivation(_decode(start), _trace(row))
                         seen.clear()
         return None
     finally:
         if report is not None:
             report.nodes += nodes
-
-
-def _greedy_derivation(start: str, order: list, strict_steps: int) -> Derivation:
-    """The run from `start` in `order` up to its strict_steps-th strict step."""
-    word, steps = start, []
-    while strict_steps:
-        i, lhs, rhs, _, _, strict = next(r for r in order if r[1] in word)
-        steps.append(Step(i, word.find(lhs)))
-        word = word.replace(lhs, rhs, 1)
-        strict_steps -= strict
-    return Derivation(_decode(start), tuple(steps))
 
 
 def reverse_loop_certificate(cert: LoopCertificate, system: RelSRS) -> LoopCertificate:

@@ -29,9 +29,10 @@ ones.  An assignment is canonical unless the shift p = 1 or -1 that lowers
 its first finite off-diagonal entry in search order stays in the pool
 {-inf, -1, ..., max_entry}.  The first assignment that holds is canonical,
 or that shift of it would hold and come first, so the last letter only
-completes canonical assignments.  No earlier letter can be pruned this way:
-every prefix has a canonical completion, such as a last letter with (1,2)
-= (2,1) = -1.
+completes canonical assignments: the search finds the full search's first
+certificate and visits fewer assignments.  No earlier letter can be pruned
+this way: every prefix has a canonical completion, such as a last letter
+with (1,2) = (2,1) = -1.
 
 Before an arctic search runs, the greedy search
 `relsrs.nonterm.search_growth_witness` looks for a growth witness, a

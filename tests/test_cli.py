@@ -22,6 +22,7 @@ from relsrs import (
 from relsrs.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 ABA = "(RULES a b -> a, c ->= b c)\n"
 TERMINATING = "(RULES a b -> a, b ->= )\n"
@@ -291,6 +292,34 @@ class TestEnumerate:
         assert out.splitlines()[0] == "OK 14 systems"
         assert "universe: 31 rules (relative identity rules excluded: 3)" in out
         assert "size 2: 14" in out
+
+    def test_readme_example(self, run):
+        # the README's `$ relsrs enumerate ...` block, byte for byte
+        command = "$ relsrs enumerate --alphabet 2 --max-size 3\n"
+        text = README.read_text()
+        start = text.index(command) + len(command)
+        code, out = run(*command.split()[2:])
+        assert code == 0 and out == text[start : text.index("```\n", start)]
+
+    def test_size_zero_line(self, run):
+        # the one system of size 0, the strict rule "->", gets its own manifest line
+        code, out = run(
+            "enumerate", "--alphabet", "1", "--max-size", "0",
+            "--allow-unused-letters", "--allow-empty-s",
+        )
+        assert code == 0
+        assert out == (
+            "OK 1 systems\n"
+            "relative SRS enumeration manifest\n"
+            "config: alphabet=1 max-size=0 require-all-letters=off nonempty-R=on"
+            " nonempty-S=off identify-reversal=off prune-trivial=off\n"
+            "universe: 1 rules (relative identity rules excluded: 1)\n"
+            "size 0: 1\n"
+            "total: 1\n"
+            "noncanonical skipped: 0\n"
+            "rejected (letters unused): 0\n"
+            "pruned trivial: 0\n"
+        )
 
     def test_output_directory(self, run, tmp_path):
         out_dir = tmp_path / "systems"

@@ -14,6 +14,7 @@ from relsrs import (
     Derivation,
     EmittingRedex,
     EnumerationConfig,
+    ForwardClosure,
     LoopCertificate,
     RelSRS,
     Rule,
@@ -77,6 +78,12 @@ class TestMixedLoopSearch:
         # S can cycle forever, but no strict rule ever fires
         sys_ = parse_system("(RULES a b -> b, c ->= c)")
         assert search_mixed_loop(sys_, max_word_len=6, max_steps=8) is None
+
+    def test_none_without_a_strict_rule(self):
+        # no mixed loop can use a strict step, so nothing is searched
+        report = SearchReport()
+        assert search_mixed_loop(parse_system("(RULES a ->= b)"), report=report) is None
+        assert (report.stop, report.nodes) == ("none", 0)
 
     def test_node_budget_gives_up(self):
         assert search_mixed_loop(ABA, node_budget=1) is None
@@ -504,6 +511,13 @@ class TestForwardClosures:
         shrinking = next(c for c in closures if len(c.source) > len(c.target))
         with pytest.raises(ValueError):
             closure_to_loop_certificate(shrinking, ABA)
+
+    def test_closure_to_loop_rejects_a_trace_that_ends_elsewhere(self):
+        # a -> b from a reaches b, not the claimed target b b
+        system = parse_system("(RULES a -> b)")
+        closure = ForwardClosure((0,), (1, 1), 1, (Step(0, 0),))
+        with pytest.raises(ValueError, match="^closure trace does not replay to its target$"):
+            closure_to_loop_certificate(closure, system)
 
     def test_zero_strict_conversion_fails_the_checker(self):
         # (c -> b c) embeds its source but has no strict step; the converted

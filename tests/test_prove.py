@@ -318,9 +318,9 @@ class TestSharedBudgetGap:
 
 class TestInvariance:
     def test_letter_swap_and_reversal_keep_the_verdict(self):
-        # every canonical two-letter system up to size 4
-        systems = list(enumerate_systems(EnumerationConfig(2, 4)))
-        assert len(systems) == 987
+        # every canonical two-letter system up to size 5
+        systems = list(enumerate_systems(EnumerationConfig(2, 5)))
+        assert len(systems) == 5821
         for system in systems:
             swapped = RelSRS(system.letters, tuple(
                 Rule(tuple(1 - c for c in r.lhs), tuple(1 - c for c in r.rhs), r.strict)
@@ -375,7 +375,7 @@ class TestWeakeningAudit:
     system a search gap."""
 
     # the number of distinct weakenings of the YES and MAYBE systems
-    @pytest.mark.parametrize("letters,max_size,proofs", [(2, 5, 451), (3, 4, 136)])
+    @pytest.mark.parametrize("letters,max_size,proofs", [(2, 6, 2673), (3, 4, 136)])
     def test_no_yes_or_maybe_system_has_a_no_weakening(self, letters, max_size, proofs):
         verdicts: dict[RelSRS, str] = {}
         for system in enumerate_systems(EnumerationConfig(letters, max_size)):

@@ -107,7 +107,7 @@ class TestWeightChecker:
 
     def test_missing_letter_reported(self):
         res = check_weights(WeightCertificate({"a": 0}), AB_A)
-        assert not res and res.reason == "unknown letter 'b'"
+        assert not res and res.reason == "no weight for letter 'b'"
 
     def test_extra_letters_ignored(self):
         assert check_weights(WeightCertificate({"a": 0, "b": 1, "z": 7}), AB_A)
@@ -136,11 +136,11 @@ class TestCheckerWording:
              "relative rule a b ->= b b increases (17/12 < 3/2)"),
             ("(RULES -> a)", {"a": 0}, "strict rule -> a does not decrease (0 <= 0)"),
             ("(RULES a -> b, c ->= )", {"a": 2, "b": 1},
-             "unknown letter 'c'"),
+             "no weight for letter 'c'"),
             ("(RULES a -> b, b ->= c)", {"a": 2, "b": 3},
              "strict rule a -> b does not decrease (2 <= 3)"),
             ("(RULES a -> b, b c ->= c)", {"a": 2, "b": 1},
-             "unknown letter 'c'"),
+             "no weight for letter 'c'"),
             ("(RULES a -> b)", {"a": 1, "b": -1}, "negative weight for letter 'b'"),
             ("(RULES a -> b)", {"a": "1/2", "b": "-1/3"}, "negative weight for letter 'b'"),
         ],
