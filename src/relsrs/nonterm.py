@@ -259,7 +259,8 @@ def search_mixed_loop(
     """Bounded breadth-first search for a mixed loop; None when exhausted.
 
     max_start_len tightens the start-word length separately from the word
-    bound (it defaults to max_word_len, the complete choice up to the bound).
+    bound (it defaults to max_word_len, the complete choice up to the bound);
+    a negative one leaves no start word.
     node_budget (DEFAULT_NODE_BUDGET unless given) caps total generated
     search nodes across all start words; successors longer than
     max_word_len count too.  deadline (monotonic

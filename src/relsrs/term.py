@@ -12,16 +12,32 @@ entries, ints and NEG_INF, exact for the reasons given in `relsrs.check`.
 A found assignment is cut back into rows and re-checked by check_matrix.
 
 The search gives the letters their matrices in turn, and checks each rule
-at the level of its last letter, in stages.  Each side is split into runs
-of letters assigned earlier and runs of the level's letter.  Once per
-search, each candidate gets an entry that holds the powers those runs need
-(b b in a b -> b b a), or None when a rule in the level's letter alone
-fails (b ->=); once per prefix, each run of earlier letters is multiplied;
-a visit to a candidate only multiplies what mixes it with the prefix.
-Every candidate visited counts as a node, so the order of the search, its
-node counts and its certificates are those of multiplying out every rule
-afresh.  Its tables (candidates, entries, the last letter's below) are
-made as the search first reaches them: none ahead of the cap or deadline.
+at the level of each of its letters, in stages.  Each side is split into
+runs of other letters and runs of the level's letter.  Once per search,
+each candidate gets an entry that holds the powers those runs need (b b in
+a b -> b b a), or None when a rule in the level's letter alone fails
+(b ->=); once per prefix, each run of other letters is multiplied; a visit
+to a candidate only multiplies what mixes it with the prefix.  Its tables
+(candidates, entries, the last letter's below) are made as the search
+first reaches them: none ahead of the cap or deadline.
+
+At the level of its last letter a rule is checked exactly.  Before it, the
+rule is checked on bounds: each letter not yet assigned stands for `high`,
+the pool's entry-wise greatest matrix, on the left side and for `low`, its
+least, on the right.  Both semirings are monotone in every entry: the
+entries of a natural product are sums of products of entries >= 0, those
+of an arctic product maxima of sums, and each grows when any factor's
+entry grows.  So whatever the later letters are, the left side is at most
+its bound and the right side at least its bound, entry by entry, and the
+rule fails, for every completion, when its bounds fail the rule test:
+- some entry has left bound < right bound (any rule);
+- the (1,d) corner has left bound <= right bound (a strict natural rule);
+- some entry has left bound <= right bound while the right bound is not
+  -inf (a strict arctic rule).
+The candidate is then counted and not completed.  Only subtrees that hold
+no certificate are cut, so the search returns the full search's first
+certificate and, uncapped, the full search's answer; the assignment cap
+counts visited assignments only.
 
 At d = 2 the arctic search skips conjugates: D M D^-1 with D = diag(0, p)
 keeps every rule's verdict and adds -p to (1,2) entries and p to (2,1)
@@ -79,15 +95,23 @@ tests) sees every attempt.  prove runs the table in three phases:
 
 Most small systems are strictly terminating and settled by weights, and a
 system with weights has no loop, so putting the loop search after them
-only saves time.  A certificate that settles the system is returned as its
-verdict.  Every search checks the deadline itself and records in its
-SearchReport why it stopped; the attempt is logged `found` or with that
-record: `cap` for a search cut by its node budget or assignment cap,
-`deadline` for one cut by the deadline, `none` for one that found nothing
-within its bounds, `refuted` for an arctic search ended by a growth
-witness, with the witness's start word and count as the detail.  prove
-reads no clock: it returns `timeout` after the first attempt logged
-`deadline`.
+only saves time.  The direct phase's mixed-loop search is the strictified
+one with fewer steps counted strict: the same rules, start words and
+bounds.  A mixed loop within the bounds is a derivation of R union S that
+the strictified breadth-first search meets too, as it keeps every word it
+reaches within those bounds, and there every step counts strict.  So once
+the strictified loop search has ended `none`, the direct one has nothing to
+find: prove gives it no start word, and it returns `none` at once, still
+one call per attempt.  After `cap` or `deadline` it runs in full.
+
+A certificate that settles the system is returned as its verdict.  Every
+search checks the deadline itself and records in its SearchReport why it
+stopped; the attempt is logged `found` or with that record: `cap` for a
+search cut by its node budget or assignment cap, `deadline` for one cut by
+the deadline, `none` for one that found nothing within its bounds,
+`refuted` for an arctic search ended by a growth witness, with the
+witness's start word and count as the detail.  prove reads no clock: it
+returns `timeout` after the first attempt logged `deadline`.
 """
 
 from __future__ import annotations
@@ -321,6 +345,8 @@ class _FlatKernel:
     made as the search first reaches them and kept (at d = 3 the arctic pool
     gives over a million).  The letter condition (`Semiring.letter_fault`)
     filters the first and last pools, which keeps the product's order.
+    `low` and `high` are the entry-wise least and greatest candidates, read
+    off the pools, or None when a pool is empty and there is no candidate.
     `conjugation_top` is the top entry of the d = 2 arctic filter, or None."""
 
     def __init__(self, semiring: Semiring, d: int, max_entry: int):
@@ -341,6 +367,9 @@ class _FlatKernel:
         pools[0] = [x for x in pool if x >= first]
         pools[-1] = [x for x in pools[-1] if x >= last]
         self.candidates = _Made(product(*pools))
+        self.low = self.high = None
+        if all(pools):
+            self.low, self.high = tuple(map(min, pools)), tuple(map(max, pools))
 
     def decreases(self, left: tuple, right: tuple, strict: bool) -> bool:
         """The test of a rule whose sides map to `left` and `right`: >=
@@ -383,18 +412,23 @@ def _side(kernel: _FlatKernel, factors: list):
 
 
 class _Level:
-    """The rules the search checks at one level: those whose last letter in
-    search order is `letter`, their other letters being assigned at earlier
-    levels.
+    """The rules the search checks at one level: those in which `letter`
+    occurs.  Their other letters are assigned at earlier levels, or are in
+    `later`, assigned after this level.
 
     A rule in `letter` alone is decided once per candidate, by `entry`.
-    Each side of any other rule is split into runs of earlier letters and
+    Each side of any other rule is split into runs of other letters and
     runs of `letter`: `enter` multiplies the former once per prefix, and
     `entry` gives each candidate the powers the latter need, so a visit
-    only multiplies what mixes the candidate with the prefix."""
+    only multiplies what mixes the candidate with the prefix.  A letter in
+    `later` stands for the kernel's `high` on a left side and its `low` on
+    a right side, so a rule that still has one is tested on its bounds."""
 
-    def __init__(self, kernel: _FlatKernel, letter: int, rules: list[Rule]):
+    def __init__(
+        self, kernel: _FlatKernel, letter: int, rules: list[Rule], later: frozenset = frozenset()
+    ):
         self.kernel = kernel
+        self.later = later
         self.alone = []  # (|lhs|, |rhs|, strict)
         self.mixed = []  # (runs of lhs, runs of rhs, strict)
         for rule in rules:
@@ -433,16 +467,21 @@ class _Level:
 
     def enter(self, flats: list):
         """The test of the other rules for the prefix in `flats`: whether
-        they hold with a candidate, given its entry."""
+        they hold with a candidate, given its entry, or for a rule with a
+        letter in `later`, whether its bounds do."""
         kernel = self.kernel
-        decreases, mul, get = kernel.decreases, kernel.mul, flats.__getitem__
+        decreases, mul = kernel.decreases, kernel.mul
+        upper, lower = list(flats), list(flats)
+        for c in self.later:
+            upper[c], lower[c] = kernel.high, kernel.low
 
-        def side(runs: list):
+        def side(runs: list, matrices: list):
+            get = matrices.__getitem__
             return _side(
                 kernel, [self.power(k) if type(k) is int else reduce(mul, map(get, k)) for k in runs]
             )
 
-        plans = [(side(lhs), side(rhs), strict) for lhs, rhs, strict in self.mixed]
+        plans = [(side(lhs, upper), side(rhs, lower), strict) for lhs, rhs, strict in self.mixed]
 
         def holds(entry) -> bool:
             for lhs, rhs, strict in plans:
@@ -494,17 +533,17 @@ def _exhaustive_matrix_search(
         return None
     used = used_letters(system)
     kernel = _FlatKernel(semiring, d, max_entry)
+    if kernel.low is None:  # no candidate
+        return None
     flats: list = [None] * len(system.letters)
-    # a rule becomes checkable once all its letters are assigned; checking
-    # at the earliest such depth prunes the assignment tree hard.  A weak
-    # rule with no letters always holds.
-    position = {c: i for i, c in enumerate(used)}
-    ready: list[list[Rule]] = [[] for _ in used]
+    # a rule is checked at the level of each of its letters: on its bounds
+    # before its last letter, exactly at it.  A weak rule with no letters
+    # always holds.
+    ready: dict[int, list[Rule]] = {c: [] for c in used}
     for rule in system.rules:
-        letters = set(rule.lhs) | set(rule.rhs)
-        if letters:
-            ready[max(position[c] for c in letters)].append(rule)
-    levels = [_Level(kernel, c, rules) for c, rules in zip(used, ready)]
+        for c in set(rule.lhs + rule.rhs):
+            ready[c].append(rule)
+    levels = [_Level(kernel, c, ready[c], frozenset(used[i + 1 :])) for i, c in enumerate(used)]
     # each level's entry for each candidate, made once per search
     entries = [_Made(map(level.entry, kernel.candidates)) for level in levels]
     last = _last_candidates(kernel, entries[-1]) if used else None
@@ -687,9 +726,9 @@ def _methods(b: ProveBudget, deadline: Optional[float]) -> tuple:
     def weights(system: RelSRS, report: SearchReport):
         return search_weights(system, b.max_weight, **cap, report=report)
 
-    def loop(system: RelSRS, report: SearchReport):
+    def loop(system: RelSRS, report: SearchReport, max_start_len: int = b.loop_max_start_len):
         return search_mixed_loop(
-            system, b.loop_max_word_len, b.loop_max_steps, max_start_len=b.loop_max_start_len,
+            system, b.loop_max_word_len, b.loop_max_steps, max_start_len=max_start_len,
             node_budget=b.loop_node_budget, deadline=deadline, report=report,
         )
 
@@ -724,13 +763,23 @@ def prove(
     methods = _methods(budget, deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
+    # the strictified loop search ran to the end of its space
+    exhausted = False
     for tag, form in (("s-", s_as_strict), ("strictified-", strictify), ("", None)):
         if tag == "strictified-" and s_cert is None:
             continue
         phase_system = form(system) if form else system
         for name, detail, reason, search in methods:
             report = SearchReport()
-            cert = search(phase_system, report)
+            if exhausted and name == "mixed-loop" and not tag:
+                # no mixed loop is left to find; the search, given no start
+                # word, returns at once, so a wrapper still sees one call
+                # per attempt
+                cert = search(phase_system, report, max_start_len=-1)
+            else:
+                cert = search(phase_system, report)
+            if tag == "strictified-" and name == "mixed-loop":
+                exhausted = report.stop == "none"
             loop = isinstance(cert, LoopCertificate)
             if tag == "s-" and loop:
                 detail = "S alone does not terminate"

@@ -300,6 +300,55 @@ class TestBudgets:
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
 
 
+class TestExhaustedLoopSearch:
+    """A mixed loop within the loop bounds is a loop of R union S within the
+    same bounds, from the same start words.  So once the strictified loop
+    search has run to the end of its space, prove gives the direct-phase
+    search no start word, and logs the same attempts as the full search."""
+
+    SYSTEM = parse_system("(RULES a b -> b b a , b ->= )")
+
+    @classmethod
+    def run(cls, monkeypatch, budget, full=False):
+        """prove's outcome and, per loop search, its start-word bound, stop
+        and nodes; with `full`, every loop search gets the budget's bound."""
+        import relsrs.term
+
+        search, calls = relsrs.term.search_mixed_loop, []
+
+        def spy(system, *args, max_start_len, report, **kwargs):
+            if full:
+                max_start_len = budget.loop_max_start_len
+            cert = search(system, *args, max_start_len=max_start_len, report=report, **kwargs)
+            calls.append((max_start_len, report.stop, report.nodes))
+            return cert
+
+        with monkeypatch.context() as patch:
+            patch.setattr(relsrs.term, "search_mixed_loop", spy)
+            return prove(cls.SYSTEM, budget), calls
+
+    def test_the_direct_search_gets_no_start_word(self, monkeypatch):
+        budget = ProveBudget(matrix_max_dim=2, matrix_max_entry=1)
+        outcome, calls = self.run(monkeypatch, budget)
+        full, full_calls = self.run(monkeypatch, budget, full=True)
+        assert outcome == full and outcome.verdict == "MAYBE"
+        lines = [(a.method, a.outcome) for a in outcome.attempts]
+        assert ("strictified-loop", "none") in lines and ("mixed-loop", "none") in lines
+        (bound, stop, nodes), direct = calls
+        assert (bound, stop) == (budget.loop_max_start_len, "none") and nodes > 0
+        assert direct == (-1, "none", 0)
+        assert full_calls[1][2] > 0
+
+    def test_a_capped_strictified_search_leaves_the_direct_one_whole(self, monkeypatch):
+        budget = ProveBudget(matrix_max_dim=2, matrix_max_entry=1, loop_node_budget=50)
+        outcome, calls = self.run(monkeypatch, budget)
+        full, _ = self.run(monkeypatch, budget, full=True)
+        assert outcome == full
+        lines = [(a.method, a.outcome) for a in outcome.attempts]
+        assert ("strictified-loop", "cap") in lines and ("mixed-loop", "cap") in lines
+        assert [bound for bound, _, _ in calls] == [budget.loop_max_start_len] * 2
+
+
 class TestSharedBudgetGap:
     """ROADMAP item 1: all start words share one node budget, and the
     empty word, tried first, spends it on the insertions of S."""
@@ -316,16 +365,21 @@ class TestSharedBudgetGap:
         assert prove(self.SYSTEM).verdict == "NO"
 
 
+def rename(system: RelSRS, name) -> RelSRS:
+    """The system with each letter c written name[c]."""
+    return RelSRS(system.letters, tuple(
+        Rule(tuple(name[c] for c in r.lhs), tuple(name[c] for c in r.rhs), r.strict)
+        for r in system.rules
+    ))
+
+
 class TestInvariance:
     def test_letter_swap_and_reversal_keep_the_verdict(self):
         # every canonical two-letter system up to size 5
         systems = list(enumerate_systems(EnumerationConfig(2, 5)))
         assert len(systems) == 5821
         for system in systems:
-            swapped = RelSRS(system.letters, tuple(
-                Rule(tuple(1 - c for c in r.lhs), tuple(1 - c for c in r.rhs), r.strict)
-                for r in system.rules
-            ))
+            swapped = rename(system, (1, 0))
             verdict = prove(system).verdict
             assert prove(swapped).verdict == verdict, str(system)
             assert prove(reverse_system(system)).verdict == verdict, str(system)
@@ -339,21 +393,18 @@ class TestInvariance:
         for system in systems:
             verdict = prove(system).verdict
             for name in renamings:
-                renamed = RelSRS(system.letters, tuple(
-                    Rule(tuple(name[c] for c in r.lhs), tuple(name[c] for c in r.rhs), r.strict)
-                    for r in system.rules
-                ))
-                assert prove(renamed).verdict == verdict, (str(system), name)
+                assert prove(rename(system, name)).verdict == verdict, (str(system), name)
             assert prove(reverse_system(system)).verdict == verdict, str(system)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="matrix-arctic reaches its assignment cap before the certificate in one letter "
-        "order and finds it in the other",
-    )
     def test_reversal_keeps_the_verdict_at_three_letters(self):
-        system = parse_system("(RULES a b -> a, ->= c b)")
-        assert prove(system).verdict == prove(reverse_system(system)).verdict
+        # in some letter orders the arctic certificate lies beyond the
+        # assignment cap unless the matrix search prunes prefixes on bounds
+        for text in ("(RULES a b -> a, ->= c b)", "(RULES a b -> , ->= a c b)"):
+            system = parse_system(text)
+            for name in itertools.permutations(range(3)):
+                renamed = rename(system, name)
+                assert prove(renamed).verdict == "YES", (text, name)
+                assert prove(reverse_system(renamed)).verdict == "YES", (text, name)
 
 
 def _weakenings(system: RelSRS):

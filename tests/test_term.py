@@ -690,12 +690,16 @@ class TestFrozenMatrixResults:
     # certificates, 664 capped.  Since a strict rule with an empty lhs ends
     # the search before its first assignment, 430 of those capped searches,
     # each on a form with such a rule and each without a certificate, end
-    # `none`: 234 capped.
-    DIGEST = "4c9dc116b05706c947962f34eb0badf32ec86523b18673672a92e11527c69a6a"
+    # `none`: 234 capped.  Since the search prunes a prefix on its rules'
+    # bounds, 91 more end `none` and one finds a certificate, the natural
+    # d = 3 one of {a a -> , b -> a}: 142 capped.  Every certificate found
+    # before came back unchanged.
+    DIGEST = "8d398c9cdc2c8f80e8316ca0f47a10d00427a5ff611c99d8b6ee89353b157277"
     # each search's certificate, why it stopped and how many assignments it
-    # visited, recorded before the search evaluated rules in stages
-    REPORT_DIGEST = "3a28115dba7bb0f22770145db6b75770d707e37bc6c258c15c5f2d7eff5f68a4"
-    THREE_LETTER_DIGEST = "53cab46bf32c7f00b874f9ba43f5b73bd729a5380f29c9b0b1cdbaf9d2026779"
+    # visited, recorded once the search pruned prefixes on their bounds
+    REPORT_DIGEST = "65b6d890442b94657dffa464f3546a5c6eb830e692fc19877003d5b95dda414b"
+    # recorded alike: 27 of the 32 searches capped before end `none`
+    THREE_LETTER_DIGEST = "8a85a578f448bdbc6e9f10816a057be82501c1033bf06d9650d3e5ba0fcd9f12"
 
     def test_size_four_results_are_unchanged(self):
         """Both semirings at (max_dim, max_entry) = (2, 1) and (2, 2) under
@@ -738,7 +742,7 @@ class TestFrozenMatrixResults:
                     searches += 1
                     found += cert is not None
                     capped += is_capped
-        assert (searches, found, capped) == (3402, 1598, 234)
+        assert (searches, found, capped) == (3402, 1599, 142)
         assert h.hexdigest() == self.DIGEST
         assert reports.hexdigest() == self.REPORT_DIGEST
 
@@ -757,7 +761,7 @@ class TestFrozenMatrixResults:
                 searches += 1
                 found += cert is not None
                 capped += report.stop == "cap"
-        assert (searches, found, capped) == (1152, 642, 32)
+        assert (searches, found, capped) == (1152, 642, 5)
         assert h.hexdigest() == self.THREE_LETTER_DIGEST
 
     @staticmethod
@@ -1049,6 +1053,85 @@ class TestNaturalSearchOracle:
         cert = search_matrix(system, "natural", 2, 2)
         assert cert == first_fit(system, NATURAL, 2, 2)
         assert cert is not None and cert.dimension == 2
+
+
+class TestBoundPruning:
+    """Before a rule's last letter is assigned, the search tests the rule on
+    bounds: each unassigned letter stands for the pool's entry-wise greatest
+    matrix on the left side and its least on the right.  Both semirings are
+    monotone in every entry, so a prefix whose bounds fail the rule has no
+    completion that holds, and the search does not complete it."""
+
+    @pytest.mark.parametrize(
+        "text, semiring, max_entry",
+        [
+            ("(RULES a a -> , ->= b a b)", "natural", 1),
+            ("(RULES a a -> , ->= b a b)", "arctic", 1),
+            ("(RULES b b -> b a b)", "natural", 1),
+            ("(RULES b b -> b a b)", "arctic", 1),
+            ("(RULES a b b -> , a ->= a b a)", "natural", 1),
+            ("(RULES a b b -> , a ->= a b a)", "arctic", 1),
+            ("(RULES a b -> a, ->= c b)", "natural", 1),
+            ("(RULES a c -> c b a , b c ->= c b)", "natural", 1),
+            # the brute force would try 2.1 million arctic assignments of
+            # three letters at entries <= 1, and tries 19,683 at entries <= 0
+            ("(RULES a b -> a, ->= c b)", "arctic", 0),
+        ],
+    )
+    def test_uncapped_search_equals_first_fit(self, text, semiring, max_entry):
+        system = parse_system(text)
+        sr = NATURAL if semiring == "natural" else ARCTIC
+        for form in (system, strictify(system), s_as_strict(system)):
+            cert = _matrix_search(form, semiring, 2, max_entry, assignment_cap=10**9)
+            assert cert == first_fit(form, sr, 2, max_entry), str(form)
+
+    @staticmethod
+    def kept(semiring, max_entry, text, a):
+        """Whether the search completes letter a = `a` (flat) on the rules of
+        `text`, with b unassigned, and whether some b completes it."""
+        system, d = parse_system(text), int(len(a) ** 0.5)
+        kernel = _FlatKernel(semiring, d, max_entry)
+        level = _Level(kernel, 0, list(system.rules), frozenset({1}))
+        entry = level.entry(a)
+        kept = entry is not None and level.enter([a, None])(entry)
+        completes = any(
+            check_matrix(semiring.certificate(d, {"a": rows_of(a, d), "b": rows_of(b, d)}), system)
+            for b in kernel.candidates
+        )
+        # the search only drops what no completion holds
+        assert kept or not completes
+        return kept, completes
+
+    def test_an_entry_bound_below_the_other_side_prunes(self):
+        # a ->= b a a at arctic d = 1: the right side is at least 0 + 2a
+        assert self.kept(ARCTIC, 1, "(RULES a ->= b a a)", (1,)) == (False, False)
+        assert self.kept(ARCTIC, 1, "(RULES a ->= b a a)", (0,)) == (True, True)
+
+    def test_a_strict_natural_rule_prunes_at_the_corner(self):
+        # a -> a b with a the identity: the right side is at least the
+        # identity, so the corner cannot drop; the weak rule holds with b = I
+        identity = (1, 0, 0, 1)
+        assert self.kept(NATURAL, 1, "(RULES a -> a b)", identity) == (False, False)
+        assert self.kept(NATURAL, 1, "(RULES a ->= a b)", identity) == (True, True)
+
+    def test_a_strict_arctic_rule_prunes_at_a_finite_entry(self):
+        # the right side's (1,1) entry is at least a's own, 0
+        a = (0, NEG_INF, NEG_INF, NEG_INF)
+        assert self.kept(ARCTIC, 1, "(RULES a -> a b)", a) == (False, False)
+        assert self.kept(ARCTIC, 1, "(RULES a ->= a b)", a) == (True, True)
+
+    def test_a_strict_arctic_rule_keeps_a_minus_infinity_bound(self):
+        # a -> b: the least b has -inf wherever a has, and -inf >> -inf
+        a = (1, NEG_INF, NEG_INF, NEG_INF)
+        assert self.kept(ARCTIC, 1, "(RULES a -> b)", a) == (True, True)
+
+    def test_no_candidate_means_no_bounds(self):
+        # natural letters need a (1,1) entry >= 1, which entries <= 0 rule out
+        assert _FlatKernel(NATURAL, 2, 0).low is None
+        report = SearchReport()
+        system = parse_system("(RULES a b -> b a)")
+        assert _matrix_search(system, "natural", 2, 0, report=report) is None
+        assert (report.stop, report.nodes) == ("none", 0)
 
 
 class TestSearchNodes:
@@ -1361,12 +1444,14 @@ class TestTablesAreMadeAsRead:
         assert peak < 2**20
 
     def test_early_certificate(self):
-        # the certificate comes after 3,065 of the 255,507 candidates; making
-        # every candidate and its entry first would take 39.4 MiB
+        # the certificate comes after 2,645 visited assignments (3,065 before
+        # the search pruned prefixes on their bounds) of the 255,507
+        # candidates; making every candidate and its entry first would take
+        # 39.4 MiB
         report = SearchReport()
         system = parse_system("(RULES a a -> , ->= b a b)")
         cert, peak = traced_peak(lambda: search_matrix(system, "arctic", 2, 20, report=report))
-        assert cert is not None and report.nodes == 3_065
+        assert cert is not None and report.nodes == 2_645
         assert peak < 2**20
 
 
