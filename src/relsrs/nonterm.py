@@ -22,7 +22,12 @@ Both loop searches run one breadth-first kernel, `_search_loop`, and
 differ only in their rules and in the witness test on a successor that
 contains the start word.  Mixed: all rules, a strict step used, split at
 the leftmost occurrence.  Emitting: S alone, every occurrence scanned for a
-strict lhs inside a flank, left flank first.
+strict lhs inside a flank, left flank first.  The kernel counts a successor,
+then runs the witness test only if it is new for its "strict step used" flag.
+That is exact: the test reads start, word and flag alone, and each word was
+tested when first reached.  The start counts as reached unless it is its own
+witness, true of every start or of none (an empty strict lhs), so the kernel
+asks the empty word.  Closure saturation makes its seen sets on first lookup.
 
 Here, and nowhere else, a word is a str with one character per letter,
 chr(letter), which serves any alphabet size: redex matching, the loop
@@ -35,10 +40,9 @@ through them: a loop row per word kept, a saturation row (source, target,
 strict steps, parent row, step) per closure, a witness row (parent row,
 step) per greedy step.
 
-Each loop search or saturation call expands a word once.  `_redexes`
-lists a word's one-step rewrites by rule, then position; a rule whose
-successors would pass the length bound gives only its number of matches
-and builds no string.  Closure saturation counts kept closures, not
+`_redexes` lists a word's one-step rewrites by rule, then position; a rule
+whose successors would pass the length bound gives only its number of
+matches and builds no string.  Closure saturation counts kept closures, not
 successors, so it asks for no such counts and those rules go unsearched.
 The loop BFS keeps one dict word -> those redexes for all its start
 words, which meet the same words again and again, and closure saturation
@@ -55,6 +59,7 @@ cap + 1 nodes.  The deadline is checked before each expansion.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -134,8 +139,8 @@ def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
         if p < 0:
             continue
         if grow > room:
-            count = 0
-            while p >= 0:
+            count = 0 if k > 1 else word.count(lhs)  # matches of |lhs| < 2 never overlap
+            while k > 1 and p >= 0:
                 count += 1
                 p = word.find(lhs, p + 1)
             out.append(count)
@@ -172,23 +177,23 @@ def _search_loop(
 ) -> Optional[LoopCertificate]:
     """Breadth-first loop search over the (index, rule) pairs `rules`.
 
-    A successor containing the start word goes to witness(start, successor,
-    a strict step was used), which gives None or (split position, redex):
-    a mixed certificate when the redex is None, an emitting one otherwise.
-    The bounds, the node budget cap, deadline and report work as in
-    search_mixed_loop.
+    A successor new for its flag "a strict step was used" that contains the
+    start word goes to witness(start, successor, flag), exact by the module
+    docstring: None, or (split position, redex) for a mixed certificate when
+    the redex is None, else an emitting one.  The rest is as in search_mixed_loop.
     """
     rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     nodes = 0
+    own = witness("", "", False)  # every start is its own witness, or none is
     # one redex tuple per word for the whole call, shared by all start words
     memo: dict[str, tuple] = {}
     memo_rows = 0
     try:
-        for start in (w for w in _words(system, start_bound) if any(lhs in w for lhs in lhss)):
-            # the words reached, one set per flag "a strict step was used"
-            seen: tuple[set, set] = ({start}, set())
+        for start in (w for w in _words(system, start_bound) if any(map(w.__contains__, lhss))):
+            # the words reached with no strict step used, and with one
+            lax, tight = (set() if own else {start}, set())
             # (word, a strict step used, the row that reached it: (parent row,
             # redex), None for start)
             level = [(start, False, None)]
@@ -216,21 +221,21 @@ def _search_loop(
                             return give_up(report, "cap")
                         _, _, nxt, strict = row
                         nused = used or strict
-                        if start in nxt:
-                            found = witness(start, nxt, nused)
-                            if found is not None:
-                                q, redex = found
-                                return LoopCertificate(
-                                    kind="mixed" if redex is None else "emitting",
-                                    start=_decode(start),
-                                    steps=_trace((reached, row)),
-                                    left=_decode(nxt[:q]),
-                                    right=_decode(nxt[q + len(start) :]),
-                                    redex=redex,
-                                )
-                        table = seen[nused]
+                        table = tight if nused else lax
                         if nxt not in table:
                             table.add(nxt)
+                            if start in nxt:
+                                found = witness(start, nxt, nused)
+                                if found is not None:
+                                    q, redex = found
+                                    return LoopCertificate(
+                                        kind="mixed" if redex is None else "emitting",
+                                        start=_decode(start),
+                                        steps=_trace((reached, row)),
+                                        left=_decode(nxt[:q]),
+                                        right=_decode(nxt[q + len(start) :]),
+                                        redex=redex,
+                                    )
                             following.append((nxt, nused, (reached, row)))
                 if not following:
                     break
@@ -452,24 +457,17 @@ def _saturate_closures(
     extending = [rule for rule in rules if rule[3] >= 2]
     rows: list[tuple] = []
     # seen[(source, any strict step used)] = targets of the kept rows
-    seen: dict[tuple[str, bool], set[str]] = {}
+    seen: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
     # memo[target] = its redexes, for the whole call
     memo: dict[str, tuple] = {}
     memo_rows = 0
-
-    def keep(u: str, v: str, s: int, parent: Optional[tuple], step: tuple[int, int]) -> bool:
-        """Add a row; True when the search stops at it as a looping closure."""
-        rows.append((u, v, s, parent, step))
-        return stop_at_looping and s > 0 and u in v
-
     try:
         for i, lhs, rhs, k, _, strict in rules:
-            if k <= size and len(rhs) <= size:
-                known = seen.setdefault((lhs, strict), set())
-                if rhs not in known:
-                    known.add(rhs)
-                    if keep(lhs, rhs, int(strict), None, (i, 0)):
-                        return rows, rows[-1]
+            if k <= size and len(rhs) <= size and rhs not in seen[lhs, strict]:
+                seen[lhs, strict].add(rhs)
+                rows.append((lhs, rhs, int(strict), None, (i, 0)))
+                if stop_at_looping and strict and lhs in rhs:
+                    return rows, rows[-1]
         head = 0
         while head < len(rows):
             if deadline is not None and time.monotonic() >= deadline:
@@ -484,13 +482,14 @@ def _saturate_closures(
                 if memo_rows < _MEMO_ROWS:
                     memo[v] = redexes
                     memo_rows += len(redexes)
-            # the targets kept for (u, used or strict), indexed by strict
-            same_source = (seen.setdefault((u, used), set()), seen.setdefault((u, True), set()))
+            # the targets kept for (u, used or strict), by strict
+            loose, tight = seen[u, used], seen[u, True]
             for i, p, nv, strict in redexes:
-                known = same_source[strict]
+                known = tight if strict else loose
                 if nv not in known:
                     known.add(nv)
-                    if keep(u, nv, s + strict, row, (i, p)):
+                    rows.append((u, nv, s + strict, row, (i, p)))
+                    if stop_at_looping and (used or strict) and u in nv:
                         return rows, rows[-1]
             for i, lhs, rhs, k, grow, strict in extending:
                 # v[split:] is a nonempty proper prefix of lhs.  The old steps
@@ -503,10 +502,11 @@ def _saturate_closures(
                         continue
                     nu = u + lhs[n - split :]
                     nv = v[:split] + rhs
-                    known = seen.setdefault((nu, used or strict), set())
+                    known = seen[nu, used or strict]
                     if nv not in known:
                         known.add(nv)
-                        if keep(nu, nv, s + strict, row, (i, split)):
+                        rows.append((nu, nv, s + strict, row, (i, split)))
+                        if stop_at_looping and (used or strict) and nu in nv:
                             return rows, rows[-1]
             head += 1
         return rows, None

@@ -217,6 +217,127 @@ class TestNodeBudgetSweep:
             assert (cert, report.stop, report.nodes) == (None, *want), budget
 
 
+def _reference_loop_search(system, emitting, max_word_len, max_steps, max_start_len, cap):
+    """(certificate, stop, nodes) of a plain loop BFS that tests a successor
+    containing the start for a witness before it looks the successor up
+    among the words already reached, and keeps no memo."""
+    if emitting:
+        rules = [(i, r) for i, r in enumerate(system.rules) if not r.strict]
+        strict_lhss = [(i, nonterm._encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
+        if not rules or not strict_lhss:
+            return None, "none", 0
+    elif not any(r.strict for r in system.rules):
+        return None, "none", 0
+    else:
+        rules = list(enumerate(system.rules))
+
+    def witness(start, word, used):
+        if not emitting:
+            return (word.find(start), None) if used else None
+        for q in range(len(word) - len(start) + 1):
+            if not word.startswith(start, q):
+                continue
+            for side, flank in (("left", word[:q]), ("right", word[q + len(start) :])):
+                for j, lhs in strict_lhss:
+                    if lhs in flank:
+                        return q, EmittingRedex(j, side, flank.find(lhs))
+        return None
+
+    rules = nonterm._encoded_rules(rules)
+    start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
+    nodes = 0
+    for start in nonterm._words(system, start_bound):
+        if not any(rule[1] in start for rule in rules):
+            continue
+        seen = ({start}, set())
+        level = [(start, False, ())]
+        for _ in range(max_steps):
+            following = []
+            for word, used, steps in level:
+                for row in nonterm._redexes(word, rules, max_word_len):
+                    if isinstance(row, int):
+                        nodes += row
+                        if nodes > cap:
+                            return None, "cap", cap + 1
+                        continue
+                    nodes += 1
+                    if nodes > cap:
+                        return None, "cap", nodes
+                    i, p, nxt, strict = row
+                    nused = used or strict
+                    path = steps + (Step(i, p),)
+                    found = witness(start, nxt, nused) if start in nxt else None
+                    if found is not None:
+                        q, redex = found
+                        cert = LoopCertificate(
+                            kind="mixed" if redex is None else "emitting",
+                            start=nonterm._decode(start),
+                            steps=path,
+                            left=nonterm._decode(nxt[:q]),
+                            right=nonterm._decode(nxt[q + len(start) :]),
+                            redex=redex,
+                        )
+                        return cert, "none", nodes
+                    if nxt not in seen[nused]:
+                        seen[nused].add(nxt)
+                        following.append((nxt, nused, path))
+            if not following:
+                break
+            level = following
+    return None, "none", nodes
+
+
+class TestLoopKernelOrder:
+    """The loop kernel tests a successor for a witness only when it is new.
+    A reference that tests every successor containing the start first, on
+    random systems and budgets small enough to cap inside a word's redex
+    list, including its too-long counts, must agree on the certificate,
+    the stop and the node count.  Each system has strict and relative
+    rules, so both searches have work to do."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, k - 1), max_size=3),
+                    st.lists(st.integers(0, k - 1), max_size=3),
+                    st.booleans(),
+                ),
+                min_size=2,
+                max_size=4,
+            ).filter(lambda rules: len({strict for _, _, strict in rules}) == 2)
+        ),
+        st.booleans(),
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.one_of(st.none(), st.integers(-1, 4)),
+        st.integers(1, 300),
+    )
+    # an empty strict lhs sits in the empty flanks of the start itself, so
+    # the start is an emitting witness the first time it comes back
+    @example([([0], [1], False), ([1], [0], False), ([], [2], True)], True, 4, 4, None, 300)
+    @example([([0], [0], False), ([], [1], True)], True, 3, 3, 2, 300)
+    def test_agrees_with_the_reference(self, rules, emitting, word_len, steps, start_len, cap):
+        system = RelSRS(
+            ("a", "b", "c"),
+            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+        )
+        search = search_emitting_loop if emitting else search_mixed_loop
+        report = SearchReport()
+        cert = search(
+            system, word_len, steps, max_start_len=start_len, node_budget=cap, report=report
+        )
+        want, stop, nodes = _reference_loop_search(
+            system, emitting, word_len, steps, start_len, cap
+        )
+
+        def data(c):
+            return None if c is None else serialize_certificate(c, system)
+
+        assert (data(cert), report.stop, report.nodes) == (data(want), stop, nodes)
+
+
 class TestLoopChecker:
     def test_rejects_wrong_final_word(self):
         cert = search_mixed_loop(ABA)
@@ -596,6 +717,21 @@ class TestFrozenClosureResults:
     def test_saturation_sizes(self, bound, count):
         # recorded with the tuple-word saturation
         assert len(forward_closures(self.A_B_BA_A, bound)) == count
+
+    @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
+    def test_looping_search_sizes(self, bound, count):
+        # the path `relsrs closures` runs: no looping closure, every one kept
+        report = SearchReport()
+        assert find_looping_forward_closure(self.A_B_BA_A, bound, report=report) is None
+        assert (report.stop, report.nodes) == ("none", count)
+
+    # recorded before the saturation created its seen sets on first use
+    @pytest.mark.parametrize("budget, nodes", [(0, 3), (3, 4), (1000, 1002), (5000, 5001)])
+    def test_looping_search_cap(self, budget, nodes, monkeypatch):
+        monkeypatch.setattr(nonterm, "DEFAULT_NODE_BUDGET", budget)
+        report = SearchReport()
+        assert find_looping_forward_closure(self.A_B_BA_A, 9, report=report) is None
+        assert (report.stop, report.nodes) == ("cap", nodes)
 
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
     def test_saturation_sizes_without_memo(self, bound, count, monkeypatch):
