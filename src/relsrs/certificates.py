@@ -19,6 +19,9 @@ schema use all of it.  The matrix search takes only the certificate
 class and, in `term._FlatKernel` alone, the name, identity and
 `corner_only`: it has its own arithmetic and entry pool, and restates the
 letter conditions as pools of the (1,1) and (d,d) entries.
+
+LoopCertificate and EmittingRedex are NamedTuples like the core records; the
+matrix certificates are not, as two with the same fields would compare equal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .core import RelSRS, Step, Word
 
@@ -39,8 +42,7 @@ class CertificateMismatchError(Exception):
     """Well-formed certificate that does not bind to the given system."""
 
 
-@dataclass(frozen=True)
-class EmittingRedex:
+class EmittingRedex(NamedTuple):
     """Occurrence of a strict rule's lhs inside the left or right context."""
 
     rule_index: int
@@ -48,8 +50,7 @@ class EmittingRedex:
     offset: int
 
 
-@dataclass(frozen=True)
-class LoopCertificate:
+class LoopCertificate(NamedTuple):
     kind: str  # "mixed" or "emitting"
     start: Word
     steps: tuple[Step, ...]
@@ -287,12 +288,8 @@ def serialize_certificate(cert: Certificate, system: RelSRS) -> dict:
             "left": _word_tokens(cert.left, system),
             "right": _word_tokens(cert.right, system),
         }
-        if cert.redex is not None:
-            data["redex"] = {
-                "rule": cert.redex.rule_index,
-                "side": cert.redex.side,
-                "offset": cert.redex.offset,
-            }
+        if (redex := cert.redex) is not None:
+            data["redex"] = {"rule": redex.rule_index, "side": redex.side, "offset": redex.offset}
         return data
     if isinstance(cert, WeightCertificate):
         out = {}

@@ -4,11 +4,15 @@ Letters are small integer indices into a system-level alphabet of display
 names; words are plain tuples of those indices.  A relative SRS carries two
 kinds of rules: strict rules (the R part, counted toward non-termination)
 and relative rules (the S part, not counted).
+
+Rule, Step and Derivation are NamedTuples, cheap to build on every verdict; as
+one equals the plain tuple of its fields, always construct the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -29,8 +33,7 @@ class ReplayError(RewriteError):
         self.step_index = step_index
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: Word
     rhs: Word
     strict: bool
@@ -84,14 +87,12 @@ class RelSRS:
         return "{ " + " , ".join(self.rule_str(r) for r in self.rules) + " }"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule_index: int
     position: int
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     start: Word
     steps: tuple[Step, ...]
 

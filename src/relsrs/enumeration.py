@@ -182,7 +182,7 @@ class _Context:
 
     def is_canonical(self, ids: list[int]) -> bool:
         for table in self.tables:
-            if sorted(table[i] for i in ids) < ids:
+            if sorted(map(table.__getitem__, ids)) < ids:
                 return False
         return True
 

@@ -145,6 +145,10 @@ def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
                 p = word.find(lhs, p + 1)
             out.append(count)
             continue
+        if not k:  # an empty lhs fits at every position
+            for q in range(len(word) + 1):
+                out.append((i, q, word[:q] + rhs + word[q:], strict))
+            continue
         out.append((i, p, word.replace(lhs, rhs, 1), strict))  # the match at p
         p = word.find(lhs, p + 1)
         while p >= 0:

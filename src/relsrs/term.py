@@ -117,12 +117,12 @@ returns `timeout` after the first attempt logged `deadline`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import compress, groupby, product, repeat
 from operator import ge, itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certificates import (
     NEG_INF,
@@ -170,6 +170,8 @@ class ProveBudget:
     loop_max_start_len: int = 6
     loop_node_budget: int = DEFAULT_NODE_BUDGET
 
+
+_DEFAULT_BUDGET = ProveBudget()  # prove's when given none: frozen, so safe to share
 
 SWEEP_BUDGET = ProveBudget(
     max_weight=8,
@@ -675,19 +677,17 @@ def _check_growth(witness: Derivation, system: RelSRS, max_entry: int) -> None:
 # ------------------------------------------------------------------ prove
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(NamedTuple):
     method: str
     outcome: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ProofOutcome:
+class ProofOutcome(NamedTuple):
     verdict: str  # "YES", "NO", or "MAYBE"
     certificate: Optional[Certificate] = None
     reason: str = ""
-    attempts: tuple[Attempt, ...] = field(default_factory=tuple)
+    attempts: tuple[Attempt, ...] = ()
 
 
 def trivial_verdict(system: RelSRS) -> Optional[ProofOutcome]:
@@ -759,7 +759,7 @@ def prove(
     if (trivial := trivial_verdict(system)) is not None:
         return trivial
     attempts: list[Attempt] = []
-    budget = budget or ProveBudget()
+    budget = budget or _DEFAULT_BUDGET
     methods = _methods(budget, deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
@@ -802,6 +802,4 @@ def prove(
             if not loop:
                 s_cert = cert
             break
-    return ProofOutcome(
-        "MAYBE", None, "no method conclusive within budget", tuple(attempts)
-    )
+    return ProofOutcome("MAYBE", None, "no method conclusive within budget", tuple(attempts))

@@ -509,7 +509,7 @@ def _recheck_parts(system, cert):
     """Re-verify each composite part against the subsystem its role names."""
     relatives_strict = type(system)(
         system.letters,
-        tuple(replace(r, strict=True) for r in system.relative_rules),
+        tuple(r._replace(strict=True) for r in system.relative_rules),
     )
     reference = {
         "s-termination": relatives_strict,

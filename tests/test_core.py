@@ -1,20 +1,32 @@
-"""Words, rules, rewriting, replay."""
+"""Words, rules, rewriting, replay, and the records verdicts are made of."""
+
+import pickle
 
 import pytest
 
 from relsrs import (
+    ArcticMatrixCertificate,
+    Attempt,
     Derivation,
     EPSILON,
+    EmittingRedex,
+    LoopCertificate,
+    NaturalMatrixCertificate,
+    ProofOutcome,
     RelSRS,
     ReplayError,
     RewriteError,
     Rule,
     Step,
     apply_rule_at,
+    parse_certificate,
+    parse_system,
+    prove,
     replay,
     reverse_system,
     strict_step_count,
     strictify,
+    serialize_certificate,
     successors,
     system_size,
 )
@@ -156,3 +168,64 @@ class TestSystemOps:
         rev = reverse_system(AB_A)
         d = Derivation((2, 0), (Step(1, 0), Step(0, 1)))
         assert replay(d, rev) == (2, 0)
+
+
+class TestRecordContract:
+    """The NamedTuple records built on every verdict and re-check: immutable,
+    compared and hashed by value, with dataclass-style repr text."""
+
+    RECORDS = [
+        Rule((0, 1), (1,), True),
+        Step(1, 2),
+        Derivation((0, 1), (Step(0, 0),)),
+        EmittingRedex(0, "left", 1),
+        LoopCertificate("emitting", (0,), (Step(0, 0),), (1,), (), EmittingRedex(0, "left", 0)),
+        Attempt("weights", "none", "max 16"),
+        ProofOutcome("NO", LoopCertificate("mixed", (), (Step(0, 0),), (), (0,)), "r", ()),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_immutable_and_by_value(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+
+    def test_repr_text(self):
+        assert repr(Step(1, 2)) == "Step(rule_index=1, position=2)"
+        assert repr(Rule((0,), (), False)) == "Rule(lhs=(0,), rhs=(), strict=False)"
+        assert repr(Attempt("trivial", "NO")) == "Attempt(method='trivial', outcome='NO', detail='')"
+        assert repr(LoopCertificate("mixed", (0,), (Step(0, 0),), (), (1,))) == (
+            "LoopCertificate(kind='mixed', start=(0,), steps=(Step(rule_index=0, position=0),),"
+            " left=(), right=(1,), redex=None)"
+        )
+
+    def test_defaults(self):
+        assert ProofOutcome("MAYBE") == ProofOutcome("MAYBE", None, "", ())
+        assert ProofOutcome("MAYBE").attempts == ()
+        assert Rule((0,), (1,), True).size == 2
+
+    @pytest.mark.parametrize("text, kind", [
+        ("(RULES a b -> b a , b a ->= a b)", "ComposeCertificate"),
+        ("(RULES a -> b , b ->= a , a ->= a)", "LoopCertificate"),
+    ])
+    def test_outcome_survives_pickle(self, text, kind):
+        """The --jobs pool ships outcomes between processes."""
+        out = prove(parse_system(text))
+        assert out.verdict == "NO" and type(out.certificate).__name__ == kind
+        back = pickle.loads(pickle.dumps(out))
+        assert back == out and type(back) is ProofOutcome
+        assert type(back.attempts[0]) is Attempt
+
+    def test_certificate_steps_are_steps(self):
+        system = parse_system("(RULES a -> b , b ->= a , a ->= a)")
+        cert = prove(system).certificate
+        parsed = parse_certificate(serialize_certificate(cert, system), system)
+        assert parsed == cert
+        for steps in (cert.steps, parsed.steps):
+            assert steps and all(type(s) is Step for s in steps)
+
+    def test_matrix_certificates_stay_apart(self):
+        """Same fields, different semirings: as tuples they would compare equal."""
+        m = {"a": ((1, 0), (0, 1))}
+        assert NaturalMatrixCertificate(2, m) != ArcticMatrixCertificate(2, m)

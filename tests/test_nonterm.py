@@ -168,6 +168,8 @@ class TestRedexes:
     @example([([0, 0], [1, 1, 1], True)], [0, 0, 0], 3)
     # likewise "a b a b" twice in "a b a b a b", an lhs that ends unlike it begins
     @example([([0, 1, 0, 1], [0, 1, 0, 1, 0], True)], [0, 1, 0, 1, 0, 1], 6)
+    # an empty lhs that fits: one row per position 0..len(word), p = 0 first
+    @example([([], [1, 0, 1], False)], [0, 0, 1, 0, 1, 1], 10)
     def test_rows_are_core_successors(self, rules, word, bound):
         system = RelSRS(
             ("a", "b", "c"),
