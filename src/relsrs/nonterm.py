@@ -5,9 +5,9 @@ An emitting loop is an S-only derivation v ->+ u.v.w where u or w carries
 an occurrence of some strict rule's lhs; pumping the loop then fires that
 redex arbitrarily often.  Forward closures give a third route: a closure
 (u, v) with at least one strict step whose source u reappears as a factor
-of v replays into a mixed loop.  prove runs the mixed-loop search in each
-of its phases; the emitting-loop search and the closures serve `relsrs
-loop` and `relsrs closures`.
+of v replays into a mixed loop.  prove runs the mixed-loop search in its
+phases (the direct one only while SN(S) is unproven); the emitting-loop
+search and the closures serve `relsrs loop` and `relsrs closures`.
 
 The three derivation searches of the package live here: the loop search,
 forward-closure saturation, and the growth-witness search `relsrs.term`
@@ -268,8 +268,7 @@ def search_mixed_loop(
     """Bounded breadth-first search for a mixed loop; None when exhausted.
 
     max_start_len tightens the start-word length separately from the word
-    bound (it defaults to max_word_len, the complete choice up to the bound);
-    a negative one leaves no start word.
+    bound (it defaults to max_word_len, the complete choice up to the bound).
     node_budget (DEFAULT_NODE_BUDGET unless given) caps total generated
     search nodes across all start words; successors longer than
     max_word_len count too.  deadline (monotonic

@@ -84,7 +84,9 @@ matrices): the attempt name, its detail, the reason a direct-phase
 certificate gives, and the search.  The rows look their searches up in
 this module when they are called, so a wrapper put on `search_weights`,
 `search_mixed_loop` or `search_matrix` here (perfbench's tracer, the
-tests) sees every attempt.  prove runs the table in three phases:
+tests) sees every attempt: each attempt but `trivial` and `timeout` is
+exactly one search call, made in the order of the log.  prove runs the
+table in three phases:
 
 - `s-`: S alone made strict, also when S is empty (the empty weight
   vector proves that at once).  A proof gives SN(S); a loop ends the
@@ -95,14 +97,19 @@ tests) sees every attempt.  prove runs the table in three phases:
 
 Most small systems are strictly terminating and settled by weights, and a
 system with weights has no loop, so putting the loop search after them
-only saves time.  The direct phase's mixed-loop search is the strictified
-one with fewer steps counted strict: the same rules, start words and
-bounds.  A mixed loop within the bounds is a derivation of R union S that
-the strictified breadth-first search meets too, as it keeps every word it
-reaches within those bounds, and there every step counts strict.  So once
-the strictified loop search has ended `none`, the direct one has nothing to
-find: prove gives it no start word, and it returns `none` at once, still
-one call per attempt.  After `cap` or `deadline` it runs in full.
+only saves time.  Once SN(S) is proven, the direct phase skips its
+mixed-loop row (no call, no attempt), as the strictified loop search has
+answered it.  Both searches have the same rules in the same order, so
+the same successors, and the same start words: strictify keeps every lhs
+and used letter.  The direct breadth-first search keeps (word, a strict
+step used) pairs; its words first appear in the strictified search's
+order, through the same parents, and a word's other pair comes later.
+A redex is one node whatever the flag, so at every point the direct
+search has counted at least as many nodes.  Under SN(S) a successor that
+holds the start word is not reached by S steps alone (that is a loop of
+S), so the direct search meets the strictified one's first loop at the
+same place, with the same certificate.  When the strictified search
+finds no loop, neither does the direct one; a `deadline` ends prove.
 
 A certificate that settles the system is returned as its verdict.  Every
 search checks the deadline itself and records in its SearchReport why it
@@ -726,9 +733,9 @@ def _methods(b: ProveBudget, deadline: Optional[float]) -> tuple:
     def weights(system: RelSRS, report: SearchReport):
         return search_weights(system, b.max_weight, **cap, report=report)
 
-    def loop(system: RelSRS, report: SearchReport, max_start_len: int = b.loop_max_start_len):
+    def loop(system: RelSRS, report: SearchReport):
         return search_mixed_loop(
-            system, b.loop_max_word_len, b.loop_max_steps, max_start_len=max_start_len,
+            system, b.loop_max_word_len, b.loop_max_steps, max_start_len=b.loop_max_start_len,
             node_budget=b.loop_node_budget, deadline=deadline, report=report,
         )
 
@@ -763,23 +770,15 @@ def prove(
     methods = _methods(budget, deadline)
     # SN(S), when proven: the certificate the strictified phase builds on
     s_cert: Optional[Certificate] = None
-    # the strictified loop search ran to the end of its space
-    exhausted = False
     for tag, form in (("s-", s_as_strict), ("strictified-", strictify), ("", None)):
         if tag == "strictified-" and s_cert is None:
             continue
         phase_system = form(system) if form else system
         for name, detail, reason, search in methods:
+            if not tag and name == "mixed-loop" and s_cert is not None:
+                continue  # the strictified loop search has answered it
             report = SearchReport()
-            if exhausted and name == "mixed-loop" and not tag:
-                # no mixed loop is left to find; the search, given no start
-                # word, returns at once, so a wrapper still sees one call
-                # per attempt
-                cert = search(phase_system, report, max_start_len=-1)
-            else:
-                cert = search(phase_system, report)
-            if tag == "strictified-" and name == "mixed-loop":
-                exhausted = report.stop == "none"
+            cert = search(phase_system, report)
             loop = isinstance(cert, LoopCertificate)
             if tag == "s-" and loop:
                 detail = "S alone does not terminate"

@@ -5,12 +5,14 @@ import hashlib
 import inspect
 import itertools
 import json
+import random
 import time
 
 import pytest
 
 from relsrs import (
     SWEEP_BUDGET,
+    ArcticMatrixCertificate,
     ComposeCertificate,
     EmptyRCertificate,
     LoopCertificate,
@@ -34,8 +36,11 @@ from relsrs import (
     search_mixed_loop,
     search_weights,
     serialize_certificate,
+    strictify,
+    trivial_verdict,
     verify_certificate,
 )
+from relsrs.core import s_as_strict
 
 
 def is_loop(cert):
@@ -300,53 +305,57 @@ class TestBudgets:
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
 
 
-class TestExhaustedLoopSearch:
-    """A mixed loop within the loop bounds is a loop of R union S within the
-    same bounds, from the same start words.  So once the strictified loop
-    search has run to the end of its space, prove gives the direct-phase
-    search no start word, and logs the same attempts as the full search."""
+class TestDirectLoopSearchAfterSN:
+    """Once SN(S) is proven, prove runs no direct mixed-loop search: the
+    strictified one has answered it (the lemma in the relsrs.term
+    docstring).  Over every system whose S made strict has a weight or
+    natural matrix certificate, the direct search finds nothing or the
+    strictified search's certificate, finds nothing when that one does, and
+    counts at least as many nodes, under every node budget."""
 
-    SYSTEM = parse_system("(RULES a b -> b b a , b ->= )")
+    @staticmethod
+    def systems(config):
+        for system in enumerate_systems(config):
+            s = s_as_strict(system)
+            if trivial_verdict(system) is None and (
+                search_weights(s) is not None or search_matrix(s, "natural") is not None
+            ):
+                yield system
 
-    @classmethod
-    def run(cls, monkeypatch, budget, full=False):
-        """prove's outcome and, per loop search, its start-word bound, stop
-        and nodes; with `full`, every loop search gets the budget's bound."""
-        import relsrs.term
+    @pytest.mark.parametrize("config, count", [
+        (EnumerationConfig(2, 5), 455),
+        (EnumerationConfig(3, 4), 88),
+    ], ids=["2x5", "3x4"])
+    def test_the_strictified_search_answers_the_direct_one(self, config, count):
+        b = ProveBudget()
+        systems = list(self.systems(config))
+        assert len(systems) == count
+        for node_budget in (100_000, 300, 40):
+            bounds = dict(max_start_len=b.loop_max_start_len, node_budget=node_budget)
+            for system in systems:
+                direct, strictified = SearchReport(), SearchReport()
+                cert = search_mixed_loop(
+                    system, b.loop_max_word_len, b.loop_max_steps, **bounds, report=direct
+                )
+                expected = search_mixed_loop(
+                    strictify(system), b.loop_max_word_len, b.loop_max_steps,
+                    **bounds, report=strictified,
+                )
+                assert cert in (None, expected), system
+                assert expected is not None or cert is None, system
+                assert direct.nodes >= strictified.nodes, system
 
-        search, calls = relsrs.term.search_mixed_loop, []
-
-        def spy(system, *args, max_start_len, report, **kwargs):
-            if full:
-                max_start_len = budget.loop_max_start_len
-            cert = search(system, *args, max_start_len=max_start_len, report=report, **kwargs)
-            calls.append((max_start_len, report.stop, report.nodes))
-            return cert
-
-        with monkeypatch.context() as patch:
-            patch.setattr(relsrs.term, "search_mixed_loop", spy)
-            return prove(cls.SYSTEM, budget), calls
-
-    def test_the_direct_search_gets_no_start_word(self, monkeypatch):
-        budget = ProveBudget(matrix_max_dim=2, matrix_max_entry=1)
-        outcome, calls = self.run(monkeypatch, budget)
-        full, full_calls = self.run(monkeypatch, budget, full=True)
-        assert outcome == full and outcome.verdict == "MAYBE"
-        lines = [(a.method, a.outcome) for a in outcome.attempts]
-        assert ("strictified-loop", "none") in lines and ("mixed-loop", "none") in lines
-        (bound, stop, nodes), direct = calls
-        assert (bound, stop) == (budget.loop_max_start_len, "none") and nodes > 0
-        assert direct == (-1, "none", 0)
-        assert full_calls[1][2] > 0
-
-    def test_a_capped_strictified_search_leaves_the_direct_one_whole(self, monkeypatch):
-        budget = ProveBudget(matrix_max_dim=2, matrix_max_entry=1, loop_node_budget=50)
-        outcome, calls = self.run(monkeypatch, budget)
-        full, _ = self.run(monkeypatch, budget, full=True)
-        assert outcome == full
-        lines = [(a.method, a.outcome) for a in outcome.attempts]
-        assert ("strictified-loop", "cap") in lines and ("mixed-loop", "cap") in lines
-        assert [bound for bound, _, _ in calls] == [budget.loop_max_start_len] * 2
+    @pytest.mark.parametrize("text", [
+        "(RULES a b -> b a a , b ->= )",
+        "(RULES a b -> b b a , a ->= )",
+        "(RULES a b -> b a a , a ->= )",
+        "(RULES a b -> b b a , b ->= )",
+    ])
+    def test_size_6_maybes_search_for_loops_once(self, text):
+        outcome = prove(parse_system(text))
+        methods = [a.method for a in outcome.attempts]
+        assert outcome.verdict == "MAYBE"
+        assert "strictified-loop" in methods and "mixed-loop" not in methods
 
 
 class TestSharedBudgetGap:
@@ -438,6 +447,129 @@ class TestWeakeningAudit:
                     verdicts[weaker] = prove(weaker).verdict
                 assert verdicts[weaker] != "NO", f"{verdict} {system} has NO {weaker}"
         assert len(verdicts) == proofs
+
+
+def _nat_product(x, y):
+    d = len(x)
+    return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _arc_product(x, y):
+    d = len(x)
+    return [[max(x[i][k] + y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _derive(rules, word: str, pick, stop: int, every: bool) -> int:
+    """The strict steps (with `every`, all steps) of a derivation from
+    `word` that rewrites the redex `pick` takes from the list of them in
+    rule, then position order.  It ends after `stop` of those steps, at a
+    normal form, or after 200 steps or past 40 letters, as S alone need
+    not terminate."""
+    count = steps = 0
+    while count < stop and steps < 200 and len(word) <= 40:
+        redexes = [
+            (lhs, rhs, strict, p)
+            for lhs, rhs, strict in rules
+            for p in range(len(word) - len(lhs) + 1)
+            if word.startswith(lhs, p)
+        ]
+        if not redexes:
+            break
+        lhs, rhs, strict, p = pick(redexes)
+        word = word[:p] + rhs + word[p + len(lhs):]
+        steps += 1
+        count += every or strict
+    return count
+
+
+class TestDerivationBounds:
+    """ROADMAP item 19's soundness oracle.  A YES certificate bounds the
+    strict steps of every derivation from a word u: weights by w(u)/delta,
+    delta the least strict decrease; natural matrices by [u](1,d); arctic
+    ones by [u](1,1); empty R by 0.  A `strictified-termination` part bounds
+    every step, delta taken over all rules.  The derivations are plain
+    string rewriting and the bounds use this test's own products, not
+    relsrs.check.  Every system with a positive bound also has a derivation
+    past half of it, so a certificate whose bound were halved would show a
+    violation: the oracle is not vacuous."""
+
+    # the YES systems up to size 5 that SWEEP_BUDGET proves with matrices,
+    # and one with empty R
+    OTHERS = [
+        "(RULES a -> , a b ->= b a)",
+        "(RULES a -> , b a ->= a b)",
+        "(RULES a b -> b a , a ->= )",
+        "(RULES a b -> b a , b ->= )",
+        "(RULES a a -> , ->= b a b)",
+        "(RULES a ->= b)",
+    ]
+
+    @staticmethod
+    def bound(cert, system: RelSRS):
+        """bound(u) for a word u, and whether it counts every step."""
+        every = isinstance(cert, ComposeCertificate)
+        if every:
+            ((role, cert),) = cert.parts
+            assert role == "strictified-termination"
+        if isinstance(cert, EmptyRCertificate):
+            return (lambda word: 0), every
+        if isinstance(cert, WeightCertificate):
+            weight = [cert.weights.get(name, 0) for name in system.letters]
+
+            def value(word):
+                return sum(weight[c] for c in word)
+
+            delta = min(value(r.lhs) - value(r.rhs) for r in system.rules if every or r.strict)
+            return (lambda word: value(word) / delta), every
+        d = cert.dimension
+        if isinstance(cert, NaturalMatrixCertificate):
+            product, corner = _nat_product, d - 1
+            one = [[int(i == j) for j in range(d)] for i in range(d)]
+        else:
+            product, corner = _arc_product, 0
+            one = [[0 if i == j else float("-inf") for j in range(d)] for i in range(d)]
+        mats = [cert.interp[name] for name in system.letters]
+        return (lambda word: functools.reduce(product, (mats[c] for c in word), one)[0][corner]), every
+
+    def check(self, system: RelSRS, outcome, max_len: int) -> tuple[tuple, int, bool]:
+        """Runs the derivations from every word up to max_len letters and
+        asserts the bound of the YES `outcome`; returns the certificate's
+        (tag, kind), the number of derivations and whether one passed half
+        its bound."""
+        assert outcome.verdict == "YES", system
+        bound, every = self.bound(outcome.certificate, system)
+        rules = [("".join(map(chr, r.lhs)), "".join(map(chr, r.rhs)), r.strict) for r in system.rules]
+        picks = (lambda rs: rs[0], lambda rs: rs[-1], random.Random(0).choice)
+        runs, past_half = 0, False
+        for n in range(1, max_len + 1):
+            for word in itertools.product(range(len(system.letters)), repeat=n):
+                most = bound(word)
+                for pick in picks:
+                    count = _derive(rules, "".join(map(chr, word)), pick, most + 2, every)
+                    assert count <= most, (system, word, count, most)
+                    runs += 1
+                    past_half |= 2 * count > most
+        kind = type(outcome.certificate.parts[0][1] if every else outcome.certificate)
+        return (("strictified-" if every else ""), kind), runs, past_half
+
+    @pytest.mark.parametrize("config, max_len, systems, runs", [
+        (EnumerationConfig(2, 4), 4, 121, 10_890),
+        (EnumerationConfig(3, 4), 3, 162, 18_954),
+    ], ids=["2x4", "3x4"])
+    def test_yes_certificates_bound_every_derivation(self, config, max_len, systems, runs):
+        outcomes = [(system, prove(system, SWEEP_BUDGET)) for system in enumerate_systems(config)]
+        results = [self.check(*pair, max_len) for pair in outcomes if pair[1].verdict == "YES"]
+        assert len(results) == systems and sum(r for _, r, _ in results) == runs
+        assert all(past_half for _, _, past_half in results)
+
+    def test_matrix_and_empty_r_certificates_bound_every_derivation(self):
+        systems = map(parse_system, self.OTHERS)
+        results = [self.check(system, prove(system, SWEEP_BUDGET), 4) for system in systems]
+        kinds = [kind for kind, _, _ in results]
+        assert kinds == [("strictified-", NaturalMatrixCertificate)] * 4 + [
+            ("", ArcticMatrixCertificate), ("", EmptyRCertificate)
+        ]
+        assert [past_half for _, _, past_half in results] == [True] * 5 + [False]
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,10 +665,13 @@ class TestTraceHooks:
 
         tracer = self.tracer()
         try:
-            # S of the last system is open: every phase runs all four methods
+            # S of the first extra system is open: every phase runs all four
+            # methods.  S of the second terminates and its strictified phase
+            # fails, so its direct phase has no loop attempt.
+            extra = ["(RULES a -> , a b ->= b a a)", "(RULES a b -> b a a , b ->= )"]
             outcomes = [
                 relsrs.cli.prove(parse_system(text))
-                for text in [t for t, _, _ in FIXTURES] + ["(RULES a -> , a b ->= b a a)"]
+                for text in [t for t, _, _ in FIXTURES] + extra
             ]
         finally:
             tracer.uninstall()
@@ -547,6 +682,7 @@ class TestTraceHooks:
             if a.method not in ("trivial", "timeout")
         ]
         assert roles == methods and "s-matrix-arctic" in methods
+        assert "mixed-loop" not in [a.method for a in outcomes[-1].attempts]
 
     def test_loop_command_runs_both_searches(self, tmp_path, capsys):
         import relsrs.cli
