@@ -29,6 +29,28 @@ tested when first reached.  The start counts as reached unless it is its own
 witness, true of every start or of none (an empty strict lhs), so the kernel
 asks the empty word.  Closure saturation makes its seen sets on first lookup.
 
+Both the loop kernel and closure saturation with stop_at_looping skip
+what cannot lead to a witness, by a counting argument of the kind Geser
+and Zantema use for non-looping (RAIRO ITA 1999).  A lasting counter of
+the searched rules is a letter c whose count no rule raises (|rhs|_c <=
+|lhs|_c for every rule), or the word length when no rule lengthens a word;
+`_lasting` finds the ones some rule lowers, the only ones that can prune.  A lasting counter
+never rises along a derivation, and a word holding the start counts at
+least as many as the start.  So the loop kernel counts, records and
+witness-tests a new successor that counts fewer than the start for some
+lasting counter, but does not expand it.  In a saturation row (u, v) the
+deficit #c(u) - #c(v) never falls: a target rewrite leaves #c(v) or lowers
+it, and a right extension by x adds #c(x) to the source and at most #c(x)
+to the target, as #c(rhs) <= #c(lhs) = #c(v[split:]) + #c(x).  A looping
+closure has u a factor of v, deficit <= 0, so a row with a positive
+deficit is kept and counted but not expanded.  The prune reads the word
+and the start (in saturation, the row) alone, and nothing it skips leads
+back to a word it keeps, so the kept words come in the same order through
+the same parents and the first witness is the same.  Node counts cover the
+successors of expanded words only, so they fall with the prune, and a
+search that an unpruned one would cap may end "none" or find a loop past
+that cap.
+
 Here, and nowhere else, a word is a str with one character per letter,
 chr(letter), which serves any alphabet size: redex matching, the loop
 test, the redex-in-context test and the closure factor test are then
@@ -123,6 +145,25 @@ def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
     ]
 
 
+def _lasting(rules) -> tuple[str, bool]:
+    """The lasting counters of the encoded `rules` that some rule lowers:
+    the letters whose count no rule raises and some rule lowers, and
+    whether no rule lengthens a word and some rule shortens one.  A counter
+    that no rule changes lasts too, but it never prunes, so it is left out."""
+    falls = rises = ""
+    shrinks = grows = False
+    for _, lhs, rhs, _, grow, _ in rules:
+        shrinks |= grow < 0
+        grows |= grow > 0
+        for c in lhs:
+            if rhs.count(c) < lhs.count(c):
+                falls += c
+        for c in rhs:
+            if rhs.count(c) > lhs.count(c):
+                rises += c
+    return "".join(sorted(set(falls).difference(rises))), shrinks and not grows
+
+
 def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
     """The one-step rewrites of `word` by the encoded `rules`, by rule, then
     position: (rule index, position, successor, strict) per match, and for
@@ -189,6 +230,9 @@ def _search_loop(
     rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
+    # _lasting(rules), made at first need: a search whose successors all
+    # hold their start, as from the empty start, never needs it
+    counters = None
     nodes = 0
     own = witness("", "", False)  # every start is its own witness, or none is
     # one redex tuple per word for the whole call, shared by all start words
@@ -196,6 +240,9 @@ def _search_loop(
     memo_rows = 0
     try:
         for start in (w for w in _words(system, start_bound) if any(map(w.__contains__, lhss))):
+            # the lasting counts a word must keep to hold the start again, made
+            # at the first new word without the start
+            need = None
             # the words reached with no strict step used, and with one
             lax, tight = (set() if own else {start}, set())
             # (word, a strict step used, the row that reached it: (parent row,
@@ -240,6 +287,17 @@ def _search_loop(
                                         right=_decode(nxt[q + len(start) :]),
                                         redex=redex,
                                     )
+                            else:
+                                if need is None:
+                                    if counters is None:
+                                        counters = _lasting(rules)
+                                    letters, shrinking = counters
+                                    need = [(c, n) for c in letters if (n := start.count(c))]
+                                    short = len(start) if shrinking else 0
+                                if len(nxt) < short or need and any(
+                                    nxt.count(c) < n for c, n in need
+                                ):
+                                    continue  # a lasting counter fell below the start's
                             following.append((nxt, nused, (reached, row)))
                 if not following:
                     break
@@ -458,6 +516,8 @@ def _saturate_closures(
     rules = _encoded_rules(enumerate(system.rules))
     # a rule extends a target only across a nonempty proper prefix of its lhs
     extending = [rule for rule in rules if rule[3] >= 2]
+    # the lasting counters prune only a search that stops at a looping closure
+    letters, shrinking = _lasting(rules) if stop_at_looping else ("", False)
     rows: list[tuple] = []
     # seen[(source, any strict step used)] = targets of the kept rows
     seen: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
@@ -473,11 +533,16 @@ def _saturate_closures(
                     return rows, rows[-1]
         head = 0
         while head < len(rows):
+            u, v, s, _, _ = row = rows[head]
+            head += 1
+            if shrinking and len(u) > len(v) or letters and any(
+                u.count(c) > v.count(c) for c in letters
+            ):
+                continue  # a lasting counter's deficit is positive: no looping descendant
             if deadline is not None and time.monotonic() >= deadline:
                 return give_up(report, "deadline")
             if stop_at_looping and len(rows) > DEFAULT_NODE_BUDGET:
                 return give_up(report, "cap")
-            u, v, s, _, _ = row = rows[head]
             n, used = len(v), s > 0
             redexes = memo.get(v)
             if redexes is None:
@@ -511,7 +576,6 @@ def _saturate_closures(
                         rows.append((nu, nv, s + strict, row, (i, split)))
                         if stop_at_looping and (used or strict) and nu in nv:
                             return rows, rows[-1]
-            head += 1
         return rows, None
     finally:
         if report is not None:

@@ -200,6 +200,8 @@ class TestNodeBudgetSweep:
     # Recorded on the search that expanded every word afresh: no budget
     # below the total finds a certificate, each stops "cap" on the node
     # that crosses it, and the totals are the nodes of the whole search.
+    # No rule set searched here has a counter that prunes, so the totals
+    # also pin that a search without one expands every word it did before.
     @pytest.mark.parametrize(
         "text, search, total",
         [
@@ -212,6 +214,11 @@ class TestNodeBudgetSweep:
     def test_every_budget(self, text, search, total, memo_rows, monkeypatch):
         monkeypatch.setattr(nonterm, "_MEMO_ROWS", memo_rows)
         system = parse_system(text)
+        searched = [
+            (i, r) for i, r in enumerate(system.rules)
+            if search is search_mixed_loop or not r.strict
+        ]
+        assert nonterm._lasting(nonterm._encoded_rules(searched)) == ("", False)
         for budget in range(total + 2):
             report = SearchReport()
             cert = search(system, 5, node_budget=budget, report=report)
@@ -219,10 +226,15 @@ class TestNodeBudgetSweep:
             assert (cert, report.stop, report.nodes) == (None, *want), budget
 
 
-def _reference_loop_search(system, emitting, max_word_len, max_steps, max_start_len, cap):
+def _reference_loop_search(
+    system, emitting, max_word_len, max_steps, max_start_len, cap, prune
+):
     """(certificate, stop, nodes) of a plain loop BFS that tests a successor
     containing the start for a witness before it looks the successor up
-    among the words already reached, and keeps no memo."""
+    among the words already reached, and keeps no memo.  With `prune`, a
+    new successor is not expanded when it has fewer letters c than the
+    start for a letter c whose count no searched rule raises, or is shorter
+    than the start when no searched rule lengthens a word."""
     if emitting:
         rules = [(i, r) for i, r in enumerate(system.rules) if not r.strict]
         strict_lhss = [(i, nonterm._encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
@@ -244,6 +256,19 @@ def _reference_loop_search(system, emitting, max_word_len, max_steps, max_start_
                     if lhs in flank:
                         return q, EmittingRedex(j, side, flank.find(lhs))
         return None
+
+    lasting = [
+        c for c in range(len(system.letters))
+        if all(r.rhs.count(c) <= r.lhs.count(c) for _, r in rules)
+    ]
+    no_growth = all(len(r.rhs) <= len(r.lhs) for _, r in rules)
+
+    def dead(start, word):
+        if not prune:
+            return False
+        if no_growth and len(word) < len(start):
+            return True
+        return any(word.count(chr(c)) < start.count(chr(c)) for c in lasting)
 
     rules = nonterm._encoded_rules(rules)
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
@@ -282,11 +307,52 @@ def _reference_loop_search(system, emitting, max_word_len, max_steps, max_start_
                         return cert, "none", nodes
                     if nxt not in seen[nused]:
                         seen[nused].add(nxt)
-                        following.append((nxt, nused, path))
+                        if not dead(start, nxt):
+                            following.append((nxt, nused, path))
             if not following:
                 break
             level = following
     return None, "none", nodes
+
+
+_LOOP_SEARCH_ARGS = (
+    st.integers(2, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(
+                st.lists(st.integers(0, k - 1), max_size=3),
+                st.lists(st.integers(0, k - 1), max_size=3),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=4,
+        ).filter(lambda rules: len({strict for _, _, strict in rules}) == 2)
+    ),
+    st.booleans(),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.integers(-1, 4)),
+    st.integers(1, 300),
+)
+
+
+def _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, prune):
+    """The kernel's (certificate, stop, nodes) and the reference's, the
+    certificates serialized, on the random system `rules` describes."""
+    system = RelSRS(
+        ("a", "b", "c"),
+        tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+    )
+    search = search_emitting_loop if emitting else search_mixed_loop
+    report = SearchReport()
+    cert = search(system, word_len, steps, max_start_len=start_len, node_budget=cap, report=report)
+    want, stop, nodes = _reference_loop_search(
+        system, emitting, word_len, steps, start_len, cap, prune
+    )
+
+    def data(c):
+        return None if c is None else serialize_certificate(c, system)
+
+    return (data(cert), report.stop, report.nodes), (data(want), stop, nodes)
 
 
 class TestLoopKernelOrder:
@@ -295,49 +361,57 @@ class TestLoopKernelOrder:
     random systems and budgets small enough to cap inside a word's redex
     list, including its too-long counts, must agree on the certificate,
     the stop and the node count.  Each system has strict and relative
-    rules, so both searches have work to do."""
+    rules, so both searches have work to do.  The reference leaves the same
+    words unexpanded as the kernel; TestLastingCounterPrune compares the
+    kernel with a reference that expands every word."""
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        st.integers(2, 3).flatmap(
-            lambda k: st.lists(
-                st.tuples(
-                    st.lists(st.integers(0, k - 1), max_size=3),
-                    st.lists(st.integers(0, k - 1), max_size=3),
-                    st.booleans(),
-                ),
-                min_size=2,
-                max_size=4,
-            ).filter(lambda rules: len({strict for _, _, strict in rules}) == 2)
-        ),
-        st.booleans(),
-        st.integers(1, 6),
-        st.integers(1, 8),
-        st.one_of(st.none(), st.integers(-1, 4)),
-        st.integers(1, 300),
-    )
+    @given(*_LOOP_SEARCH_ARGS)
     # an empty strict lhs sits in the empty flanks of the start itself, so
     # the start is an emitting witness the first time it comes back
     @example([([0], [1], False), ([1], [0], False), ([], [2], True)], True, 4, 4, None, 300)
     @example([([0], [0], False), ([], [1], True)], True, 3, 3, 2, 300)
     def test_agrees_with_the_reference(self, rules, emitting, word_len, steps, start_len, cap):
-        system = RelSRS(
-            ("a", "b", "c"),
-            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
-        )
-        search = search_emitting_loop if emitting else search_mixed_loop
-        report = SearchReport()
-        cert = search(
-            system, word_len, steps, max_start_len=start_len, node_budget=cap, report=report
-        )
-        want, stop, nodes = _reference_loop_search(
-            system, emitting, word_len, steps, start_len, cap
-        )
+        got, want = _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, True)
+        assert got == want
 
-        def data(c):
-            return None if c is None else serialize_certificate(c, system)
 
-        assert (data(cert), report.stop, report.nodes) == (data(want), stop, nodes)
+class TestLastingCounterPrune:
+    """The kernel leaves unexpanded a word that has fewer letters c than the
+    start for a letter c whose count no searched rule raises, or that is
+    shorter than the start when no rule lengthens a word.  No such word
+    holds the start again, so against the reference that expands every
+    word, the kernel finds the same first certificate, ends "none" whenever
+    the reference does, and never counts more nodes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(*_LOOP_SEARCH_ARGS)
+    # the mixed search finds the loop from b that the reference, capped, does not
+    @example([([0], [1], True), ([1], [1, 1], True), ([], [2], False)], False, 5, 6, None, 300)
+    # S lowers the counts of b and of the length: the emitting search ends
+    # "none" where the reference caps
+    @example(
+        [([1], [], False), ([1, 0, 1], [0], False), ([0, 1], [], True)], True, 5, 6, None, 300
+    )
+    def test_never_worse_than_expanding_every_word(
+        self, rules, emitting, word_len, steps, start_len, cap
+    ):
+        (cert, stop, nodes), (want, want_stop, want_nodes) = _kernel_and_reference(
+            rules, emitting, word_len, steps, start_len, cap, False
+        )
+        assert nodes <= want_nodes
+        if want is not None:
+            assert (cert, stop) == (want, "none")
+        elif want_stop == "none":
+            assert (cert, stop) == (None, "none")
+
+    def test_lasting_counters(self):
+        # no rule changes the count of a, so it cannot prune and is left out
+        rules = nonterm._encoded_rules(enumerate(parse_system("(RULES a b -> a , b ->= )").rules))
+        assert nonterm._lasting(rules) == ("\x01", True)
+        # the rules raise b and c, and the insertion of c lengthens words
+        rules = nonterm._encoded_rules(enumerate(parse_system("(RULES a -> b , ->= c)").rules))
+        assert nonterm._lasting(rules) == ("\x00", False)
 
 
 class TestLoopChecker:
@@ -665,8 +739,10 @@ class TestFrozenClosureResults:
     # recorded with the tuple-word saturation (987 systems, 1732 looping
     # closures, 122,212 closures at bound 6)
     DIGEST = "1903c46f3feb1e65558ad3468aca8a49ef16efd1c28868382377e1110023e238"
-    # why each looping-closure search stopped and how many closures it kept
-    REPORT_DIGEST = "e4042c1dbc26b4cd2a93d44b6cee3ee957f9ce0ee762e35556d3ff9ffdac42de"
+    # why each looping-closure search stopped and how many closures it kept;
+    # re-recorded when the search stopped expanding rows that lost a letter
+    # no rule gives back
+    REPORT_DIGEST = "719edf16350d0809c2dde65fd87f1d19088a17531a0baa83b180afc963118a51"
 
     def test_size_four_results_are_unchanged(self):
         """The looping closure at bounds 6 and 8 and the saturation at
@@ -720,20 +796,30 @@ class TestFrozenClosureResults:
         # recorded with the tuple-word saturation
         assert len(forward_closures(self.A_B_BA_A, bound)) == count
 
+    # closures the looping search keeps at each bound; re-recorded when it
+    # stopped expanding rows with a positive deficit
+    LOOPING_SEARCH_SIZES = {8: 1520, 9: 3055}
+
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
     def test_looping_search_sizes(self, bound, count):
-        # the path `relsrs closures` runs: no looping closure, every one kept
+        # the path `relsrs closures` runs: no looping closure.  a is a lasting
+        # counter, so rows whose source holds more a than their target are
+        # kept but not expanded, and fewer than the saturation's `count`
+        # closures are kept
         report = SearchReport()
         assert find_looping_forward_closure(self.A_B_BA_A, bound, report=report) is None
-        assert (report.stop, report.nodes) == ("none", count)
+        assert (report.stop, report.nodes) == ("none", self.LOOPING_SEARCH_SIZES[bound])
+        assert report.nodes < count
 
-    # recorded before the saturation created its seen sets on first use
-    @pytest.mark.parametrize("budget, nodes", [(0, 3), (3, 4), (1000, 1002), (5000, 5001)])
+    # recorded before the saturation created its seen sets on first use, and
+    # re-recorded when it stopped expanding rows with a positive deficit.  The
+    # search stops at the cap exactly when it keeps more closures than that
+    @pytest.mark.parametrize("budget, nodes", [(0, 3), (3, 5), (1000, 1001), (5000, 3055)])
     def test_looping_search_cap(self, budget, nodes, monkeypatch):
         monkeypatch.setattr(nonterm, "DEFAULT_NODE_BUDGET", budget)
         report = SearchReport()
         assert find_looping_forward_closure(self.A_B_BA_A, 9, report=report) is None
-        assert (report.stop, report.nodes) == ("cap", nodes)
+        assert (report.stop, report.nodes) == ("cap" if nodes > budget else "none", nodes)
 
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
     def test_saturation_sizes_without_memo(self, bound, count, monkeypatch):
@@ -753,6 +839,9 @@ class TestFrozenClosureResults:
         ),
         st.integers(0, 6),
     )
+    # A_B_BA_A: a lasts, and the seed a -> and rows built on it hold more a
+    # in their source than in their target, so the looping search skips them
+    @example([([0], [], True), ([], [1], False), ([1, 0], [0], False)], 6)
     def test_closures_replay_to_their_targets(self, rules, bound):
         system = RelSRS(
             ("a", "b"),
@@ -770,8 +859,10 @@ class TestFrozenClosureResults:
 class TestFrozenSearchResults:
     # recorded with the tuple-word searches: 1134 searches, 347 certificates
     DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
-    # why each search stopped and how many nodes it visited
-    REPORT_DIGEST = "8dda97d8f6063552e8510ebb0a630d9a96b97163c23d1461cb8b4e165eb22f7b"
+    # why each search stopped and how many nodes it visited; re-recorded
+    # when the searches stopped expanding words that lost a letter no rule
+    # gives back
+    REPORT_DIGEST = "a4273106f14e6f867177530d390c2ed16113141ac4b242b7a36e06231c296c3a"
 
     def test_size_four_results_are_unchanged(self):
         """Both loop searches, with the SWEEP_BUDGET loop bounds and the

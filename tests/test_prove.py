@@ -360,7 +360,9 @@ class TestDirectLoopSearchAfterSN:
 
 class TestSharedBudgetGap:
     """ROADMAP item 1: all start words share one node budget, and the
-    empty word, tried first, spends it on the insertions of S."""
+    empty word, tried first, spends it on the insertions of S.  The search
+    from the empty word prunes nothing: every counter of the empty word is
+    0, and no word falls below that."""
 
     SYSTEM = parse_system("(RULES a -> a b , ->= b , ->= c)")
 
@@ -372,6 +374,25 @@ class TestSharedBudgetGap:
     @pytest.mark.xfail(strict=True, reason="mixed-loop search caps out from the empty word")
     def test_prove_finds_the_loop(self):
         assert prove(self.SYSTEM).verdict == "NO"
+
+
+class TestLastingCounterLoop:
+    """A start's BFS expands no word that has lost a letter no rule gives
+    back, so a start that can only lose its letter no longer spends the
+    node budget that a later start needs."""
+
+    def test_prove_finds_the_loop_after_a_start_that_loses_its_letter(self):
+        # from the start a, every word without a is dead; the start b then
+        # loops by b -> b b.  Expanding those words, the start a alone
+        # spends the whole node budget and prove answers MAYBE
+        system = parse_system("(RULES a -> b , b -> b b , ->= c)")
+        result = prove(system)
+        assert result.verdict == "NO"
+        assert result.certificate == LoopCertificate(
+            "mixed", system.word("b"), (Step(1, 0),), (), system.word("b")
+        )
+        assert verify_certificate(result.certificate, system)
+        assert [(a.method, a.outcome) for a in result.attempts][-1] == ("mixed-loop", "found")
 
 
 def rename(system: RelSRS, name) -> RelSRS:
