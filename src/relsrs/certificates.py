@@ -212,7 +212,9 @@ Certificate = Union[
 
 @dataclass(frozen=True)
 class ComposeCertificate:
-    """Strictification strategy trace: named leaf parts that each re-check on their own."""
+    """Strictification strategy trace: named leaf parts that each re-check on their own.
+
+    prove writes one only for YES; a stored NO composite stays checkable."""
 
     verdict: str  # "YES" or "NO"
     parts: tuple[tuple[str, Certificate], ...]  # (role, certificate)

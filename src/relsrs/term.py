@@ -92,7 +92,10 @@ table in three phases:
   vector proves that at once).  A proof gives SN(S); a loop ends the
   phase and skips the next one.
 - `strictified-`, only once SN(S) is proven: the strictified system
-  R union S.  A proof settles YES, a loop NO.
+  R union S.  A proof settles YES, as a composite; a loop settles NO, as it
+  stands.  Under SN(S) every loop of R union S uses a rule of R (a loop of
+  S alone would refute SN(S)), so it is a mixed loop of R/S with the same
+  rule indices, since `strictify` keeps rule order.
 - no tag: the system itself.  A proof settles YES, a mixed loop NO.
 
 Most small systems are strictly terminating and settled by weights, and a
@@ -747,16 +750,6 @@ def _methods(b: ProveBudget, deadline: Optional[float]) -> tuple:
     )
 
 
-def _settled(cert: Certificate, s_cert: Certificate) -> tuple:
-    """Verdict, certificate and reason for a certificate of the strictified
-    system, given the proof of SN(S)."""
-    if isinstance(cert, LoopCertificate):
-        parts = (("s-termination", s_cert), ("strictified-loop", cert))
-        return "NO", ComposeCertificate("NO", parts), "loop of R union S while S terminates"
-    parts = (("strictified-termination", cert),)
-    return "YES", ComposeCertificate("YES", parts), "R union S terminates"
-
-
 def prove(
     system: RelSRS,
     budget: Optional[ProveBudget] = None,
@@ -768,14 +761,13 @@ def prove(
     attempts: list[Attempt] = []
     budget = budget or _DEFAULT_BUDGET
     methods = _methods(budget, deadline)
-    # SN(S), when proven: the certificate the strictified phase builds on
-    s_cert: Optional[Certificate] = None
+    s_proven = False  # SN(S), which the strictified phase builds on
     for tag, form in (("s-", s_as_strict), ("strictified-", strictify), ("", None)):
-        if tag == "strictified-" and s_cert is None:
+        if tag == "strictified-" and not s_proven:
             continue
         phase_system = form(system) if form else system
         for name, detail, reason, search in methods:
-            if not tag and name == "mixed-loop" and s_cert is not None:
+            if not tag and name == "mixed-loop" and s_proven:
                 continue  # the strictified loop search has answered it
             report = SearchReport()
             cert = search(phase_system, report)
@@ -794,11 +786,13 @@ def prove(
                 return ProofOutcome("MAYBE", None, "timeout", tuple(attempts))
             if cert is None:
                 continue
-            if tag == "strictified-":
-                return ProofOutcome(*_settled(cert, s_cert), tuple(attempts))
-            if not tag:
-                return ProofOutcome("NO" if loop else "YES", cert, reason, tuple(attempts))
-            if not loop:
-                s_cert = cert
-            break
+            if tag == "s-":
+                s_proven = not loop
+                break
+            if tag and loop:  # a mixed loop of R/S as it stands, since SN(S)
+                reason = "loop of R union S while S terminates"
+            elif tag:
+                cert = ComposeCertificate("YES", (("strictified-termination", cert),))
+                reason = "R union S terminates"
+            return ProofOutcome("NO" if loop else "YES", cert, reason, tuple(attempts))
     return ProofOutcome("MAYBE", None, "no method conclusive within budget", tuple(attempts))

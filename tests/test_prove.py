@@ -62,10 +62,20 @@ def compose_roles(*roles):
     return check
 
 
+def is_mixed_loop(cert):
+    return is_loop(cert) and cert.kind == "mixed"
+
+
+def s_proven_first(outcome):
+    """The loop of R union S is a mixed loop of R/S only because SN(S) was
+    proven before it was searched for."""
+    return ("s-weights", "found") in [(a.method, a.outcome) for a in outcome.attempts]
+
+
 FIXTURES = [
     ("(RULES a b -> a, b ->= )", "YES", compose_roles("strictified-termination")),
     ("(RULES a b -> a, c ->= b c)", "NO", is_loop),
-    ("(RULES a -> a b, b ->= )", "NO", compose_roles("s-termination", "strictified-loop")),
+    ("(RULES a -> a b, b ->= )", "NO", is_mixed_loop),
     ("(RULES b a b -> a, c ->= c b, d ->= b d)", "NO", is_loop),
     ("(RULES a ->= b)", "YES", is_empty_r),
     ("(RULES a -> a, b ->= c)", "NO", is_loop),
@@ -73,7 +83,7 @@ FIXTURES = [
     ("(RULES a a -> a, a ->= a a)", "NO", is_loop),
     ("(RULES a -> , b ->= b)", "YES", is_weight),
     ("(RULES a b -> b a)", "YES", compose_roles("strictified-termination")),
-    ("(RULES a -> a b)", "NO", compose_roles("s-termination", "strictified-loop")),
+    ("(RULES a -> a b)", "NO", is_mixed_loop),
 ]
 
 IDS = [
@@ -99,6 +109,8 @@ class TestFixtureSet:
         assert outcome.verdict == verdict
         assert shape(outcome.certificate)
         assert verify_certificate(outcome.certificate, system)
+        if outcome.reason == "loop of R union S while S terminates":
+            assert s_proven_first(outcome)
 
     @pytest.mark.parametrize("text,verdict,shape", FIXTURES, ids=IDS)
     def test_certificates_survive_serialization(self, text, verdict, shape):
@@ -110,12 +122,19 @@ class TestFixtureSet:
         assert serialize_certificate(back, system) == data
 
     def test_composite_parts_recheck_individually(self):
+        # prove returns the loop as it is; the NO composite built from it
+        # and the proof of SN(S) still checks, part by part
         system = parse_system("(RULES a -> a b, b ->= )")
         outcome = prove(system)
-        roles = dict(outcome.certificate.parts)
-        # the loop lives in the strictified system, the weights in S alone
-        assert isinstance(roles["strictified-loop"], LoopCertificate)
-        assert isinstance(roles["s-termination"], WeightCertificate)
+        assert is_mixed_loop(outcome.certificate) and s_proven_first(outcome)
+        s_cert = search_weights(s_as_strict(system))
+        parts = (("s-termination", s_cert), ("strictified-loop", outcome.certificate))
+        assert verify_certificate(ComposeCertificate("NO", parts), system)
+        # the loop lives in the strictified system and in the system itself,
+        # the weights in S alone
+        assert check_loop_certificate(outcome.certificate, strictify(system))
+        assert check_loop_certificate(outcome.certificate, system)
+        assert isinstance(s_cert, WeightCertificate)
 
     def test_swap_rule_needs_a_matrix(self):
         outcome = prove(parse_system("(RULES a b -> b a)"))
@@ -176,10 +195,17 @@ class TestOutcomeShape:
             ("strictified-weights", "none"),
             ("strictified-loop", "found"),
         ]
-        assert dict(outcome.certificate.parts)["s-termination"] == WeightCertificate({})
-        data = json.loads(json.dumps(serialize_certificate(outcome.certificate, system)))
+        assert is_mixed_loop(outcome.certificate)
+        assert outcome.reason == "loop of R union S while S terminates"
+        s_cert = search_weights(s_as_strict(system))
+        assert s_cert == WeightCertificate({})
+        # the empty weight vector survives serialization as a composite part
+        parts = (("s-termination", s_cert), ("strictified-loop", outcome.certificate))
+        cert = ComposeCertificate("NO", parts)
+        data = json.loads(json.dumps(serialize_certificate(cert, system)))
         assert data["parts"][0]["certificate"] == {"type": "weights", "weights": {}}
-        assert parse_certificate(data, system) == outcome.certificate
+        assert parse_certificate(data, system) == cert
+        assert verify_certificate(cert, system)
 
     def test_prove_is_deterministic(self):
         text = "(RULES b a b -> a, c ->= c b, d ->= b d)"
@@ -597,11 +623,15 @@ class TestDerivationBounds:
 def _sweep_digests(budget: ProveBudget) -> tuple[int, str, str]:
     """One prove sweep of every two-letter system up to size 5: the number
     of systems, the TestFrozenVerdicts digest and the TestFrozenAttemptLog
-    digest.  The default-budget sweep serves both classes."""
+    digest.  The default-budget sweep serves both classes.  On the way it
+    checks that every NO certificate is a plain mixed loop of the system."""
     verdicts, log = hashlib.sha256(), hashlib.sha256()
     count = 0
     for system in enumerate_systems(EnumerationConfig(2, 5)):
         outcome = prove(system, budget)
+        if outcome.verdict == "NO":
+            assert is_mixed_loop(outcome.certificate), system
+            assert check_loop_certificate(outcome.certificate, system), system
         cert = outcome.certificate and serialize_certificate(outcome.certificate, system)
         verdicts.update(json.dumps([outcome.verdict, cert], sort_keys=True).encode() + b"\n")
         attempts = [[a.method, a.outcome, a.detail] for a in outcome.attempts]
@@ -614,8 +644,9 @@ def _sweep_digests(budget: ProveBudget) -> tuple[int, str, str]:
 class TestFrozenVerdicts:
     """Verdicts and certificates of every two-letter system up to size 5.
 
-    The digest was recorded before the strictified weights were moved ahead
-    of the strictified loop search, with this snippet:
+    The digest was recorded when prove stopped wrapping a strictified loop
+    in a NO composite (52 certificates became that plain loop), with this
+    snippet:
 
         digest = hashlib.sha256()
         for system in enumerate_systems(EnumerationConfig(2, 5)):
@@ -625,7 +656,7 @@ class TestFrozenVerdicts:
         digest.hexdigest()
     """
 
-    DIGEST = "68f49a38a83c55c5632edc0cf8196feb4f1fafeb785acd4d9d6745d079d191da"
+    DIGEST = "40628a0b92114f0b0c31ddf928472c5f75f059614e8e746f1575212c06bd75ce"
 
     def test_default_budget_digest(self):
         count, digest, _ = _sweep_digests(ProveBudget())
@@ -638,8 +669,9 @@ class TestFrozenAttemptLog:
     two-letter system up to size 5, under the default budget and under
     SWEEP_BUDGET.
 
-    The digests were recorded before the S phase's loop search took the
-    same bounds as the other two phases, with this snippet:
+    The digests were recorded when prove stopped wrapping a strictified
+    loop in a NO composite (52 certificates per budget became that plain
+    loop, every verdict, reason and attempt line stayed), with this snippet:
 
         digest = hashlib.sha256()
         for system in enumerate_systems(EnumerationConfig(2, 5)):
@@ -652,8 +684,8 @@ class TestFrozenAttemptLog:
     """
 
     @pytest.mark.parametrize("budget, expected", [
-        (ProveBudget(), "d8ba68d7991004a98110e8f223145b2e47566673f8b038d929b06b78c02c2d73"),
-        (SWEEP_BUDGET, "08bb8c8a6fceedecf9f761425f94ec3644580a638899a2a509911eee4384fccf"),
+        (ProveBudget(), "bde8630aafbcb6d51060ddb9e31917c0bc50b4795fb1a16e878428db0c420bcc"),
+        (SWEEP_BUDGET, "d0213ec1810254d4e9789f2dedd14f21667baa587c88f262c4354f03bda1cae0"),
     ], ids=["default", "sweep"])
     def test_attempt_log_digest(self, budget, expected):
         count, _, digest = _sweep_digests(budget)

@@ -1483,10 +1483,14 @@ class TestComposeVerification:
         return outcome.certificate
 
     def no_compose(self):
+        # prove settles this NO with a plain mixed loop; stored NO composites
+        # pair that loop with the weights that prove SN(S)
         sys = parse_system("(RULES a -> a b, b ->= )")
         outcome = prove(sys)
-        assert outcome.verdict == "NO" and isinstance(outcome.certificate, ComposeCertificate)
-        return sys, outcome.certificate
+        assert outcome.verdict == "NO" and isinstance(outcome.certificate, LoopCertificate)
+        parts = (("s-termination", search_weights(s_as_strict(sys))),
+                 ("strictified-loop", outcome.certificate))
+        return sys, ComposeCertificate("NO", parts)
 
     def test_yes_composite_roundtrips(self):
         assert verify_certificate(self.yes_compose(), AB_A)
