@@ -20,47 +20,43 @@ through `give_up`.
 
 Both loop searches run one breadth-first kernel, `_search_loop`, and
 differ only in their rules and in the witness test on a successor that
-contains the start word.  Mixed: all rules, a strict step used, split at
-the leftmost occurrence.  Emitting: S alone, every occurrence scanned for a
-strict lhs inside a flank, left flank first.  The kernel counts a successor,
-then runs the witness test only if it is new for its "strict step used" flag.
-That is exact: the test reads start, word and flag alone, and each word was
-tested when first reached.  The start counts as reached unless it is its own
-witness, true of every start or of none (an empty strict lhs), so the kernel
-asks the empty word.  Closure saturation makes its seen sets on first lookup.
+contains the start word.  Mixed: the loop rules of R and S, a strict step
+used, split at the leftmost occurrence.  Emitting: the loop rules of S,
+every occurrence scanned for a strict lhs inside a flank, left flank first.
+The kernel counts a successor, then runs the witness test only if it is
+new for its "strict step used" flag.  That is exact: the test reads start,
+word and flag alone, and each word was tested when first reached.  The
+start counts as reached unless it is its own witness, true of every start
+or of none (an empty strict lhs), so the kernel asks the empty word.
+Closure saturation makes its seen sets on first lookup.
 
-Both the loop kernel and closure saturation with stop_at_looping skip
-what cannot lead to a witness, by a counting argument of the kind Geser
-and Zantema use for non-looping (RAIRO ITA 1999).  A lasting counter of
-the searched rules is a letter c whose count no rule raises (|rhs|_c <=
-|lhs|_c for every rule), or the word length when no rule lengthens a word;
-`_lasting` finds the ones some rule lowers, the only ones that can prune.  A lasting counter
-never rises along a derivation, and a word holding the start counts at
-least as many as the start.  So the loop kernel counts, records and
-witness-tests a new successor that counts fewer than the start for some
-lasting counter, but does not expand it.  In a saturation row (u, v) the
-deficit #c(u) - #c(v) never falls: a target rewrite leaves #c(v) or lowers
-it, and a right extension by x adds #c(x) to the source and at most #c(x)
-to the target, as #c(rhs) <= #c(lhs) = #c(v[split:]) + #c(x).  A looping
-closure has u a factor of v, deficit <= 0, so a row with a positive
-deficit is kept and counted but not expanded.  The prune reads the word
-and the start (in saturation, the row) alone, and nothing it skips leads
-back to a word it keeps, so the kept words come in the same order through
-the same parents and the first witness is the same.  Node counts cover the
-successors of expanded words only, so they fall with the prune, and a
-search that an unpruned one would cap may end "none" or find a loop past
-that cap.
+The loop rules, found by `_loop_rules`, are the rules a loop can use, by
+the counting argument of Geser and Zantema for non-looping (RAIRO ITA
+1999).  A lasting counter of a rule set is a letter c whose count no rule
+raises, or the length when no rule lengthens a word; `_lasting` finds
+those some rule lowers.  It never rises, and a loop v ->+ x.v.y ends with
+at least its first count, so no loop step lowers it: the rules that do
+are dropped, again on the rules left until no counter falls.  Take c the
+counter of the first round that dropped a rule a derivation uses: all its
+rules keep or lower c, so it ends with fewer c than it began, and a
+closure (u, v) built through it has #c(u) > #c(v), as a right extension
+by x adds #c(x) to u and at most #c(x) to v.  Without dropped rules every
+counter stays level.  So nothing reached through a dropped rule is a word
+or row reached without one, and those come in the same order through the
+same parents, with the same first witness; only node counts fall, and a
+search the unfiltered one would cap may end "none" or find a loop past
+that cap.  A search whose loop rules hold no strict rule (emitting: no
+rule) ends at once, "none" with 0 nodes, even past its deadline.
 
 Here, and nowhere else, a word is a str with one character per letter,
 chr(letter), which serves any alphabet size: redex matching, the loop
 test, the redex-in-context test and the closure factor test are then
 str.find, startswith and `in`, which run in C.  Words are decoded back to
 tuples only for what is returned: the certificate, the ForwardClosure
-records, the growth witness.  All three searches keep what they reach as
-rows that end (parent row, step), and `_trace` reads a derivation back
-through them: a loop row per word kept, a saturation row (source, target,
-strict steps, parent row, step) per closure, a witness row (parent row,
-step) per greedy step.
+records, the growth witness.  The loop search and saturation keep what
+they reach as rows that end (parent row, step), and `_trace` reads a
+derivation back through them: a loop row per word kept, a saturation row
+(source, target, strict steps, parent row, step) per closure.
 
 `_redexes` lists a word's one-step rewrites by rule, then position; a rule
 whose successors would pass the length bound gives only its number of
@@ -149,19 +145,30 @@ def _lasting(rules) -> tuple[str, bool]:
     """The lasting counters of the encoded `rules` that some rule lowers:
     the letters whose count no rule raises and some rule lowers, and
     whether no rule lengthens a word and some rule shortens one.  A counter
-    that no rule changes lasts too, but it never prunes, so it is left out."""
-    falls = rises = ""
-    shrinks = grows = False
+    that no rule changes lasts too, but it drops no rule, so it is left out."""
+    falls, rises, signs = set(), set(), set()
     for _, lhs, rhs, _, grow, _ in rules:
-        shrinks |= grow < 0
-        grows |= grow > 0
-        for c in lhs:
-            if rhs.count(c) < lhs.count(c):
-                falls += c
-        for c in rhs:
-            if rhs.count(c) > lhs.count(c):
-                rises += c
-    return "".join(sorted(set(falls).difference(rises))), shrinks and not grows
+        signs.add((grow > 0) - (grow < 0))  # of the length change
+        for c in set(lhs + rhs):
+            move = rhs.count(c) - lhs.count(c)
+            if move:
+                (rises if move > 0 else falls).add(c)
+    return "".join(sorted(falls - rises)), -1 in signs and 1 not in signs
+
+
+def _loop_rules(rules) -> list:
+    """The encoded `rules` a loop can use: drop each rule that lowers a
+    lasting counter (holds more lasting letters in all on its lhs than on
+    its rhs, as none raises one), again on the rules left until none does."""
+    while True:
+        letters, shrinking = _lasting(rules)
+        if not letters and not shrinking:
+            return rules
+        rules = [
+            rule for rule in rules
+            if not (shrinking and rule[4] < 0)
+            and sum(map(rule[1].count, letters)) == sum(map(rule[2].count, letters))
+        ]
 
 
 def _redexes(word: str, rules, bound: int, counts: bool = True) -> tuple:
@@ -220,19 +227,15 @@ def _search_loop(
     deadline: Optional[float],
     report: Optional[SearchReport],
 ) -> Optional[LoopCertificate]:
-    """Breadth-first loop search over the (index, rule) pairs `rules`.
+    """Breadth-first loop search over the encoded `rules`.
 
     A successor new for its flag "a strict step was used" that contains the
     start word goes to witness(start, successor, flag), exact by the module
     docstring: None, or (split position, redex) for a mixed certificate when
     the redex is None, else an emitting one.  The rest is as in search_mixed_loop.
     """
-    rules = _encoded_rules(rules)
     lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
-    # _lasting(rules), made at first need: a search whose successors all
-    # hold their start, as from the empty start, never needs it
-    counters = None
     nodes = 0
     own = witness("", "", False)  # every start is its own witness, or none is
     # one redex tuple per word for the whole call, shared by all start words
@@ -240,9 +243,6 @@ def _search_loop(
     memo_rows = 0
     try:
         for start in (w for w in _words(system, start_bound) if any(map(w.__contains__, lhss))):
-            # the lasting counts a word must keep to hold the start again, made
-            # at the first new word without the start
-            need = None
             # the words reached with no strict step used, and with one
             lax, tight = (set() if own else {start}, set())
             # (word, a strict step used, the row that reached it: (parent row,
@@ -287,17 +287,6 @@ def _search_loop(
                                         right=_decode(nxt[q + len(start) :]),
                                         redex=redex,
                                     )
-                            else:
-                                if need is None:
-                                    if counters is None:
-                                        counters = _lasting(rules)
-                                    letters, shrinking = counters
-                                    need = [(c, n) for c in letters if (n := start.count(c))]
-                                    short = len(start) if shrinking else 0
-                                if len(nxt) < short or need and any(
-                                    nxt.count(c) < n for c, n in need
-                                ):
-                                    continue  # a lasting counter fell below the start's
                             following.append((nxt, nused, (reached, row)))
                 if not following:
                     break
@@ -333,10 +322,11 @@ def search_mixed_loop(
     clock) is checked before each word is expanded.  A search cut short
     sets report.stop to "cap" or "deadline".
     """
-    if not any(r.strict for r in system.rules):
+    rules = _loop_rules(_encoded_rules(enumerate(system.rules)))
+    if not any(rule[5] for rule in rules):
         return None
     return _search_loop(
-        system, enumerate(system.rules), _mixed_witness,
+        system, rules, _mixed_witness,
         max_word_len, max_steps, max_start_len, node_budget, deadline, report,
     )
 
@@ -356,7 +346,9 @@ def search_emitting_loop(
     The bounds, node_budget, deadline and report work as in
     search_mixed_loop.
     """
-    rel_rules = [(i, r) for i, r in enumerate(system.rules) if not r.strict]
+    rel_rules = _loop_rules(
+        _encoded_rules((i, r) for i, r in enumerate(system.rules) if not r.strict)
+    )
     strict_lhss = [(i, _encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
     if not rel_rules or not strict_lhss:
         return None
@@ -406,8 +398,8 @@ def search_growth_witness(
     in is a node.  The search gives up after node_budget nodes (counting
     node_budget + 1) with report.stop "cap", and at the monotonic-clock
     deadline, checked as each run starts, with report.stop "deadline".  A
-    run keeps a row per step, and `_trace` reads the witness back from the
-    row of the strict step that passes |w| * max_entry."""
+    run only counts its strict steps; the one that passes |w| * max_entry is
+    run again, uncounted, to record its steps."""
     rules = _encoded_rules(enumerate(system.rules))
     orders: list = []
     for order in (rules, rules[::-1], sorted(rules, key=lambda r: -r[4])):
@@ -421,26 +413,30 @@ def search_growth_witness(
             for order in orders:
                 if deadline is not None and time.monotonic() >= deadline:
                     return give_up(report, "deadline")
-                word, strict_steps, seen, row = start, 0, set(), None
+                word, strict_steps, seen = start, 0, set()
                 while word not in seen:
                     seen.add(word)
                     nodes += 1
                     if nodes > node_budget:
                         return give_up(report, "cap")
-                    for i, lhs, rhs, _, grow, strict in order:
+                    for _, lhs, rhs, _, grow, strict in order:
                         if lhs in word:
                             break
                     else:
                         break
                     if len(word) + grow > _WITNESS_WORD_LEN:
                         break
-                    # the leftmost redex, the one replace rewrites
-                    row = (row, (i, word.find(lhs)))
-                    word = word.replace(lhs, rhs, 1)
+                    word = word.replace(lhs, rhs, 1)  # at the leftmost redex
                     if strict:
                         strict_steps += 1
-                        if strict_steps > need:
-                            return Derivation(_decode(start), _trace(row))
+                        if strict_steps > need:  # run it again to record its steps
+                            word, steps = start, []
+                            while strict_steps:
+                                i, lhs, rhs, _, _, strict = next(r for r in order if r[1] in word)
+                                steps.append(Step(i, word.find(lhs)))
+                                word = word.replace(lhs, rhs, 1)
+                                strict_steps -= strict
+                            return Derivation(_decode(start), tuple(steps))
                         seen.clear()
         return None
     finally:
@@ -507,17 +503,21 @@ def _saturate_closures(
     A successor with the endpoints of a kept row and the same answer to
     "any strict step used" is dropped.
 
-    Returns (rows, the first looping row, or None when stop_at_looping is
-    false or there is none); None when the deadline cut the search short
-    (report.stop "deadline"), and when stop_at_looping and more than
-    DEFAULT_NODE_BUDGET rows are kept before an expansion ("cap").
+    With stop_at_looping it saturates the loop rules alone, and none at all
+    when they hold no strict rule.  Returns (rows, the first looping row,
+    or None when stop_at_looping is false or there is none); None when the
+    deadline cut the search short (report.stop "deadline"), and when
+    stop_at_looping and more than DEFAULT_NODE_BUDGET rows are kept before
+    an expansion ("cap").
     """
     size = max_closure_size
     rules = _encoded_rules(enumerate(system.rules))
+    if stop_at_looping:
+        rules = _loop_rules(rules)
+        if not any(rule[5] for rule in rules):
+            return [], None
     # a rule extends a target only across a nonempty proper prefix of its lhs
     extending = [rule for rule in rules if rule[3] >= 2]
-    # the lasting counters prune only a search that stops at a looping closure
-    letters, shrinking = _lasting(rules) if stop_at_looping else ("", False)
     rows: list[tuple] = []
     # seen[(source, any strict step used)] = targets of the kept rows
     seen: defaultdict[tuple[str, bool], set[str]] = defaultdict(set)
@@ -535,10 +535,6 @@ def _saturate_closures(
         while head < len(rows):
             u, v, s, _, _ = row = rows[head]
             head += 1
-            if shrinking and len(u) > len(v) or letters and any(
-                u.count(c) > v.count(c) for c in letters
-            ):
-                continue  # a lasting counter's deficit is positive: no looping descendant
             if deadline is not None and time.monotonic() >= deadline:
                 return give_up(report, "deadline")
             if stop_at_looping and len(rows) > DEFAULT_NODE_BUDGET:

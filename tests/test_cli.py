@@ -116,8 +116,8 @@ class TestLoop:
         code, out = run("loop", srs(tmp_path, TERMINATING), "--max-word-len", "9")
         assert code == 1
         assert out == "MAYBE\nnone found (bound 9)\n"
-        # at the default bound too: every successor of a start word lost a
-        # b, which no rule gives back, so no word is expanded past its start
+        # at the default bound too: both rules lower the count of b, which no
+        # rule gives back, so a loop can use neither and none is searched
         code, out = run("loop", srs(tmp_path, TERMINATING))
         assert code == 1
         assert out == "MAYBE\nnone found (bound 12)\n"
@@ -150,7 +150,7 @@ class TestClosures:
         # the closure cap ends this search after about a second, so only an
         # expired clock is sure to cut it first
         start = time.monotonic()
-        path = srs(tmp_path, "(RULES a -> , ->= b , b a ->= a)\n")
+        path = srs(tmp_path, "(RULES a b b -> , ->= a b a)\n")
         code, out = run("closures", path, "--timeout", "0")
         assert time.monotonic() - start < 5
         assert code == 1
@@ -159,7 +159,7 @@ class TestClosures:
     def test_node_budget_cuts_the_search(self, run, tmp_path):
         # without a timeout the search stops at its budget of kept closures
         start = time.monotonic()
-        code, out = run("closures", srs(tmp_path, "(RULES a -> , ->= b , b a ->= a)\n"))
+        code, out = run("closures", srs(tmp_path, "(RULES a b b -> , ->= a b a)\n"))
         assert time.monotonic() - start < 10
         assert code == 1
         assert out == "MAYBE\nnode budget reached before the search finished (bound 20)\n"

@@ -200,8 +200,9 @@ class TestNodeBudgetSweep:
     # Recorded on the search that expanded every word afresh: no budget
     # below the total finds a certificate, each stops "cap" on the node
     # that crosses it, and the totals are the nodes of the whole search.
-    # No rule set searched here has a counter that prunes, so the totals
-    # also pin that a search without one expands every word it did before.
+    # No rule set searched here has a counter that drops a rule, so the
+    # totals also pin that a search without one expands every word it did
+    # before.
     @pytest.mark.parametrize(
         "text, search, total",
         [
@@ -227,23 +228,20 @@ class TestNodeBudgetSweep:
 
 
 def _reference_loop_search(
-    system, emitting, max_word_len, max_steps, max_start_len, cap, prune
+    system, emitting, max_word_len, max_steps, max_start_len, cap, loop_rules
 ):
     """(certificate, stop, nodes) of a plain loop BFS that tests a successor
     containing the start for a witness before it looks the successor up
-    among the words already reached, and keeps no memo.  With `prune`, a
-    new successor is not expanded when it has fewer letters c than the
-    start for a letter c whose count no searched rule raises, or is shorter
-    than the start when no searched rule lengthens a word."""
-    if emitting:
-        rules = [(i, r) for i, r in enumerate(system.rules) if not r.strict]
-        strict_lhss = [(i, nonterm._encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
-        if not rules or not strict_lhss:
-            return None, "none", 0
-    elif not any(r.strict for r in system.rules):
+    among the words already reached, and keeps no memo.  With `loop_rules`
+    it searches the rules `nonterm._loop_rules` keeps, else all of them."""
+    strict_lhss = [(i, nonterm._encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
+    rules = nonterm._encoded_rules(
+        (i, r) for i, r in enumerate(system.rules) if not (emitting and r.strict)
+    )
+    if loop_rules:
+        rules = nonterm._loop_rules(rules)
+    if not (strict_lhss and rules if emitting else any(rule[5] for rule in rules)):
         return None, "none", 0
-    else:
-        rules = list(enumerate(system.rules))
 
     def witness(start, word, used):
         if not emitting:
@@ -257,20 +255,6 @@ def _reference_loop_search(
                         return q, EmittingRedex(j, side, flank.find(lhs))
         return None
 
-    lasting = [
-        c for c in range(len(system.letters))
-        if all(r.rhs.count(c) <= r.lhs.count(c) for _, r in rules)
-    ]
-    no_growth = all(len(r.rhs) <= len(r.lhs) for _, r in rules)
-
-    def dead(start, word):
-        if not prune:
-            return False
-        if no_growth and len(word) < len(start):
-            return True
-        return any(word.count(chr(c)) < start.count(chr(c)) for c in lasting)
-
-    rules = nonterm._encoded_rules(rules)
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     nodes = 0
     for start in nonterm._words(system, start_bound):
@@ -307,8 +291,7 @@ def _reference_loop_search(
                         return cert, "none", nodes
                     if nxt not in seen[nused]:
                         seen[nused].add(nxt)
-                        if not dead(start, nxt):
-                            following.append((nxt, nused, path))
+                        following.append((nxt, nused, path))
             if not following:
                 break
             level = following
@@ -335,7 +318,7 @@ _LOOP_SEARCH_ARGS = (
 )
 
 
-def _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, prune):
+def _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, loop_rules):
     """The kernel's (certificate, stop, nodes) and the reference's, the
     certificates serialized, on the random system `rules` describes."""
     system = RelSRS(
@@ -346,7 +329,7 @@ def _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, prun
     report = SearchReport()
     cert = search(system, word_len, steps, max_start_len=start_len, node_budget=cap, report=report)
     want, stop, nodes = _reference_loop_search(
-        system, emitting, word_len, steps, start_len, cap, prune
+        system, emitting, word_len, steps, start_len, cap, loop_rules
     )
 
     def data(c):
@@ -361,9 +344,9 @@ class TestLoopKernelOrder:
     random systems and budgets small enough to cap inside a word's redex
     list, including its too-long counts, must agree on the certificate,
     the stop and the node count.  Each system has strict and relative
-    rules, so both searches have work to do.  The reference leaves the same
-    words unexpanded as the kernel; TestLastingCounterPrune compares the
-    kernel with a reference that expands every word."""
+    rules, so both searches have work to do.  The reference searches the
+    same loop rules as the kernel; TestLastingCounterPrune compares the
+    kernel with a reference that searches every rule."""
 
     @settings(max_examples=400, deadline=None)
     @given(*_LOOP_SEARCH_ARGS)
@@ -377,12 +360,13 @@ class TestLoopKernelOrder:
 
 
 class TestLastingCounterPrune:
-    """The kernel leaves unexpanded a word that has fewer letters c than the
-    start for a letter c whose count no searched rule raises, or that is
-    shorter than the start when no rule lengthens a word.  No such word
-    holds the start again, so against the reference that expands every
-    word, the kernel finds the same first certificate, ends "none" whenever
-    the reference does, and never counts more nodes."""
+    """The searches drop every rule that lowers a lasting counter, a letter
+    whose count no rule raises or the length when no rule lengthens a word,
+    again on the rules left until none is lowered.  No loop uses a dropped
+    rule, so against the reference that searches every rule, the loop
+    kernel finds the same first certificate, ends "none" whenever the
+    reference does, and never counts more nodes; the looping-closure search
+    finds the first looping closure of the saturation of every rule."""
 
     @settings(max_examples=400, deadline=None)
     @given(*_LOOP_SEARCH_ARGS)
@@ -405,8 +389,44 @@ class TestLastingCounterPrune:
         elif want_stop == "none":
             assert (cert, stop) == (None, "none")
 
+    @settings(max_examples=200, deadline=None)
+    @given(_LOOP_SEARCH_ARGS[0], st.integers(0, 6))
+    # a lasts, so a -> and every closure built on it is dropped; the
+    # looping search ends at once, with nothing left to saturate
+    @example([([0], [], True), ([], [1], False), ([1, 0], [0], False)], 6)
+    def test_looping_closure_is_the_first_of_the_full_saturation(self, rules, bound):
+        system = RelSRS(
+            ("a", "b", "c"),
+            tuple(Rule(tuple(lhs), tuple(rhs), strict) for lhs, rhs, strict in rules),
+        )
+        rows, _ = nonterm._saturate_closures(system, bound, False)
+        looping = [i for i, (u, v, s, _, _) in enumerate(rows) if s and u in v]
+        report = SearchReport()
+        closure = find_looping_forward_closure(system, bound, report=report)
+        assert closure == (nonterm._closure(rows[looping[0]]) if looping else None)
+        assert report.stop == "none"
+        assert report.nodes <= (looping[0] + 1 if looping else len(rows))
+
+    @pytest.mark.parametrize("text, kept", [
+        # b lasts, and the length: both rules shorten a word
+        ("(RULES a b -> a , b ->= )", []),
+        # a lasts and a -> lowers it; ->= b raises b and lengthens words
+        ("(RULES a -> , ->= b , b a ->= a)", [1, 2]),
+        # b lasts and b ->= a a lowers it; without that rule, a lasts too
+        ("(RULES a -> , b ->= a a)", []),
+    ])
+    def test_loop_rules(self, text, kept):
+        rules = nonterm._encoded_rules(enumerate(parse_system(text).rules))
+        assert [rule[0] for rule in nonterm._loop_rules(rules)] == kept
+
+    def test_loop_rules_take_two_rounds(self):
+        rules = nonterm._encoded_rules(enumerate(parse_system("(RULES a -> , b ->= a a)").rules))
+        # the first round sees b alone, which a -> keeps
+        assert nonterm._lasting(rules) == ("\x01", False)
+        assert nonterm._lasting(rules[:1]) == ("\x00", True)
+
     def test_lasting_counters(self):
-        # no rule changes the count of a, so it cannot prune and is left out
+        # no rule changes the count of a, so it drops no rule and is left out
         rules = nonterm._encoded_rules(enumerate(parse_system("(RULES a b -> a , b ->= )").rules))
         assert nonterm._lasting(rules) == ("\x01", True)
         # the rules raise b and c, and the insertion of c lengthens words
@@ -741,8 +761,9 @@ class TestFrozenClosureResults:
     DIGEST = "1903c46f3feb1e65558ad3468aca8a49ef16efd1c28868382377e1110023e238"
     # why each looping-closure search stopped and how many closures it kept;
     # re-recorded when the search stopped expanding rows that lost a letter
-    # no rule gives back
-    REPORT_DIGEST = "719edf16350d0809c2dde65fd87f1d19088a17531a0baa83b180afc963118a51"
+    # no rule gives back, and again when it dropped the rules a loop cannot
+    # use before it starts
+    REPORT_DIGEST = "9894f5879627115c8ba83bf203dbc04b9560a515543f3b656012d637a9677d48"
 
     def test_size_four_results_are_unchanged(self):
         """The looping closure at bounds 6 and 8 and the saturation at
@@ -797,28 +818,30 @@ class TestFrozenClosureResults:
         assert len(forward_closures(self.A_B_BA_A, bound)) == count
 
     # closures the looping search keeps at each bound; re-recorded when it
-    # stopped expanding rows with a positive deficit
-    LOOPING_SEARCH_SIZES = {8: 1520, 9: 3055}
+    # stopped expanding rows with a positive deficit, and again when it
+    # dropped the rules a loop cannot use
+    LOOPING_SEARCH_SIZES = {8: 0, 9: 0}
 
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
     def test_looping_search_sizes(self, bound, count):
         # the path `relsrs closures` runs: no looping closure.  a is a lasting
-        # counter, so rows whose source holds more a than their target are
-        # kept but not expanded, and fewer than the saturation's `count`
-        # closures are kept
+        # counter that a -> lowers, so a loop cannot use that rule, and the
+        # two rules left are relative: the search keeps no closure, where
+        # the saturation keeps `count`
         report = SearchReport()
         assert find_looping_forward_closure(self.A_B_BA_A, bound, report=report) is None
         assert (report.stop, report.nodes) == ("none", self.LOOPING_SEARCH_SIZES[bound])
         assert report.nodes < count
 
-    # recorded before the saturation created its seen sets on first use, and
-    # re-recorded when it stopped expanding rows with a positive deficit.  The
+    # no counter lasts in ABB_ABA, so its looping search keeps both rules.  The
     # search stops at the cap exactly when it keeps more closures than that
-    @pytest.mark.parametrize("budget, nodes", [(0, 3), (3, 5), (1000, 1001), (5000, 3055)])
+    ABB_ABA = parse_system("(RULES a b b -> , ->= a b a)")
+
+    @pytest.mark.parametrize("budget, nodes", [(0, 2), (3, 7), (1000, 1002), (5000, 2991)])
     def test_looping_search_cap(self, budget, nodes, monkeypatch):
         monkeypatch.setattr(nonterm, "DEFAULT_NODE_BUDGET", budget)
         report = SearchReport()
-        assert find_looping_forward_closure(self.A_B_BA_A, 9, report=report) is None
+        assert find_looping_forward_closure(self.ABB_ABA, 12, report=report) is None
         assert (report.stop, report.nodes) == ("cap" if nodes > budget else "none", nodes)
 
     @pytest.mark.parametrize("bound, count", [(8, 5091), (9, 11232)])
@@ -839,8 +862,8 @@ class TestFrozenClosureResults:
         ),
         st.integers(0, 6),
     )
-    # A_B_BA_A: a lasts, and the seed a -> and rows built on it hold more a
-    # in their source than in their target, so the looping search skips them
+    # A_B_BA_A: a lasts and a -> lowers it, so the looping search drops
+    # that rule and, with no strict rule left, saturates nothing
     @example([([0], [], True), ([], [1], False), ([1, 0], [0], False)], 6)
     def test_closures_replay_to_their_targets(self, rules, bound):
         system = RelSRS(
@@ -861,8 +884,9 @@ class TestFrozenSearchResults:
     DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
     # why each search stopped and how many nodes it visited; re-recorded
     # when the searches stopped expanding words that lost a letter no rule
-    # gives back
-    REPORT_DIGEST = "a4273106f14e6f867177530d390c2ed16113141ac4b242b7a36e06231c296c3a"
+    # gives back, and again when they dropped the rules a loop cannot use
+    # before they start
+    REPORT_DIGEST = "aa4156bab075ab1c56396c1cefa2014d07b491a938f5f1c5de0abac8921e692b"
 
     def test_size_four_results_are_unchanged(self):
         """Both loop searches, with the SWEEP_BUDGET loop bounds and the
