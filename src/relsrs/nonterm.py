@@ -13,10 +13,13 @@ The three derivation searches of the package live here: the loop search,
 forward-closure saturation, and the growth-witness search `relsrs.term`
 runs before an arctic matrix search.  All are bounded and deterministic:
 start words come from one generator, `_words`, shorter first then
-lexicographic; successors are ordered by rule index then position.
-Absence within the bounds is a value, not a proof.  Every search in the
-package records why it came back empty in a `SearchReport`, defined here,
-through `give_up`.
+lexicographic; successors are ordered by rule index then position.  The
+loop searches take their start words from `_starts` alone, which filters
+that one sequence by the searched rules' lhss and reads no strict flag:
+the lemmas below and in `relsrs.term` rest on that contract, and a change
+of start order is made there.  Absence within the bounds is a value, not
+a proof.  Every search in the package records why it came back empty in a
+`SearchReport`, defined here, through `give_up`.
 
 Both loop searches run one breadth-first kernel, `_search_loop`, and
 differ only in their rules and in the witness test on a successor that
@@ -43,10 +46,13 @@ closure (u, v) built through it has #c(u) > #c(v), as a right extension
 by x adds #c(x) to u and at most #c(x) to v.  Without dropped rules every
 counter stays level.  So nothing reached through a dropped rule is a word
 or row reached without one, and those come in the same order through the
-same parents, with the same first witness; only node counts fall, and a
-search the unfiltered one would cap may end "none" or find a loop past
-that cap.  A search whose loop rules hold no strict rule (emitting: no
-rule) ends at once, "none" with 0 nodes, even past its deadline.
+same parents, with the same first witness (`_starts` gives the loop
+search the unfiltered one's starts that hold a kept lhs, in its order,
+and a start that holds none reaches nothing but through a dropped rule);
+only node counts fall, and a search the unfiltered one would cap may end
+"none" or find a loop past that cap.  A search whose loop rules hold no
+strict rule (emitting: no rule) ends at once, "none" with 0 nodes, even
+past its deadline.
 
 Here, and nowhere else, a word is a str with one character per letter,
 chr(letter), which serves any alphabet size: redex matching, the loop
@@ -131,6 +137,20 @@ def _words(system: RelSRS, max_len: int):
     letters = _encode(used_letters(system))
     for n in range(max_len + 1):
         yield from map("".join, product(letters, repeat=n))
+
+
+def _starts(system: RelSRS, rules, bound: int):
+    """The start words of a loop search over the encoded `rules`, up to
+    length `bound`: one fixed length-lex sequence, `_words` over the letters
+    `system` uses, filtered to the words that hold some lhs of `rules`.
+    Its contract is that it reads no strict flag, and no rule but the
+    lhss it filters by.  So strictify, which keeps every lhs and used
+    letter, leaves the starts alone (the lemma in the `relsrs.term`
+    docstring), and the starts over fewer rules, those `_loop_rules` keeps,
+    are a subsequence of the starts over all of them (the exactness in the
+    module docstring)."""
+    lhss = [rule[1] for rule in rules]
+    return (w for w in _words(system, bound) if any(map(w.__contains__, lhss)))
 
 
 def _encoded_rules(rules) -> list[tuple[int, str, str, int, int, bool]]:
@@ -234,7 +254,6 @@ def _search_loop(
     docstring: None, or (split position, redex) for a mixed certificate when
     the redex is None, else an emitting one.  The rest is as in search_mixed_loop.
     """
-    lhss = [lhs for _, lhs, _, _, _, _ in rules]
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     nodes = 0
     own = witness("", "", False)  # every start is its own witness, or none is
@@ -242,7 +261,7 @@ def _search_loop(
     memo: dict[str, tuple] = {}
     memo_rows = 0
     try:
-        for start in (w for w in _words(system, start_bound) if any(map(w.__contains__, lhss))):
+        for start in _starts(system, rules, start_bound):
             # the words reached with no strict step used, and with one
             lax, tight = (set() if own else {start}, set())
             # (word, a strict step used, the row that reached it: (parent row,

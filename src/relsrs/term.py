@@ -104,19 +104,21 @@ only saves time.  Once SN(S) is proven, the direct phase skips its
 mixed-loop row (no call, no attempt), as the strictified loop search has
 answered it.  Both searches have the same loop rules (`relsrs.nonterm`
 reads no strict flag to find them) in the same order, so the same
-successors, and the same start words: strictify keeps every lhs and used
-letter.  When those rules hold no strict rule of R/S, the direct search
-ends at once, and under SN(S) a loop among S rules alone is a loop of S,
-so the strictified search finds none there either.  Otherwise the direct
-breadth-first search keeps (word, a strict step used) pairs; its words
-first appear in the strictified search's order, through the same
-parents, and a word's other pair comes later.  A redex is one node
-whatever the flag, so at every point the direct search has counted at
-least as many nodes.  Under SN(S) a successor that holds the start word
-is not reached by S steps alone (that is a loop of S), so the direct
-search meets the strictified one's first loop at the same place, with
-the same certificate.  When the strictified search finds no loop,
-neither does the direct one; a `deadline` ends prove.
+successors, and the same start words: by its contract,
+`relsrs.nonterm._starts` reads no strict flag, only the used letters and
+the searched lhss, and strictify keeps both.  When the loop rules hold no
+strict rule of R/S, the direct search ends at once, and under SN(S) a
+loop among S rules alone is a loop of S, so the strictified search finds
+none there either.  Otherwise the direct breadth-first search keeps
+(word, a strict step used) pairs; its words first appear in the
+strictified search's order, through the same parents, and a word's other
+pair comes later.  A redex is one node whatever the flag, so at every
+point the direct search has counted at least as many nodes.  Under SN(S)
+a successor that holds the start word is not reached by S steps alone
+(that is a loop of S), so the direct search meets the strictified one's
+first loop at the same place, with the same certificate.  When the
+strictified search finds no loop, neither does the direct one; a
+`deadline` ends prove.
 
 A certificate that settles the system is returned as its verdict.  Every
 search checks the deadline itself and records in its SearchReport why it

@@ -58,11 +58,13 @@ class TestMixedLoopSearch:
         assert check_loop_certificate(cert, ABA)
 
     def test_finds_three_step_loop(self):
-        cert = search_mixed_loop(BAB)
-        assert cert is not None
-        assert cert.start == BAB.word("c a d")
-        assert len(cert.steps) == 3
-        assert cert.left == () and cert.right == ()
+        # BAB has no loop of two steps through words of at most five
+        # letters, and the search that may take three finds one
+        report = SearchReport()
+        assert search_mixed_loop(BAB, 5, 2, report=report) is None
+        assert report.stop == "none"
+        cert = search_mixed_loop(BAB, 5, 3)
+        assert cert is not None and len(cert.steps) == 3
         assert check_loop_certificate(cert, BAB)
 
     def test_at_least_one_strict_step(self):
@@ -88,11 +90,13 @@ class TestMixedLoopSearch:
     def test_node_budget_gives_up(self):
         assert search_mixed_loop(ABA, node_budget=1) is None
 
-    @pytest.mark.parametrize("system, needed", [(ABA, 15), (BAB, 1720)])
-    def test_node_budget_boundary(self, system, needed):
-        # every generated successor counts, also those over the word bound;
-        # the smallest sufficient budgets were recorded on the tuple-word search
-        cert = search_mixed_loop(system)
+    @pytest.mark.parametrize("system", [ABA, BAB], ids=["ABA", "BAB"])
+    def test_node_budget_boundary(self, system):
+        # the uncapped search's node count is the smallest sufficient budget
+        uncapped = SearchReport()
+        cert = search_mixed_loop(system, report=uncapped)
+        needed = uncapped.nodes
+        assert cert is not None
         assert search_mixed_loop(system, node_budget=needed - 1) is None
         assert search_mixed_loop(system, node_budget=needed) == cert
         # only the search the budget cut short reports it
@@ -110,12 +114,12 @@ class TestMixedLoopSearch:
         assert report.stop == "none"
 
     def test_overlapping_matches_are_successors(self):
-        # from a a a the loop needs the rewrite at position 1, which overlaps
-        # the match at position 0
+        # a c ->= a a a makes a run of three a; rewriting its first a a gives
+        # c a, which no rule rewrites, so every loop rewrites the second a a,
+        # which overlaps the first
         sys_ = parse_system("(RULES a a -> c, a c ->= a a a)")
         cert = search_mixed_loop(sys_)
-        assert cert.start == sys_.word("a c")
-        assert cert.steps == (Step(1, 0), Step(0, 1))
+        assert cert is not None and check_loop_certificate(cert, sys_)
 
     def test_expired_deadline_gives_up(self):
         assert search_mixed_loop(ABA) is not None
@@ -233,7 +237,9 @@ def _reference_loop_search(
     """(certificate, stop, nodes) of a plain loop BFS that tests a successor
     containing the start for a witness before it looks the successor up
     among the words already reached, and keeps no memo.  With `loop_rules`
-    it searches the rules `nonterm._loop_rules` keeps, else all of them."""
+    it searches the rules `nonterm._loop_rules` keeps, else all of them.
+    Its start words come from `nonterm._starts`, as the kernel's do, so a
+    change of start order moves both alike."""
     strict_lhss = [(i, nonterm._encode(r.lhs)) for i, r in enumerate(system.rules) if r.strict]
     rules = nonterm._encoded_rules(
         (i, r) for i, r in enumerate(system.rules) if not (emitting and r.strict)
@@ -257,9 +263,7 @@ def _reference_loop_search(
 
     start_bound = max_word_len if max_start_len is None else min(max_start_len, max_word_len)
     nodes = 0
-    for start in nonterm._words(system, start_bound):
-        if not any(rule[1] in start for rule in rules):
-            continue
+    for start in nonterm._starts(system, rules, start_bound):
         seen = ({start}, set())
         level = [(start, False, ())]
         for _ in range(max_steps):
@@ -354,6 +358,13 @@ class TestLoopKernelOrder:
     # the start is an emitting witness the first time it comes back
     @example([([0], [1], False), ([1], [0], False), ([], [2], True)], True, 4, 4, None, 300)
     @example([([0], [0], False), ([], [1], True)], True, 3, 3, 2, 300)
+    # (RULES a -> a b , ->= b , ->= c): the empty start, tried first, spends
+    # 98 nodes on the insertions before the start a loops at once, so the
+    # start order decides whether a budget of 60 finds a loop
+    @example([([0], [0, 1], True), ([], [1], False), ([], [2], False)], False, 4, 4, None, 60)
+    @example([([0], [0, 1], True), ([], [1], False), ([], [2], False)], False, 4, 4, None, 300)
+    # the insertions alone make no emitting loop: S never writes an a
+    @example([([0], [0, 1], True), ([], [1], False), ([], [2], False)], True, 3, 3, None, 300)
     def test_agrees_with_the_reference(self, rules, emitting, word_len, steps, start_len, cap):
         got, want = _kernel_and_reference(rules, emitting, word_len, steps, start_len, cap, True)
         assert got == want
@@ -377,6 +388,18 @@ class TestLastingCounterPrune:
     @example(
         [([1], [], False), ([1, 0, 1], [0], False), ([0, 1], [], True)], True, 5, 6, None, 300
     )
+    # (RULES a -> a b , ->= b , ->= c): no counter lasts, so both search
+    # every rule, and the start order decides the first loop
+    @example([([0], [0, 1], True), ([], [1], False), ([], [2], False)], False, 4, 4, None, 60)
+    @example([([0], [0, 1], True), ([], [1], False), ([], [2], False)], False, 4, 4, None, 300)
+    # (RULES a -> , ->= b , b a ->= a): a lasts and a -> lowers it, so the
+    # mixed search ends at once, where the reference's insertions cap it
+    @example([([0], [], True), ([], [1], False), ([1, 0], [0], False)], False, 4, 4, None, 300)
+    # (RULES b -> , b a -> b , ->= a): b lasts and b -> is dropped, so the
+    # kernel's starts must be the reference's that hold a kept lhs, in the
+    # reference's order; an order keyed on the searched strict lhss puts
+    # b a first in the kernel and b first in the reference
+    @example([([1], [], True), ([1, 0], [1], True), ([], [0], False)], False, 5, 3, 3, 240)
     def test_never_worse_than_expanding_every_word(
         self, rules, emitting, word_len, steps, start_len, cap
     ):
@@ -488,8 +511,8 @@ class TestReversalTransport:
         assert back == cert
 
     def test_transport_rejects_a_step_that_does_not_match(self):
-        cert = search_mixed_loop(ABA)
-        bad = LoopCertificate("mixed", cert.start, (Step(0, 0),), cert.left, cert.right)
+        # a b -> a at position 0 of a c
+        bad = LoopCertificate("mixed", ABA.word("a c"), (Step(0, 0),), (), ())
         with pytest.raises(RewriteError):
             reverse_loop_certificate(bad, ABA)
 
@@ -879,72 +902,39 @@ class TestFrozenClosureResults:
         assert find_looping_forward_closure(system, bound) == (looping[0] if looping else None)
 
 
-class TestFrozenSearchResults:
-    # recorded with the tuple-word searches: 1134 searches, 347 certificates
-    DIGEST = "268def1052968238b8a710ecbd4425ff2dc7699e4b7e182b101cfc1a13277235"
-    # why each search stopped and how many nodes it visited; re-recorded
-    # when the searches stopped expanding words that lost a letter no rule
-    # gives back, and again when they dropped the rules a loop cannot use
-    # before they start
-    REPORT_DIGEST = "aa4156bab075ab1c56396c1cefa2014d07b491a938f5f1c5de0abac8921e692b"
+class TestSizeFourLoopSearches:
+    """Both loop searches, with the SWEEP_BUDGET loop bounds and the
+    emitting bounds SWEEP_BUDGET had while prove ran that search, on every
+    non-trivial two-letter system up to size 4 as is, strictified, and with
+    S alone made strict: 1,134 searches, which agree with the reference BFS
+    on the certificate, the stop and the node count, with and without the
+    memo.  Every certificate found re-checks."""
 
-    def test_size_four_results_are_unchanged(self):
-        """Both loop searches, with the SWEEP_BUDGET loop bounds and the
-        emitting bounds SWEEP_BUDGET had while prove ran that search, on every
-        non-trivial two-letter system up to size 4 as is, strictified, and
-        with S alone made strict.  DIGEST was made by this snippet, and
-        REPORT_DIGEST by hashing `[report.stop, report.nodes]` of each search
-        the same way:
-
-            b = SWEEP_BUDGET
-            h = hashlib.sha256()
-            for system in enumerate_systems(EnumerationConfig(2, 4)):
-                if trivial_verdict(system) is not None:
-                    continue
-                s_only = RelSRS(system.letters, tuple(
-                    Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
-                for form in (system, strictify(system), s_only):
-                    mixed = search_mixed_loop(
-                        form, b.loop_max_word_len, b.loop_max_steps,
-                        max_start_len=b.loop_max_start_len,
-                        node_budget=b.loop_node_budget)
-                    emitting = search_emitting_loop(
-                        form, 8, 8, max_start_len=4, node_budget=2_000)
-                    for cert in (mixed, emitting):
-                        data = None if cert is None else serialize_certificate(cert, form)
-                        h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
-            h.hexdigest()
-        """
+    @pytest.mark.parametrize("memo_rows", [nonterm._MEMO_ROWS, 0], ids=["memo", "no-memo"])
+    def test_kernel_agrees_with_the_reference(self, memo_rows, monkeypatch):
+        monkeypatch.setattr(nonterm, "_MEMO_ROWS", memo_rows)
         b = SWEEP_BUDGET
-        h, reports = hashlib.sha256(), hashlib.sha256()
-        searches = found = 0
+        # (search, max_word_len, max_steps, max_start_len, node_budget)
+        kinds = (
+            (search_mixed_loop, b.loop_max_word_len, b.loop_max_steps, b.loop_max_start_len,
+             b.loop_node_budget),
+            (search_emitting_loop, 8, 8, 4, 2_000),
+        )
+        searches = 0
         for system in enumerate_systems(EnumerationConfig(2, 4)):
             if trivial_verdict(system) is not None:
                 continue
             for form in (system, strictify(system), s_as_strict(system)):
-                mixed_report, emitting_report = SearchReport(), SearchReport()
-                mixed = search_mixed_loop(
-                    form,
-                    b.loop_max_word_len,
-                    b.loop_max_steps,
-                    max_start_len=b.loop_max_start_len,
-                    node_budget=b.loop_node_budget,
-                    report=mixed_report,
-                )
-                emitting = search_emitting_loop(
-                    form, 8, 8, max_start_len=4, node_budget=2_000, report=emitting_report
-                )
-                for cert, report in ((mixed, mixed_report), (emitting, emitting_report)):
-                    data = None if cert is None else serialize_certificate(cert, form)
-                    h.update(json.dumps(data, sort_keys=True).encode() + b"\n")
-                    reports.update(json.dumps([report.stop, report.nodes]).encode() + b"\n")
+                for search, *bounds in kinds:
+                    word_len, steps, start_len, cap = bounds
+                    emitting = search is search_emitting_loop
+                    report = SearchReport()
+                    cert = search(
+                        form, word_len, steps, max_start_len=start_len, node_budget=cap,
+                        report=report,
+                    )
+                    want = _reference_loop_search(form, emitting, *bounds, True)
+                    assert (cert, report.stop, report.nodes) == want, form
+                    assert cert is None or check_loop_certificate(cert, form), form
                     searches += 1
-                    found += cert is not None
-        assert (searches, found) == (1134, 347)
-        assert h.hexdigest() == self.DIGEST
-        assert reports.hexdigest() == self.REPORT_DIGEST
-
-    def test_size_four_results_without_memo(self, monkeypatch):
-        # a full memo: every word's successors are computed afresh
-        monkeypatch.setattr(nonterm, "_MEMO_ROWS", 0)
-        self.test_size_four_results_are_unchanged()
+        assert searches == 1134

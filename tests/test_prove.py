@@ -272,13 +272,19 @@ class TestBudgets:
             ("mixed-loop", "found"),
         ]
 
-    @pytest.mark.parametrize("budget, verdict, logged", [
-        (1719, "MAYBE", ("mixed-loop", "cap")),
-        (1720, "NO", ("mixed-loop", "found")),
-    ])
-    def test_loop_cut_by_node_budget_is_logged_cap(self, budget, verdict, logged):
+    @pytest.mark.parametrize("short, verdict, logged", [
+        (1, "MAYBE", ("mixed-loop", "cap")),
+        (0, "NO", ("mixed-loop", "found")),
+    ], ids=["one-node-short", "enough"])
+    def test_loop_cut_by_node_budget_is_logged_cap(self, short, verdict, logged):
+        # the budget the uncapped mixed-loop search needs, or one node less
         system = parse_system("(RULES b a b -> a, c ->= c b, d ->= b d)")
-        outcome = prove(system, ProveBudget(loop_node_budget=budget))
+        b, uncapped = ProveBudget(), SearchReport()
+        assert search_mixed_loop(
+            system, b.loop_max_word_len, b.loop_max_steps,
+            max_start_len=b.loop_max_start_len, report=uncapped,
+        ) is not None
+        outcome = prove(system, ProveBudget(loop_node_budget=uncapped.nodes - short))
         assert outcome.verdict == verdict
         assert logged in [(a.method, a.outcome) for a in outcome.attempts]
 

@@ -908,15 +908,53 @@ def arctic_letter_matrices(d, max_entry):
 def first_fit(system, semiring, max_dim, max_entry):
     """Brute-force oracle: for d = 1 .. max_dim in turn, the first
     assignment of the letters used in rules, in itertools.product order
-    over the full candidate lists, that check_matrix accepts."""
+    over the full candidate lists, that holds every rule.  It assigns the
+    letters depth first in that order and tests each rule, with the
+    checker's products, as soon as its letters are assigned: a prefix that
+    fails a rule has no completion that holds.  The candidates of a letter
+    that hold the rules it completes depend only on the earlier letters
+    those rules read, so they are listed once per such choice.
+    check_matrix accepts what it returns."""
     used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
+    # due[k]: the rules the k-th letter completes; letterless ones come first
+    letterless, due = [], [[] for _ in used]
+    for rule in system.rules:
+        letters = rule.lhs + rule.rhs
+        (due[max(map(used.index, letters))] if letters else letterless).append(rule)
+    reads = [
+        sorted({c for rule in rules for c in rule.lhs + rule.rhs} - {used[k]})
+        for k, rules in enumerate(due)
+    ]
     for d in range(1, max_dim + 1):
         rows = list(product(entry_pool(semiring, max_entry), repeat=d))
         letters = [m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None]
-        for mats in product(letters, repeat=len(used)):
-            cert = semiring.certificate(d, {system.letters[c]: m for c, m in zip(used, mats)})
-            if check_matrix(cert, system):
-                return cert
+        # with no letter to interpret the checker reads letterless rules at d = 1
+        dim = d if used else 1
+        one, mats, fitting = semiring.identity(dim), {}, {}
+
+        def holds(rules):
+            return all(_rule_fault(rule, mats, semiring, dim, one) is None for rule in rules)
+
+        def fits(k):
+            if k == len(used):
+                return True
+            key = (k, *(mats[c] for c in reads[k]))
+            if key not in fitting:
+                fitting[key] = []
+                for m in letters:
+                    mats[used[k]] = m
+                    if holds(due[k]):
+                        fitting[key].append(m)
+            for m in fitting[key]:
+                mats[used[k]] = m
+                if fits(k + 1):
+                    return True
+            return False
+
+        if holds(letterless) and fits(0):
+            cert = semiring.certificate(d, {system.letters[c]: mats[c] for c in used})
+            assert check_matrix(cert, system)
+            return cert
     return None
 
 
@@ -1073,9 +1111,9 @@ class TestBoundPruning:
             ("(RULES a b b -> , a ->= a b a)", "arctic", 1),
             ("(RULES a b -> a, ->= c b)", "natural", 1),
             ("(RULES a c -> c b a , b c ->= c b)", "natural", 1),
-            # the brute force would try 2.1 million arctic assignments of
-            # three letters at entries <= 1, and tries 19,683 at entries <= 0
-            ("(RULES a b -> a, ->= c b)", "arctic", 0),
+            # three letters, where bound pruning acts at two levels: 2.1
+            # million arctic assignments, which first_fit prunes rule by rule
+            ("(RULES a b -> a, ->= c b)", "arctic", 1),
         ],
     )
     def test_uncapped_search_equals_first_fit(self, text, semiring, max_entry):
