@@ -335,6 +335,8 @@ def parse_certificate(data, system: RelSRS) -> Certificate:
                 or not is_int(rd.get("offset"))
             ):
                 raise CertificateFormatError("redex must have rule, side (left/right), offset")
+            if kind == "loop-mixed":
+                raise CertificateFormatError("a loop-mixed certificate carries no redex")
             redex = EmittingRedex(rd["rule"], rd["side"], rd["offset"])
         index = dict(zip(system.letters, range(len(system.letters))))
         return LoopCertificate(

@@ -161,6 +161,8 @@ def check_loop_certificate(cert: LoopCertificate, system: RelSRS) -> CheckResult
     if cert.kind == "mixed":
         if not strict_step:
             return CheckResult(False, "mixed loop has no strict step")
+        if cert.redex is not None:
+            return CheckResult(False, "mixed loop carries a redex witness")
         return _OK
     # emitting
     if strict_step:

@@ -6,12 +6,13 @@ to see those lines.  Wherever a verdict could be an artifact of the
 library's own code path, the check leans on an independent recomputation
 instead: fresh matrix products over the raw JSON for criterion 1, a
 from-scratch string rewriting simulator for criterion 7, and the naive
-quotient oracle from test_enumeration for criterion 6.
+quotient oracle for criterion 6, all three in tests/oracles.py.
 """
 
 import copy
 import itertools
 import json
+import operator
 import os
 import time
 from collections import Counter
@@ -55,7 +56,7 @@ from relsrs import (
 )
 from relsrs.core import s_as_strict
 
-from test_enumeration import oracle_classes
+from oracles import arc_product, nat_product, oracle_classes, simulate_mixed_loop, to_strings
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -107,34 +108,10 @@ def _mutate(data, letter, i, j, op):
     return out
 
 
-# Independent recomputation: plain products over the raw JSON values, no
-# shared code with the checkers.
+# Independent recomputation: the oracles' plain products over the raw JSON
+# values, "-inf" read as NEG, no shared code with the checkers.
 
-def _nat_matmul(x, y):
-    d = len(x)
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-
-
-def _arc_matmul(x, y):
-    d = len(x)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            best = None
-            for k in range(d):
-                if x[i][k] is None or y[k][j] is None:
-                    continue
-                v = x[i][k] + y[k][j]
-                if best is None or v > best:
-                    best = v
-            row.append(best)
-        out.append(row)
-    return out
-
+NEG = float("-inf")
 
 def _word_image(word, system, mats, matmul, identity):
     m = identity
@@ -143,30 +120,24 @@ def _word_image(word, system, mats, matmul, identity):
     return m
 
 
-def _arc_ge(x, y):
-    return y is None or (x is not None and x >= y)
-
-
 def _arc_gg(x, y):
-    if y is None:
-        return True  # covers x finite and the both-minus-infinity case
-    return x is not None and x > y
+    return y == NEG or x > y  # y = -inf covers the both-minus-infinity case
 
 
 def _nat_rule_ok(mats, system, rule, d):
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    lm = _word_image(rule.lhs, system, mats, _nat_matmul, ident)
-    rm = _word_image(rule.rhs, system, mats, _nat_matmul, ident)
+    lm = _word_image(rule.lhs, system, mats, nat_product, ident)
+    rm = _word_image(rule.rhs, system, mats, nat_product, ident)
     if any(lm[i][j] < rm[i][j] for i in range(d) for j in range(d)):
         return False
     return not rule.strict or lm[0][d - 1] > rm[0][d - 1]
 
 
 def _arc_rule_ok(mats, system, rule, d):
-    ident = [[0 if i == j else None for j in range(d)] for i in range(d)]
-    lm = _word_image(rule.lhs, system, mats, _arc_matmul, ident)
-    rm = _word_image(rule.rhs, system, mats, _arc_matmul, ident)
-    cmp = _arc_gg if rule.strict else _arc_ge
+    ident = [[0 if i == j else NEG for j in range(d)] for i in range(d)]
+    lm = _word_image(rule.lhs, system, mats, arc_product, ident)
+    rm = _word_image(rule.rhs, system, mats, arc_product, ident)
+    cmp = _arc_gg if rule.strict else operator.ge
     return all(cmp(lm[i][j], rm[i][j]) for i in range(d) for j in range(d))
 
 
@@ -181,14 +152,18 @@ def _nat_oracle(data, system):
     return all(_nat_rule_ok(mats, system, r, d) for r in system.rules)
 
 
-def _arc_oracle(data, system):
-    d = data["dimension"]
-    mats = {
-        k: [[None if v == "-inf" else v for v in row] for row in m]
+def _arc_matrices(data):
+    return {
+        k: [[NEG if v == "-inf" else v for v in row] for row in m]
         for k, m in data["matrices"].items()
     }
+
+
+def _arc_oracle(data, system):
+    d = data["dimension"]
+    mats = _arc_matrices(data)
     for m in mats.values():
-        if m[0][0] is None or m[0][0] < 0:
+        if m[0][0] < 0:
             return False
     return all(_arc_rule_ok(mats, system, r, d) for r in system.rules)
 
@@ -223,14 +198,8 @@ def test_01_matrix_certificate_anchors_and_mutations():
             named = [r for r in system.rules if system.rule_str(r) in res.reason]
             if named:
                 # the checker blamed a rule; recompute that rule's products
-                d = mdata["dimension"]
-                mats = mdata["matrices"]
-                if arctic:
-                    mats = {
-                        k: [[None if v == "-inf" else v for v in row] for row in m]
-                        for k, m in mats.items()
-                    }
-                assert not rule_ok(mats, system, named[0], d), res.reason
+                mats = _arc_matrices(mdata) if arctic else mdata["matrices"]
+                assert not rule_ok(mats, system, named[0], mdata["dimension"]), res.reason
         assert prescribed <= rejected
         total_rejected += len(rejected)
     _report(1, 1.0, t0, f"2 anchors verbatim, 40 mutations agree with the "
@@ -357,118 +326,6 @@ def test_06_enumeration_anchors_and_oracle_counts():
 
 # --- criterion 7: prover soundness sweep against a fresh simulator ---
 
-SIM_WORD_CAP = 10
-SIM_STEP_CAP = 10_000
-SIM_UNROLLINGS = 3
-
-
-def _occurrences(word, lhs):
-    if not lhs:
-        return range(len(word) + 1)
-    out = []
-    p = word.find(lhs)
-    while p >= 0:
-        out.append(p)
-        p = word.find(lhs, p + 1)
-    return out
-
-
-def _apply_steps(word, steps, offset):
-    """Replay recorded (lhs, rhs, strict, pos) steps shifted by offset."""
-    for lhs, rhs, _, pos in steps:
-        p = pos + offset
-        if word[p : p + len(lhs)] != lhs:
-            return None
-        word = word[:p] + rhs + word[p + len(lhs):]
-    return word
-
-
-def _verified_unroll(v, steps):
-    """Replay v ->+ u.v.w and re-run the cycle SIM_UNROLLINGS times.
-
-    Each round shifts every recorded position by the accumulated prefix
-    length and re-checks the lhs match, so a bogus candidate cannot pass.
-    """
-    w = _apply_steps(v, steps, 0)
-    if w is None:
-        return False
-    idx = w.find(v)
-    if idx < 0:
-        return False
-    word, offset = w, idx
-    for _ in range(SIM_UNROLLINGS):
-        word = _apply_steps(word, steps, offset)
-        if word is None or word[offset + idx : offset + idx + len(v)] != v:
-            return False
-        offset += idx
-    return True
-
-
-def _simulate_mixed_loop(rules, alphabet):
-    """Bounded DFS over plain Python strings for a verified mixed loop.
-
-    Independent of the library's search: words are str, rules are
-    (lhs, rhs, strict) triples, and every candidate loop must survive
-    _verified_unroll before it counts.
-    """
-    budget = SIM_STEP_CAP
-    words, steps, stricts = [], [], [0]
-
-    def dfs():
-        nonlocal budget
-        current = words[-1]
-        for lhs, rhs, strict in rules:
-            for pos in _occurrences(current, lhs):
-                if budget <= 0:
-                    return None
-                budget -= 1
-                child = current[:pos] + rhs + current[pos + len(lhs):]
-                if len(child) > SIM_WORD_CAP:
-                    continue
-                ns = stricts[-1] + (1 if strict else 0)
-                step = (lhs, rhs, strict, pos)
-                for i, anc in enumerate(words):
-                    if ns - stricts[i] >= 1 and anc in child:
-                        cand = steps[i:] + [step]
-                        if _verified_unroll(anc, cand):
-                            return anc, tuple(cand)
-                if any(child == a and ns == stricts[i] for i, a in enumerate(words)):
-                    continue  # no strict progress since this word appeared
-                if len(words) > 40:
-                    continue
-                words.append(child)
-                steps.append(step)
-                stricts.append(ns)
-                found = dfs()
-                words.pop()
-                steps.pop()
-                stricts.pop()
-                if found:
-                    return found
-        return None
-
-    for n in range(4):
-        for seed in itertools.product(sorted(alphabet), repeat=n):
-            if budget <= 0:
-                return None
-            words[:] = ["".join(seed)]
-            steps[:] = []
-            stricts[:] = [0]
-            found = dfs()
-            if found:
-                return found
-    return None
-
-
-def _str_rules(system):
-    return [
-        ("".join(system.letters[c] for c in r.lhs),
-         "".join(system.letters[c] for c in r.rhs),
-         r.strict)
-        for r in system.rules
-    ]
-
-
 def test_07_prover_soundness_sweep():
     t0 = time.perf_counter()
     counts = Counter()
@@ -479,7 +336,7 @@ def test_07_prover_soundness_sweep():
         if outcome.verdict != "MAYBE":
             res = verify_certificate(outcome.certificate, system)
             assert res.ok, f"{print_system(system)!r}: {res.reason}"
-        simulated = _simulate_mixed_loop(_str_rules(system), system.letters)
+        simulated = simulate_mixed_loop(to_strings(system), system.letters)
         if simulated is not None:
             loops += 1
             assert outcome.verdict != "YES", (

@@ -128,6 +128,17 @@ class TestLoopSchema:
         with pytest.raises(CertificateFormatError):
             parse_certificate(data, SYS)
 
+    def test_mixed_loop_with_a_redex_is_format_error(self):
+        # the redex is an emitting loop's witness; on a mixed loop nothing
+        # would check it, and serializing would write it back out
+        data = {
+            "type": "loop-mixed", "start": ["a"], "steps": [{"rule": 0, "position": 0}],
+            "left": [], "right": [], "redex": {"rule": 0, "side": "left", "offset": 5},
+        }
+        message = "^a loop-mixed certificate carries no redex$"
+        with pytest.raises(CertificateFormatError, match=message):
+            parse_certificate(data, parse_system("(RULES a -> a)"))
+
 
 LOOP = {
     "type": "loop-mixed",

@@ -2,7 +2,6 @@
 
 import hashlib
 from dataclasses import asdict
-from itertools import product
 
 import pytest
 
@@ -21,90 +20,7 @@ from relsrs import (
     words_up_to,
 )
 
-SWAP = str.maketrans("ab", "ba")
-
-
-def to_strings(system):
-    """String triples (lhs, rhs, strict) for comparing with the oracle."""
-    return tuple(
-        (
-            "".join(system.letters[c] for c in rule.lhs),
-            "".join(system.letters[c] for c in rule.rhs),
-            rule.strict,
-        )
-        for rule in system.rules
-    )
-
-
-def oracle_canon(rules):
-    """Orbit representative under the a/b swap, built from strings only."""
-
-    def key(rule):
-        lhs, rhs, strict = rule
-        return (not strict, (len(lhs), lhs), (len(rhs), rhs))
-
-    plain = tuple(sorted(rules, key=key))
-    swapped = tuple(
-        sorted(((l.translate(SWAP), r.translate(SWAP), s) for l, r, s in rules), key=key)
-    )
-    return min(plain, swapped)
-
-
-def oracle_classes(max_size):
-    """Brute force every rule set over {a, b} and quotient by the swap.
-
-    Independent of the package: plain strings, no shared code with the
-    generator.  Returns {total size: set of canonical representatives}.
-    """
-    words = [""]
-    for n in range(1, max_size + 1):
-        words.extend("".join(t) for t in product("ab", repeat=n))
-    rules = []
-    for lhs, rhs in product(words, repeat=2):
-        if len(lhs) + len(rhs) > max_size:
-            continue
-        rules.append((lhs, rhs, True))
-        if lhs != rhs:
-            rules.append((lhs, rhs, False))
-    rules.sort(key=lambda r: (len(r[0]) + len(r[1]), r))
-    classes: dict[int, set] = {}
-
-    def emit(chosen):
-        stricts = [r for r in chosen if r[2]]
-        if not stricts or len(stricts) == len(chosen):
-            return
-        if set("".join(l + r for l, r, _ in chosen)) != {"a", "b"}:
-            return
-        bag = set(chosen)
-        if any(s and (l, r, False) in bag for l, r, s in chosen):
-            return
-        size = sum(len(l) + len(r) for l, r, _ in chosen)
-        classes.setdefault(size, set()).add(oracle_canon(chosen))
-
-    def rec(start, chosen, remaining):
-        if chosen:
-            emit(chosen)
-        for i in range(start, len(rules)):
-            sz = len(rules[i][0]) + len(rules[i][1])
-            if sz > remaining:
-                break
-            chosen.append(rules[i])
-            rec(i + 1, chosen, remaining - sz)
-            chosen.pop()
-
-    rec(0, [], max_size)
-    return classes
-
-
-def swap_letters(system):
-    assert system.letters == ("a", "b")
-    return RelSRS(
-        system.letters,
-        tuple(
-            Rule(tuple(1 - c for c in r.lhs), tuple(1 - c for c in r.rhs), r.strict)
-            for r in system.rules
-        ),
-    )
+from oracles import oracle_canon, oracle_classes, rename, to_strings
 
 
 class TestWordsUpTo:
@@ -140,7 +56,7 @@ class TestCanonicalForm:
 
     def test_letter_swap_lands_on_the_same_form(self):
         for system in enumerate_systems(EnumerationConfig(2, 3)):
-            assert canonical_form(swap_letters(system)) == system
+            assert canonical_form(rename(system, (1, 0))) == system
 
     def test_rules_are_ordered_strict_first(self):
         sys = RelSRS(("a", "b"), (Rule((0,), (1,), False), Rule((1,), (), True)))
@@ -325,7 +241,7 @@ class TestStreamContains:
 
     def test_membership_is_up_to_symmetry(self):
         for system in enumerate_systems(self.CFG):
-            assert stream_contains(self.CFG, swap_letters(system))
+            assert stream_contains(self.CFG, rename(system, (1, 0)))
 
     def test_filters_apply(self):
         strict_only = RelSRS(("a", "b"), (Rule((0,), (1,), True),))

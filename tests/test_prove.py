@@ -20,7 +20,6 @@ from relsrs import (
     EnumerationConfig,
     ProveBudget,
     RelSRS,
-    Rule,
     SearchReport,
     Step,
     WeightCertificate,
@@ -42,6 +41,8 @@ from relsrs import (
 )
 from relsrs import nonterm
 from relsrs.core import s_as_strict
+
+from oracles import arc_product, derive, nat_product, rename, weakenings
 
 
 def is_loop(cert):
@@ -432,14 +433,6 @@ class TestLastingCounterLoop:
         assert [(a.method, a.outcome) for a in result.attempts][-1] == ("mixed-loop", "found")
 
 
-def rename(system: RelSRS, name) -> RelSRS:
-    """The system with each letter c written name[c]."""
-    return RelSRS(system.letters, tuple(
-        Rule(tuple(name[c] for c in r.lhs), tuple(name[c] for c in r.rhs), r.strict)
-        for r in system.rules
-    ))
-
-
 class TestInvariance:
     def test_letter_swap_and_reversal_keep_the_verdict(self):
         # every canonical two-letter system up to size 5
@@ -474,19 +467,6 @@ class TestInvariance:
                 assert prove(reverse_system(renamed)).verdict == "YES", (text, name)
 
 
-def _weakenings(system: RelSRS):
-    """Each one-rule weakening with R non-empty: one rule dropped, or one
-    strict rule made relative."""
-    rules = system.rules
-    for i, rule in enumerate(rules):
-        weaker = [rules[:i] + rules[i + 1 :]]
-        if rule.strict:
-            weaker.append(rules[:i] + (Rule(rule.lhs, rule.rhs, False),) + rules[i + 1 :])
-        for changed in weaker:
-            if any(r.strict for r in changed):
-                yield RelSRS(system.letters, changed)
-
-
 class TestWeakeningAudit:
     """SN(R/S) survives dropping a rule or making a strict rule relative, so
     a NO weakening of a YES system is a soundness bug, and one of a MAYBE
@@ -500,44 +480,11 @@ class TestWeakeningAudit:
             verdict = prove(system).verdict
             if verdict == "NO":
                 continue
-            for weaker in _weakenings(system):
+            for weaker in weakenings(system):
                 if weaker not in verdicts:
                     verdicts[weaker] = prove(weaker).verdict
                 assert verdicts[weaker] != "NO", f"{verdict} {system} has NO {weaker}"
         assert len(verdicts) == proofs
-
-
-def _nat_product(x, y):
-    d = len(x)
-    return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-
-
-def _arc_product(x, y):
-    d = len(x)
-    return [[max(x[i][k] + y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-
-
-def _derive(rules, word: str, pick, stop: int, every: bool) -> int:
-    """The strict steps (with `every`, all steps) of a derivation from
-    `word` that rewrites the redex `pick` takes from the list of them in
-    rule, then position order.  It ends after `stop` of those steps, at a
-    normal form, or after 200 steps or past 40 letters, as S alone need
-    not terminate."""
-    count = steps = 0
-    while count < stop and steps < 200 and len(word) <= 40:
-        redexes = [
-            (lhs, rhs, strict, p)
-            for lhs, rhs, strict in rules
-            for p in range(len(word) - len(lhs) + 1)
-            if word.startswith(lhs, p)
-        ]
-        if not redexes:
-            break
-        lhs, rhs, strict, p = pick(redexes)
-        word = word[:p] + rhs + word[p + len(lhs):]
-        steps += 1
-        count += every or strict
-    return count
 
 
 class TestDerivationBounds:
@@ -546,8 +493,8 @@ class TestDerivationBounds:
     delta the least strict decrease; natural matrices by [u](1,d); arctic
     ones by [u](1,1); empty R by 0.  A `strictified-termination` part bounds
     every step, delta taken over all rules.  The derivations are plain
-    string rewriting and the bounds use this test's own products, not
-    relsrs.check.  Every system with a positive bound also has a derivation
+    string rewriting (`oracles.derive`) and the bounds use the oracles'
+    products, not relsrs.check.  Every system with a positive bound also has a derivation
     past half of it, so a certificate whose bound were halved would show a
     violation: the oracle is not vacuous."""
 
@@ -581,10 +528,10 @@ class TestDerivationBounds:
             return (lambda word: value(word) / delta), every
         d = cert.dimension
         if isinstance(cert, NaturalMatrixCertificate):
-            product, corner = _nat_product, d - 1
+            product, corner = nat_product, d - 1
             one = [[int(i == j) for j in range(d)] for i in range(d)]
         else:
-            product, corner = _arc_product, 0
+            product, corner = arc_product, 0
             one = [[0 if i == j else float("-inf") for j in range(d)] for i in range(d)]
         mats = [cert.interp[name] for name in system.letters]
         return (lambda word: functools.reduce(product, (mats[c] for c in word), one)[0][corner]), every
@@ -603,7 +550,7 @@ class TestDerivationBounds:
             for word in itertools.product(range(len(system.letters)), repeat=n):
                 most = bound(word)
                 for pick in picks:
-                    count = _derive(rules, "".join(map(chr, word)), pick, most + 2, every)
+                    count = derive(rules, "".join(map(chr, word)), pick, most + 2, every)
                     assert count <= most, (system, word, count, most)
                     runs += 1
                     past_half |= 2 * count > most

@@ -9,7 +9,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -50,10 +49,18 @@ from relsrs import (
 )
 from relsrs.certificates import ARCTIC, NATURAL, NEG_INF, SEMIRINGS
 from relsrs.check import CheckResult, _rule_fault
-from relsrs.core import Derivation, replay, s_as_strict, strict_step_count, used_letters
-from relsrs.nonterm import give_up, search_growth_witness
-from relsrs.term import (
-    _WITNESS_NODES, _FlatKernel, _Level, _last_candidates, _matrix_search, _SearchStop,
+from relsrs.core import Derivation, replay, s_as_strict, strict_step_count
+from relsrs.nonterm import search_growth_witness
+from relsrs.term import _WITNESS_NODES, _FlatKernel, _Level, _last_candidates, _matrix_search
+
+from oracles import (
+    arctic_letter_matrices,
+    dfs_weights,
+    entry_pool,
+    first_fit,
+    first_fit_weights,
+    forms,
+    growth_witness,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -235,97 +242,17 @@ class TestWeightSearch:
         assert report.stop == "none"
 
 
-def first_fit_weights(system, max_weight):
-    """Brute-force oracle: the first vector in itertools.product order over
-    the letters used in rules that every rule accepts.
-
-    One early exit: non-negative weights never orient a strict rule whose
-    letter-count differences are all <= 0, since its lhs weight minus its
-    rhs weight is then a sum of terms <= 0 and cannot reach 1."""
-    used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
-    # a rule holds when lhs weight - rhs weight reaches 1 (strict) or 0
-    rules = [
-        ([r.lhs.count(c) - r.rhs.count(c) for c in used], 1 if r.strict else 0)
-        for r in system.rules
-    ]
-    if any(need and all(d <= 0 for d in delta) for delta, need in rules):
-        return None
-    for vec in product(range(max_weight + 1), repeat=len(used)):
-        if all(sum(map(mul, vec, delta)) >= need for delta, need in rules):
-            return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
-    return None
-
-
-def dfs_weights(
-    system: RelSRS,
-    max_weight: int = ProveBudget.max_weight,
-    *,
-    assignment_cap: int = ProveBudget.matrix_assignment_cap,
-    deadline=None,
-    report=None,
-):
-    """Reference: the weight search that tries every weight of a letter
-    and lets each child test its own reach bound.  Every partial vector is
-    a node that checks the cap and the deadline, then its reach bound."""
-    used = used_letters(system)
-    n = len(used)
-    deltas = [[rule.lhs.count(c) - rule.rhs.count(c) for c in used] for rule in system.rules]
-    need = [1 if rule.strict else 0 for rule in system.rules]
-    moves = [any(delta[k] for delta in deltas) for k in range(n)]
-    # reach[k][j]: the most the letters used[k:] can add to rule j's total
-    reach = [
-        [max_weight * sum(max(0, x) for x in delta[k:]) for delta in deltas]
-        for k in range(n + 1)
-    ]
-
-    nodes = 0
-
-    def first(k: int, totals: list[int]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > assignment_cap or (deadline is not None and time.monotonic() >= deadline):
-            raise _SearchStop()
-        if any(t + r < m for t, r, m in zip(totals, reach[k], need)):
-            return None
-        if k == n:
-            return []
-        for w in range(max_weight + 1 if moves[k] else 1):
-            rest = first(k + 1, [t + w * delta[k] for t, delta in zip(totals, deltas)])
-            if rest is not None:
-                return [w] + rest
-        return None
-
-    try:
-        vec = first(0, [0] * len(deltas))
-    except _SearchStop:
-        vec = give_up(report, "cap" if nodes > assignment_cap else "deadline")
-    finally:
-        del first  # it refers to itself: free it now, not at the next collection
-    if report is not None:
-        report.nodes += nodes
-    if vec is None:
-        return None
-    return WeightCertificate({system.letters[c]: Fraction(w) for c, w in zip(used, vec)})
-
-
-def variants(system):
-    """The system as is, with every rule strict, and its relative rules
-    alone made strict: the three systems prove hands to search_weights."""
-    return system, strictify(system), s_as_strict(system)
-
-
 class TestWeightSearchOracle:
     @pytest.mark.parametrize("alphabet", [2, 3])
     def test_pruned_search_equals_first_fit(self, alphabet):
         seen = set()
-        for system in enumerate_systems(EnumerationConfig(alphabet, 4)):
-            for case in variants(system):
-                for max_weight in (0, 1, 2, 8, 16):
-                    if (case, max_weight) in seen:
-                        continue
-                    seen.add((case, max_weight))
-                    expected = first_fit_weights(case, max_weight)
-                    assert search_weights(case, max_weight) == expected, (str(case), max_weight)
+        for case in forms(EnumerationConfig(alphabet, 4), trivial=True):
+            for max_weight in (0, 1, 2, 8, 16):
+                if (case, max_weight) in seen:
+                    continue
+                seen.add((case, max_weight))
+                expected = first_fit_weights(case, max_weight)
+                assert search_weights(case, max_weight) == expected, (str(case), max_weight)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -368,47 +295,25 @@ class TestWeightSearchOracle:
 
 
 class TestFrozenWeightResults:
-    # 11,952 searches, 5,444 certificates, 57 capped (all at the cap of 40)
-    DIGEST = "f06c1bb28771d3e540d22ddd31aa0401c0b5fcb60083ecb367bf07153dce6649"
-
     def test_small_system_results_are_unchanged(self):
         """The weight search at (max_weight, assignment_cap) = (16, 500,000),
         (8, 20,000) and (16, 40) on every non-trivial system of
         `EnumerationConfig(2, 5)` and `(3, 4)` as is, strictified, and with
-        S alone made strict; the last cap falls inside many searches.
-        DIGEST was made by this snippet:
-
-            h = hashlib.sha256()
-            for config in (EnumerationConfig(2, 5), EnumerationConfig(3, 4)):
-                for system in enumerate_systems(config):
-                    if trivial_verdict(system) is not None:
-                        continue
-                    s_only = RelSRS(system.letters, tuple(
-                        Rule(r.lhs, r.rhs, True) for r in system.relative_rules))
-                    for form in (system, strictify(system), s_only):
-                        for max_weight, cap in ((16, 500_000), (8, 20_000), (16, 40)):
-                            report = SearchReport()
-                            cert = search_weights(form, max_weight,
-                                                  assignment_cap=cap, report=report)
-                            data = None if cert is None else serialize_certificate(cert, form)
-                            h.update(json.dumps([data, report.stop, report.nodes],
-                                                sort_keys=True).encode() + b"\n")
-            h.hexdigest()
-        """
-        h = hashlib.sha256()
-        searches = found = capped = 0
+        S alone made strict, 11,952 searches, has the certificate, the stop
+        and the node count of `dfs_weights`; the last cap falls inside many
+        of them."""
+        searches = 0
         for config in (EnumerationConfig(2, 5), EnumerationConfig(3, 4)):
-            for form in TestFrozenMatrixResults.forms(config):
+            for form in forms(config):
                 for max_weight, cap in ((16, 500_000), (8, 20_000), (16, 40)):
-                    report = SearchReport()
-                    cert = search_weights(form, max_weight, assignment_cap=cap, report=report)
-                    data = None if cert is None else serialize_certificate(cert, form)
-                    h.update(TestFrozenMatrixResults.report_line(data, report))
+                    got, want = SearchReport(), SearchReport()
+                    cert = search_weights(form, max_weight, assignment_cap=cap, report=got)
+                    expected = dfs_weights(form, max_weight, assignment_cap=cap, report=want)
+                    assert (cert, got.stop, got.nodes) == (expected, want.stop, want.nodes), (
+                        str(form), max_weight, cap
+                    )
                     searches += 1
-                    found += cert is not None
-                    capped += report.stop == "cap"
-        assert (searches, found, capped) == (11_952, 5_444, 57)
-        assert h.hexdigest() == self.DIGEST
+        assert searches == 11_952
 
 
 class TestNaturalChecker:
@@ -686,6 +591,14 @@ class TestMatrixSearch:
 
 
 class TestFrozenMatrixResults:
+    """The matrix kernel's one pin: what it finds, where it stops and how
+    many assignments it visits on 4,554 searches.  `first_fit` is its
+    reference, and TestNaturalSearchOracle, TestArcticConjugates and
+    TestBoundPruning compare the two on samples.  Over these searches
+    `first_fit` agreed with the kernel on every one it finished that the
+    cap did not cut, but ran for more than 15 minutes on a 2-vCPU host
+    without finishing them all, so the searches stay recorded here."""
+
     # recorded with the nested-tuple search: 3402 searches, 1598
     # certificates, 664 capped.  Since a strict rule with an empty lhs ends
     # the search before its first assignment, 430 of those capped searches,
@@ -728,7 +641,7 @@ class TestFrozenMatrixResults:
         """
         h, reports = hashlib.sha256(), hashlib.sha256()
         searches = found = capped = 0
-        for form in self.forms(EnumerationConfig(2, 4)):
+        for form in forms(EnumerationConfig(2, 4)):
             for semiring in ("natural", "arctic"):
                 for max_dim, max_entry, cap in ((2, 1, 3000), (2, 2, 3000), (3, 1, 500)):
                     report = SearchReport()
@@ -752,7 +665,7 @@ class TestFrozenMatrixResults:
         to size 4, whose rules can hold runs of two earlier letters."""
         h = hashlib.sha256()
         searches = found = capped = 0
-        for form in self.forms(EnumerationConfig(3, 4)):
+        for form in forms(EnumerationConfig(3, 4)):
             for semiring in ("natural", "arctic"):
                 report = SearchReport()
                 cert = _matrix_search(form, semiring, 2, 1, assignment_cap=5000, report=report)
@@ -765,23 +678,8 @@ class TestFrozenMatrixResults:
         assert h.hexdigest() == self.THREE_LETTER_DIGEST
 
     @staticmethod
-    def forms(config):
-        """Each non-trivial system as is, strictified, and with S alone made strict."""
-        for system in enumerate_systems(config):
-            if trivial_verdict(system) is not None:
-                continue
-            yield from (system, strictify(system), s_as_strict(system))
-
-    @staticmethod
     def report_line(data, report):
         return json.dumps([data, report.stop, report.nodes], sort_keys=True).encode() + b"\n"
-
-
-def entry_pool(semiring, max_entry):
-    """The search's entries up to max_entry, in search order."""
-    if semiring is NATURAL:
-        return list(range(max_entry + 1))
-    return [NEG_INF, *range(-1, max_entry + 1)]
 
 
 def pool_matrices(semiring, d, count):
@@ -896,66 +794,6 @@ class TestFlatKernel:
         monkeypatch.setattr("relsrs.term._nat_mul_any", lambda d, a, b: a)
         with pytest.raises(RuntimeError, match="unsound certificate"):
             search_matrix(parse_system("(RULES a b -> b a)"), "natural", max_dim=1)
-
-
-def arctic_letter_matrices(d, max_entry):
-    """Every d x d matrix over {-inf, -1, ..., max_entry} with a finite
-    (1,1) entry >= 0, in row-major lexicographic order."""
-    rows = list(product([NEG_INF, *range(-1, max_entry + 1)], repeat=d))
-    return [m for m in product(rows, repeat=d) if m[0][0] >= 0]
-
-
-def first_fit(system, semiring, max_dim, max_entry):
-    """Brute-force oracle: for d = 1 .. max_dim in turn, the first
-    assignment of the letters used in rules, in itertools.product order
-    over the full candidate lists, that holds every rule.  It assigns the
-    letters depth first in that order and tests each rule, with the
-    checker's products, as soon as its letters are assigned: a prefix that
-    fails a rule has no completion that holds.  The candidates of a letter
-    that hold the rules it completes depend only on the earlier letters
-    those rules read, so they are listed once per such choice.
-    check_matrix accepts what it returns."""
-    used = sorted({c for rule in system.rules for c in rule.lhs + rule.rhs})
-    # due[k]: the rules the k-th letter completes; letterless ones come first
-    letterless, due = [], [[] for _ in used]
-    for rule in system.rules:
-        letters = rule.lhs + rule.rhs
-        (due[max(map(used.index, letters))] if letters else letterless).append(rule)
-    reads = [
-        sorted({c for rule in rules for c in rule.lhs + rule.rhs} - {used[k]})
-        for k, rules in enumerate(due)
-    ]
-    for d in range(1, max_dim + 1):
-        rows = list(product(entry_pool(semiring, max_entry), repeat=d))
-        letters = [m for m in product(rows, repeat=d) if semiring.letter_fault(m, d) is None]
-        # with no letter to interpret the checker reads letterless rules at d = 1
-        dim = d if used else 1
-        one, mats, fitting = semiring.identity(dim), {}, {}
-
-        def holds(rules):
-            return all(_rule_fault(rule, mats, semiring, dim, one) is None for rule in rules)
-
-        def fits(k):
-            if k == len(used):
-                return True
-            key = (k, *(mats[c] for c in reads[k]))
-            if key not in fitting:
-                fitting[key] = []
-                for m in letters:
-                    mats[used[k]] = m
-                    if holds(due[k]):
-                        fitting[key].append(m)
-            for m in fitting[key]:
-                mats[used[k]] = m
-                if fits(k + 1):
-                    return True
-            return False
-
-        if holds(letterless) and fits(0):
-            cert = semiring.certificate(d, {system.letters[c]: mats[c] for c in used})
-            assert check_matrix(cert, system)
-            return cert
-    return None
 
 
 def is_canonical(mats, top):
@@ -1358,53 +1196,48 @@ class TestGrowthWitness:
 
 
 class TestFrozenWitnessResults:
-    # 3,072 searches, 444 witnesses; 1,948 of the searches without one stop
-    # at the node budget ("cap", 2,001 nodes), the other 1,124 with "none"
-    DIGEST = "2c92834867442f9f7aa57cbe42f825ab14fcc617dfee641f670f71e71b5f2c4d"
+    """The growth-witness search against `oracles.growth_witness`, which
+    makes the same greedy runs on str words and records each step as it
+    makes it, where the search counts its steps and runs the witness
+    again to record them."""
 
     def test_small_system_witnesses_are_unchanged(self):
-        """The growth-witness search at E = 1 and 2 under _WITNESS_NODES on
-        every system of `EnumerationConfig(2, 4)` and `(3, 4)` as is,
-        strictified, and with S alone made strict, unless it has a strict
-        rule with an empty lhs.  DIGEST was made by this snippet:
-
-            from relsrs.nonterm import search_growth_witness
-            from relsrs.term import _WITNESS_NODES
-            h = hashlib.sha256()
-            for config in (EnumerationConfig(2, 4), EnumerationConfig(3, 4)):
-                for system in enumerate_systems(config):
-                    for form in (system, strictify(system), s_as_strict(system)):
-                        if any(r.strict and not r.lhs for r in form.rules):
-                            continue
-                        for e in (1, 2):
-                            report = SearchReport()
-                            w = search_growth_witness(form, e, _WITNESS_NODES,
-                                                      report=report)
-                            data = None if w is None else [
-                                list(w.start),
-                                [[s.rule_index, s.position] for s in w.steps]]
-                            h.update(json.dumps([data, report.stop, report.nodes]
-                                                ).encode() + b"\n")
-            h.hexdigest()
-        """
-        h = hashlib.sha256()
-        searches = found = 0
+        """The search at E = 1 and 2 under _WITNESS_NODES on every system
+        of `EnumerationConfig(2, 4)` and `(3, 4)` as is, strictified, and
+        with S alone made strict, unless it has a strict rule with an empty
+        lhs: 3,072 searches.  Each witness replays with more than |w| * E
+        strict steps, and a search stops "cap" exactly when it counted the
+        budget + 1 nodes.  The reference agrees with the search on all of
+        them, but takes about 3.5 times as long, so the test below compares
+        the two on samples."""
+        searches = 0
         for config in (EnumerationConfig(2, 4), EnumerationConfig(3, 4)):
-            for system in enumerate_systems(config):
-                for form in variants(system):
-                    if any(r.strict and not r.lhs for r in form.rules):
-                        continue
-                    for e in (1, 2):
-                        report = SearchReport()
-                        w = search_growth_witness(form, e, _WITNESS_NODES, report=report)
-                        data = None if w is None else [
-                            list(w.start), [[s.rule_index, s.position] for s in w.steps]
-                        ]
-                        h.update(json.dumps([data, report.stop, report.nodes]).encode() + b"\n")
-                        searches += 1
-                        found += w is not None
-        assert (searches, found) == (3_072, 444)
-        assert h.hexdigest() == self.DIGEST
+            for form in forms(config, trivial=True):
+                if any(r.strict and not r.lhs for r in form.rules):
+                    continue
+                for e in (1, 2):
+                    report = SearchReport()
+                    witness = search_growth_witness(form, e, _WITNESS_NODES, report=report)
+                    if witness is not None:
+                        replay(witness, form)
+                        assert strict_step_count(witness, form) > len(witness.start) * e
+                    assert report.nodes <= _WITNESS_NODES + 1
+                    assert (report.stop == "cap") == (report.nodes == _WITNESS_NODES + 1), (
+                        str(form), e
+                    )
+                    searches += 1
+        assert searches == 3_072
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_letter_rules | three_letter_rules, st.integers(0, 2), st.integers(0, _WITNESS_NODES))
+    # a run returns to a word it saw before its last strict step
+    @example(parse_system("(RULES a -> b , b ->= a)"), 1, _WITNESS_NODES)
+    @example(parse_system("(RULES a b -> b b a , b ->= )"), 2, _WITNESS_NODES)
+    @example(parse_system("(RULES a c -> c b a , b ->= c)"), 2, _WITNESS_NODES)
+    def test_agrees_with_the_reference(self, system, max_entry, budget):
+        report = SearchReport()
+        witness = search_growth_witness(system, max_entry, budget, report=report)
+        assert (witness, report.stop, report.nodes) == growth_witness(system, max_entry, budget)
 
 
 class TestSearchLeavesNoCycle:
